@@ -130,6 +130,12 @@ func analyzeCSV(cfg config, in io.Reader) (*divexplorer.Result, *divexplorer.Dat
 }
 
 func run(cfg config, stdin io.Reader, w io.Writer) error {
+	if cfg.topK < 1 {
+		return fmt.Errorf("-topk %d: want at least 1", cfg.topK)
+	}
+	if cfg.corrective < 0 {
+		return fmt.Errorf("-corrective %d: want 0 (off) or more", cfg.corrective)
+	}
 	in := stdin
 	if cfg.input != "" {
 		f, err := os.Open(cfg.input)

@@ -126,6 +126,37 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadCounts pins the CLI's top-K bounds: -topk -1 used to
+// reach a slice bound panic inside the ranking, and -corrective must
+// not be negative. Both are usage errors, reported before any input is
+// read.
+func TestRunRejectsBadCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		topK, corr       int
+		wantErr, wantOut string
+	}{
+		{"topk zero", 0, 0, "-topk 0", ""},
+		{"topk negative", -1, 0, "-topk -1", ""},
+		{"corrective negative", 5, -1, "-corrective -1", ""},
+		{"corrective off", 5, 0, "", "top 5 patterns"},
+	} {
+		cfg := baseConfig()
+		cfg.discretize = "score=2"
+		cfg.topK, cfg.corrective = tc.topK, tc.corr
+		var out bytes.Buffer
+		err := run(cfg, strings.NewReader(sampleCSV), &out)
+		switch {
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.wantErr)
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case !strings.Contains(out.String(), tc.wantOut):
+			t.Errorf("%s: output missing %q:\n%s", tc.name, tc.wantOut, out.String())
+		}
+	}
+}
+
 func TestRunMissingValues(t *testing.T) {
 	csv := "g,truth,pred\nA,1,1\n?,0,1\nB,0,0\n"
 	cfg := baseConfig()

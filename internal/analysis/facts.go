@@ -189,7 +189,12 @@ func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 		return nil
 	}
 	fn, _ := info.Uses[id].(*types.Func)
-	return fn
+	if fn == nil {
+		return nil
+	}
+	// A method of an instantiated generic type is its own object; the
+	// call graph is keyed by declarations, so map it back to its origin.
+	return fn.Origin()
 }
 
 // closeHot seeds the hot set and computes its transitive closure over

@@ -25,22 +25,26 @@ func loadFixtureFacts(t *testing.T, dir string) *analysis.Facts {
 
 // TestFactsHotClosure pins the call-graph closure: lint:hot seeds are
 // hot, their same-module callees are hot, and a callee invoked from
-// inside a seed's loop is loop-hot. The cold function with an identical
-// body stays outside both sets.
+// inside a seed's loop is loop-hot — a method of a generic type too. The
+// cold function with an identical body stays outside both sets.
 func TestFactsHotClosure(t *testing.T) {
 	facts := loadFixtureFacts(t, "hotalloc")
 
 	hot := facts.HotFuncNames()
 	wantHot := []string{
-		"fixture/hotalloc.Mine", "fixture/hotalloc.MineReused", "fixture/hotalloc.grow",
-		"fixture/hotalloc.guarded", "fixture/hotalloc.helper",
+		"(*fixture/hotalloc.ring[T]).push",
+		"fixture/hotalloc.Mine", "fixture/hotalloc.MineGeneric", "fixture/hotalloc.MineReused",
+		"fixture/hotalloc.grow", "fixture/hotalloc.guarded", "fixture/hotalloc.helper",
 	}
 	if strings.Join(hot, ",") != strings.Join(wantHot, ",") {
 		t.Errorf("hot closure = %v, want %v", hot, wantHot)
 	}
 
 	loopHot := facts.LoopHotFuncNames()
-	wantLoopHot := []string{"fixture/hotalloc.grow", "fixture/hotalloc.guarded", "fixture/hotalloc.helper"}
+	wantLoopHot := []string{
+		"(*fixture/hotalloc.ring[T]).push",
+		"fixture/hotalloc.grow", "fixture/hotalloc.guarded", "fixture/hotalloc.helper",
+	}
 	if strings.Join(loopHot, ",") != strings.Join(wantLoopHot, ",") {
 		t.Errorf("loop-hot set = %v, want %v", loopHot, wantLoopHot)
 	}

@@ -101,3 +101,22 @@ func Cold(rows [][]int) []int {
 	}
 	return out
 }
+
+// ring is a generic buffer. A method of an instantiated generic type is
+// a distinct types object; the closure maps it back to its declaration,
+// so push is loop-hot through MineGeneric's loop.
+type ring[T any] struct{ items []T }
+
+func (r *ring[T]) push(x T) {
+	r.items = append(r.items, x)
+}
+
+// MineGeneric reaches a generic method from inside its loop.
+// lint:hot
+func MineGeneric(rows [][]int) int {
+	var r ring[int]
+	for _, row := range rows {
+		r.push(len(row))
+	}
+	return len(r.items)
+}

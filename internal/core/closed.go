@@ -11,21 +11,23 @@ import "repro/internal/fpm"
 //
 // The computation is one pass over the mined patterns: a pattern P of
 // length ℓ "closes over" each (ℓ−1)-subset with the same support, so any
-// subset matched that way is not closed.
+// subset matched that way is not closed. The subsets are read from the
+// parent index.
 func (r *Result) ClosedPatterns() []Pattern {
 	notClosed := make([]bool, len(r.Patterns))
+	rest := r.parents
 	for _, p := range r.Patterns {
+		parents := rest[:len(p.Items)]
+		rest = rest[len(p.Items):]
 		if len(p.Items) < 2 {
 			// Length-1 patterns are handled below via their parents; the
 			// empty itemset is not part of the result.
 			continue
 		}
 		support := p.Tally.Total()
-		for _, alpha := range p.Items {
-			sub := p.Items.Without(alpha)
-			if idx, ok := r.index[sub.Key()]; ok &&
-				r.Patterns[idx].Tally.Total() == support {
-				notClosed[idx] = true
+		for _, q := range parents {
+			if q >= 0 && r.Patterns[q].Tally.Total() == support {
+				notClosed[q] = true
 			}
 		}
 	}

@@ -31,69 +31,94 @@ type Corrective struct {
 // never shrink in absolute value).
 func (r *Result) CorrectiveItems(m Metric) []Corrective {
 	var out []Corrective
-	for _, p := range r.Patterns {
-		if len(p.Items) < 2 {
-			continue
-		}
-		extRate := r.Rate(p.Tally, m)
-		if math.IsNaN(extRate) {
-			continue
-		}
-		extDiv := r.DivergenceOfTally(p.Tally, m)
-		for _, alpha := range p.Items {
-			base := p.Items.Without(alpha)
-			bp, ok := r.Lookup(base)
-			if !ok {
-				continue
-			}
-			baseRate := r.Rate(bp.Tally, m)
-			if math.IsNaN(baseRate) {
-				continue
-			}
-			baseDiv := r.DivergenceOfTally(bp.Tally, m)
-			if math.Abs(extDiv) >= math.Abs(baseDiv) {
-				continue
-			}
-			out = append(out, Corrective{
-				Base:     base,
-				Item:     alpha,
-				BaseDiv:  baseDiv,
-				ExtDiv:   extDiv,
-				Factor:   math.Abs(baseDiv) - math.Abs(extDiv),
-				T:        stats.WelchTPosterior(r.PosteriorRate(bp.Tally, m), r.PosteriorRate(p.Tally, m)),
-				Support:  r.Support(p.Tally),
-				BaseSupp: r.Support(bp.Tally),
-			})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		// lint:ignore floatcmp exact tie-break on computed sort keys keeps ordering deterministic
-		if out[i].Factor != out[j].Factor {
-			return out[i].Factor > out[j].Factor
-		}
-		if !out[i].Base.Equal(out[j].Base) {
-			return lessItemsets(out[i].Base, out[j].Base)
-		}
-		return out[i].Item < out[j].Item
+	r.correctivePairs(m, func(c *Corrective, base, ext *Pattern) {
+		r.finishCorrective(c, base, ext, m)
+		out = append(out, *c)
 	})
+	sort.Slice(out, func(i, j int) bool { return correctiveBetter(&out[i], &out[j]) })
 	return out
 }
 
 // TopCorrective returns the k strongest corrective pairs, optionally
 // requiring a minimum Welch t between the base and extended rates so the
 // reported corrections are statistically meaningful (the paper's Table 3
-// reports t alongside each correction).
+// reports t alongside each correction). It is CorrectiveItems filtered
+// by minT and cut to k, selected in O(n log k): a pair that cannot enter
+// the top k skips its Welch t. k <= 0 yields an empty result.
+//
+// lint:hot
 func (r *Result) TopCorrective(m Metric, k int, minT float64) []Corrective {
-	all := r.CorrectiveItems(m)
-	out := make([]Corrective, 0, k)
-	for _, c := range all {
+	if k <= 0 {
+		return []Corrective{}
+	}
+	sel := newBestK(k, len(r.parents), correctiveBetter)
+	r.correctivePairs(m, func(c *Corrective, base, ext *Pattern) {
+		if w := sel.weakest(); w != nil && !correctiveBetter(c, w) {
+			return
+		}
+		r.finishCorrective(c, base, ext, m)
 		if c.T < minT {
+			return
+		}
+		sel.offer(*c)
+	})
+	return sel.sorted()
+}
+
+// correctivePairs calls visit for every corrective (base, item) pair, in
+// pattern order and then item order, with base and extension read from
+// the parent index. The pair carries its identity and divergences;
+// finishCorrective fills in the rest. Pairs where the metric is
+// undefined on either itemset, and trivial (empty) bases, are skipped.
+func (r *Result) correctivePairs(m Metric, visit func(c *Corrective, base, ext *Pattern)) {
+	divs := r.definedDivergences(m)
+	var c Corrective // escapes through visit, so it is reused across pairs
+	rest := r.parents
+	for i := range r.Patterns {
+		ext := &r.Patterns[i]
+		parents := rest[:len(ext.Items)]
+		rest = rest[len(ext.Items):]
+		extDiv := divs[i]
+		if len(ext.Items) < 2 || math.IsNaN(extDiv) {
 			continue
 		}
-		out = append(out, c)
-		if len(out) == k {
-			break
+		for j, q := range parents {
+			if q < 0 || math.IsNaN(divs[q]) {
+				continue
+			}
+			base := &r.Patterns[q]
+			baseDiv := divs[q]
+			if math.Abs(extDiv) >= math.Abs(baseDiv) {
+				continue
+			}
+			c = Corrective{
+				Base:    base.Items,
+				Item:    ext.Items[j],
+				BaseDiv: baseDiv,
+				ExtDiv:  extDiv,
+				Factor:  math.Abs(baseDiv) - math.Abs(extDiv),
+			}
+			visit(&c, base, ext)
 		}
 	}
-	return out
+}
+
+// finishCorrective fills in a pair's Welch t and supports.
+func (r *Result) finishCorrective(c *Corrective, base, ext *Pattern, m Metric) {
+	c.T = stats.WelchTPosterior(r.PosteriorRate(base.Tally, m), r.PosteriorRate(ext.Tally, m))
+	c.Support = r.Support(ext.Tally)
+	c.BaseSupp = r.Support(base.Tally)
+}
+
+// correctiveBetter is the total order of corrective pairs: factor
+// descending, then base itemset, then corrective item.
+func correctiveBetter(a, b *Corrective) bool {
+	// lint:ignore floatcmp exact tie-break on computed sort keys keeps ordering deterministic
+	if a.Factor != b.Factor {
+		return a.Factor > b.Factor
+	}
+	if !a.Base.Equal(b.Base) {
+		return lessItemsets(a.Base, b.Base)
+	}
+	return a.Item < b.Item
 }

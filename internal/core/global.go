@@ -18,7 +18,8 @@ import (
 //
 //	w(|P|−1) / Π_{b ∈ attrs(P)} m_b · (Δ(P) − Δ(P \ α))
 //
-// to α's total, where w is the attribute-level coalition weight of Eq. 8.
+// to α's total, where w is the attribute-level coalition weight of Eq. 8
+// and P \ α is read from the parent index.
 func (r *Result) GlobalDivergence(m Metric) map[fpm.Item]float64 {
 	return r.globalFromDivergence(func(t fpm.Tally) float64 {
 		return r.DivergenceOfTally(t, m)
@@ -29,30 +30,42 @@ func (r *Result) GlobalDivergence(m Metric) map[fpm.Item]float64 {
 // an arbitrary divergence function over tallies. Keeping the divergence
 // abstract makes the linearity axiom of Theorem 4.1 directly testable.
 func (r *Result) globalFromDivergence(divOf func(fpm.Tally) float64) map[fpm.Item]float64 {
+	divs := make([]float64, len(r.Patterns))
+	for i, p := range r.Patterns {
+		divs[i] = divOf(p.Tally)
+	}
+	global := r.globalByItem(divs)
+	out := make(map[fpm.Item]float64)
+	for _, p := range r.Patterns {
+		if len(p.Items) == 1 {
+			out[p.Items[0]] = global[p.Items[0]]
+		}
+	}
+	return out
+}
+
+// globalByItem folds Eq. 8 over the parent index, given the divergence of
+// every pattern in pattern order: entry α of the result, indexed by item,
+// is Δ̃^g(α, s). Terms are added in pattern order, then item order.
+func (r *Result) globalByItem(divs []float64) []float64 {
 	cat := r.DB.Catalog
 	nAttrs := cat.NumAttrs()
-	out := make(map[fpm.Item]float64)
-	for _, it := range r.FrequentItems() {
-		out[it] = 0
-	}
-	for _, p := range r.Patterns {
-		dP := divOf(p.Tally)
+	out := make([]float64, cat.NumItems())
+	rest := r.parents
+	for i, p := range r.Patterns {
+		parents := rest[:len(p.Items)]
+		rest = rest[len(p.Items):]
+		dP := divs[i]
 		// Domain-size product over the attributes of P = B ∪ attr(α).
 		prod := 1.0
 		for _, it := range p.Items {
 			prod *= float64(cat.Cardinality(cat.Attr(it)))
 		}
 		w := stats.GlobalShapleyWeight(len(p.Items)-1, 1, nAttrs) / prod
-		for _, alpha := range p.Items {
-			var dJ float64
-			if len(p.Items) > 1 {
-				j := p.Items.Without(alpha)
-				pj, ok := r.Lookup(j)
-				if !ok {
-					// Unreachable for consistent results; skip defensively.
-					continue
-				}
-				dJ = divOf(pj.Tally)
+		for j, alpha := range p.Items {
+			dJ, ok := parentDivergence(parents[j], divs)
+			if !ok {
+				continue
 			}
 			out[alpha] += w * (dP - dJ)
 		}
@@ -108,16 +121,19 @@ type ItemDivergenceComparison struct {
 // CompareItemDivergence returns, for every frequent item, both its
 // individual divergence Δ(α) and its global divergence Δ̃^g(α, s), sorted
 // by decreasing global divergence.
+//
+// lint:hot
 func (r *Result) CompareItemDivergence(m Metric) []ItemDivergenceComparison {
-	indiv := r.IndividualDivergence(m)
-	global := r.GlobalDivergence(m)
+	global := r.globalByItem(r.divergences(m))
 	out := make([]ItemDivergenceComparison, 0, len(global))
-	for _, it := range r.FrequentItems() {
-		out = append(out, ItemDivergenceComparison{
-			Item:       it,
-			Individual: indiv[it],
-			Global:     global[it],
-		})
+	for _, p := range r.Patterns {
+		if len(p.Items) == 1 {
+			out = append(out, ItemDivergenceComparison{
+				Item:       p.Items[0],
+				Individual: r.individual(p.Tally, m),
+				Global:     global[p.Items[0]],
+			})
+		}
 	}
 	sortComparisons(out)
 	return out

@@ -117,7 +117,7 @@ func (r *Result) SignificantPatternsPermFDR(ctx context.Context, m Metric, q flo
 // comparator, so every significance API reports in ranking order.
 func sortSignificant(out []Significant, order RankOrder) {
 	sort.Slice(out, func(i, j int) bool {
-		return lessRankedBy(out[i].Ranked, out[j].Ranked, order)
+		return rankedBetter(&out[i].Ranked, &out[j].Ranked, order)
 	})
 }
 

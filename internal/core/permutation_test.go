@@ -81,7 +81,7 @@ func TestWYPlantedEffectsSurvive(t *testing.T) {
 	}
 	// Survivors come back in ranking order.
 	for i := 1; i < len(sig); i++ {
-		if lessRankedBy(sig[i].Ranked, sig[i-1].Ranked, ByAbsDivergence) {
+		if rankedBetter(&sig[i].Ranked, &sig[i-1].Ranked, ByAbsDivergence) {
 			t.Fatalf("survivors not in ByAbsDivergence order at %d", i)
 		}
 	}

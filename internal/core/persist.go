@@ -64,21 +64,11 @@ func LoadResult(rd io.Reader, db *fpm.TxDB) (*Result, error) {
 		return nil, fmt.Errorf("core: corrupt snapshot (%d itemsets, %d tallies)",
 			len(snap.Items), len(snap.Tallies))
 	}
-	r := &Result{
-		DB:       db,
-		MinSup:   snap.MinSup,
-		MinCount: snap.MinCount,
-		Miner:    snap.Miner,
-		Patterns: make([]Pattern, len(snap.Items)),
-		index:    make(map[string]int, len(snap.Items)),
-		total:    db.TotalTally(),
-	}
+	patterns := make([]Pattern, len(snap.Items))
 	for i := range snap.Items {
-		items := fpm.Itemset(snap.Items[i])
-		r.Patterns[i] = Pattern{Items: items, Tally: snap.Tallies[i]}
-		r.index[items.Key()] = i
+		patterns[i] = Pattern{Items: fpm.Itemset(snap.Items[i]), Tally: snap.Tallies[i]}
 	}
-	return r, nil
+	return newResult(db, snap.MinSup, snap.MinCount, snap.Miner, patterns), nil
 }
 
 // fingerprintDB hashes the database's schema and outcome assignment.

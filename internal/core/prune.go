@@ -18,9 +18,9 @@ import (
 // result's canonical order.
 func (r *Result) Prune(m Metric, eps float64) []Pattern {
 	var out []Pattern
-	for _, p := range r.Patterns {
-		if !r.pruned(p, m, eps) {
-			out = append(out, p)
+	for i, keep := range r.survivors(m, eps) {
+		if keep {
+			out = append(out, r.Patterns[i])
 		}
 	}
 	return out
@@ -30,30 +30,33 @@ func (r *Result) Prune(m Metric, eps float64) []Pattern {
 // quantity swept in Figure 10.
 func (r *Result) PrunedCount(m Metric, eps float64) int {
 	n := 0
-	for _, p := range r.Patterns {
-		if !r.pruned(p, m, eps) {
+	for _, keep := range r.survivors(m, eps) {
+		if keep {
 			n++
 		}
 	}
 	return n
 }
 
-func (r *Result) pruned(p Pattern, m Metric, eps float64) bool {
-	if math.IsNaN(r.Rate(p.Tally, m)) {
-		return true
+// survivors marks, in pattern order, the patterns that survive pruning
+// at eps, reading each Δ(I \ α) from the parent index.
+func (r *Result) survivors(m Metric, eps float64) []bool {
+	divs := r.divergences(m)
+	keep := make([]bool, len(r.Patterns))
+	rest := r.parents
+	for i, p := range r.Patterns {
+		parents := rest[:len(p.Items)]
+		rest = rest[len(p.Items):]
+		keep[i] = definedOn(p.Tally, m) && !redundant(divs[i], parents, divs, eps)
 	}
-	div := r.DivergenceOfTally(p.Tally, m)
-	for _, alpha := range p.Items {
-		var parentDiv float64
-		parent := p.Items.Without(alpha)
-		if len(parent) > 0 {
-			pp, ok := r.Lookup(parent)
-			if !ok {
-				continue
-			}
-			parentDiv = r.DivergenceOfTally(pp.Tally, m)
-		}
-		if math.Abs(div-parentDiv) <= eps {
+	return keep
+}
+
+// redundant reports whether some parent's divergence is within eps of
+// div.
+func redundant(div float64, parents []int32, divs []float64, eps float64) bool {
+	for _, q := range parents {
+		if parentDiv, ok := parentDivergence(q, divs); ok && math.Abs(div-parentDiv) <= eps {
 			return true
 		}
 	}
@@ -61,22 +64,10 @@ func (r *Result) pruned(p Pattern, m Metric, eps float64) bool {
 }
 
 // TopKPruned ranks the patterns surviving redundancy pruning, as in
-// Table 6: the most divergent non-redundant itemsets.
+// Table 6: the most divergent non-redundant itemsets. k <= 0 yields an
+// empty result.
 func (r *Result) TopKPruned(m Metric, eps float64, k int, order RankOrder) []Ranked {
-	survivors := r.Prune(m, eps)
-	sub := &Result{
-		DB:       r.DB,
-		MinSup:   r.MinSup,
-		MinCount: r.MinCount,
-		Miner:    r.Miner,
-		Patterns: survivors,
-		index:    make(map[string]int, len(survivors)),
-		total:    r.total,
-	}
-	for i, p := range survivors {
-		sub.index[p.Items.Key()] = i
-	}
-	return sub.TopK(m, k, order)
+	return r.selectRanked(m, k, order, r.survivors(m, eps))
 }
 
 // MarginalContribution returns Δ(I) − Δ(I\α) for α ∈ I, the quantity the

@@ -28,7 +28,13 @@ type Result struct {
 
 	Patterns []Pattern
 	index    map[string]int
-	total    fpm.Tally
+	// parents is the parent index (DESIGN.md §17): walking Patterns in
+	// order, each pattern's |Items| entries give the position in Patterns
+	// of the pattern without its j-th item, emptyParent for the empty
+	// itemset and missingParent when that subset was not mined. Built
+	// once by newResult and never mutated.
+	parents []int32
+	total   fpm.Tally
 }
 
 // Options configures an exploration.
@@ -65,20 +71,11 @@ func ExploreContext(ctx context.Context, db *fpm.TxDB, minSup float64, opts Opti
 	if err != nil {
 		return nil, fmt.Errorf("core: mining: %w", err)
 	}
-	r := &Result{
-		DB:       db,
-		MinSup:   minSup,
-		MinCount: minCount,
-		Miner:    miner.Name(),
-		Patterns: make([]Pattern, len(mined)),
-		index:    make(map[string]int, len(mined)),
-		total:    db.TotalTally(),
-	}
+	patterns := make([]Pattern, len(mined))
 	for i, p := range mined {
-		r.Patterns[i] = Pattern{Items: p.Items, Tally: p.Tally}
-		r.index[p.Items.Key()] = i
+		patterns[i] = Pattern{Items: p.Items, Tally: p.Tally}
 	}
-	return r, nil
+	return newResult(db, minSup, minCount, miner.Name(), patterns), nil
 }
 
 // NumPatterns returns the number of frequent itemsets found (excluding
@@ -94,7 +91,10 @@ func (r *Result) Lookup(is fpm.Itemset) (Pattern, bool) {
 	if len(is) == 0 {
 		return Pattern{Items: nil, Tally: r.total}, true
 	}
-	i, ok := r.index[is.Key()]
+	// Keys of up to 32 items are built on the stack, and a map index with
+	// a string(bytes) key does not allocate.
+	var key [4 * 32]byte
+	i, ok := r.index[string(appendKey(key[:0], is))]
 	if !ok {
 		return Pattern{}, false
 	}
@@ -220,16 +220,45 @@ const (
 	ByNegDivergence
 )
 
-// TopK returns the k most divergent patterns under the metric and order.
-// Patterns on which the metric is undefined are skipped. Ties break by
-// higher t-statistic (more statistically significant first), then higher
-// support, then lexicographic itemset order, for determinism.
+// TopK returns the k most divergent patterns under the metric and order:
+// the first k of RankAll, selected in O(n log k) without annotating or
+// sorting the rest. Patterns on which the metric is undefined are
+// skipped. Ties break by higher t-statistic (more statistically
+// significant first), then higher support, then lexicographic itemset
+// order, for determinism. k <= 0 yields an empty result.
+//
+// lint:hot
 func (r *Result) TopK(m Metric, k int, order RankOrder) []Ranked {
-	rs := r.RankAll(m, order)
-	if k < len(rs) {
-		rs = rs[:k]
+	return r.selectRanked(m, k, order, nil)
+}
+
+// selectRanked returns the k best patterns under rankedBetter among those
+// keep marks (every pattern when keep is nil), best first.
+func (r *Result) selectRanked(m Metric, k int, order RankOrder, keep []bool) []Ranked {
+	if k <= 0 {
+		return []Ranked{}
 	}
-	return rs
+	sel := newBestK(k, len(r.Patterns), func(a, b *Ranked) bool { return rankedBetter(a, b, order) })
+	global := r.safeRate(r.total, m)
+	for i := range r.Patterns {
+		p := &r.Patterns[i]
+		if keep != nil && !keep[i] {
+			continue
+		}
+		rate := r.Rate(p.Tally, m)
+		if math.IsNaN(rate) {
+			continue
+		}
+		// A pattern whose key is already below the weakest kept one cannot
+		// enter, so it skips the Welch t of a full annotation. rate−global
+		// is DivergenceOfTally on a defined tally.
+		if w := sel.weakest(); w != nil && orderKey(order, rate-global) < orderKey(order, w.Divergence) {
+			continue
+		}
+		rk, _ := r.ranked(*p, m)
+		sel.offer(rk)
+	}
+	return sel.sorted()
 }
 
 // RankAll annotates and sorts all patterns under the metric and order.
@@ -241,29 +270,51 @@ func (r *Result) RankAll(m Metric, order RankOrder) []Ranked {
 		}
 	}
 	sort.Slice(rs, func(i, j int) bool {
-		return lessRankedBy(rs[i], rs[j], order)
+		return rankedBetter(&rs[i], &rs[j], order)
 	})
 	return rs
 }
 
-// rankKeyOf is the primary sort key of a Ranked pattern under an order.
-func rankKeyOf(x Ranked, order RankOrder) float64 {
+// NumDefined counts the patterns on which the metric is defined: the
+// patterns RankAll ranks, and the hypotheses a significance test over
+// them makes.
+func (r *Result) NumDefined(m Metric) int {
+	n := 0
+	for i := range r.Patterns {
+		if definedOn(r.Patterns[i].Tally, m) {
+			n++
+		}
+	}
+	return n
+}
+
+// definedOn reports whether the metric has at least one non-⊥ outcome
+// on the tally, i.e. whether Rate is a number.
+func definedOn(t fpm.Tally, m Metric) bool {
+	kp, kn := m.Counts(t)
+	return kp+kn != 0
+}
+
+// orderKey is the primary ranking key of a divergence under an order.
+func orderKey(order RankOrder, div float64) float64 {
 	switch order {
 	case ByAbsDivergence:
-		return math.Abs(x.Divergence)
+		return math.Abs(div)
 	case ByNegDivergence:
-		return -x.Divergence
+		return -div
 	default:
-		return x.Divergence
+		return div
 	}
 }
 
-// lessRankedBy is the ranking comparator shared by every API that
-// reports patterns in ranking order: key descending, then higher
-// t-statistic, then higher support, then lexicographic itemset order,
-// for determinism.
-func lessRankedBy(a, b Ranked, order RankOrder) bool {
-	ka, kb := rankKeyOf(a, order), rankKeyOf(b, order)
+// rankedBetter is the one total order every API that reports patterns in
+// ranking order uses — TopK, RankAll, the significance APIs and the
+// anytime heap: ranking key descending, then Welch t descending, then
+// support descending, then lexicographic itemset. Because it is total,
+// the top-k set under it is unique no matter what order candidates
+// arrive in.
+func rankedBetter(a, b *Ranked, order RankOrder) bool {
+	ka, kb := orderKey(order, a.Divergence), orderKey(order, b.Divergence)
 	// lint:ignore floatcmp exact tie-break on computed sort keys keeps ordering deterministic
 	if ka != kb {
 		return ka > kb
@@ -306,14 +357,19 @@ func (r *Result) FrequentItems() []fpm.Item {
 // reported with NaN.
 func (r *Result) IndividualDivergence(m Metric) map[fpm.Item]float64 {
 	out := make(map[fpm.Item]float64)
-	for _, it := range r.FrequentItems() {
-		p, _ := r.Lookup(fpm.Itemset{it})
-		rate := r.Rate(p.Tally, m)
-		if math.IsNaN(rate) {
-			out[it] = math.NaN()
-			continue
+	for _, p := range r.Patterns {
+		if len(p.Items) == 1 {
+			out[p.Items[0]] = r.individual(p.Tally, m)
 		}
-		out[it] = r.DivergenceOfTally(p.Tally, m)
 	}
 	return out
+}
+
+// individual is the divergence of a singleton's tally, NaN when the
+// metric is undefined on it.
+func (r *Result) individual(t fpm.Tally, m Metric) float64 {
+	if !definedOn(t, m) {
+		return math.NaN()
+	}
+	return r.DivergenceOfTally(t, m)
 }

@@ -33,8 +33,6 @@ type Itemset []Item
 
 // Key returns a canonical map key for the itemset. The itemset must be
 // sorted (the package invariant).
-//
-// lint:ignore hotalloc the key is retained by callers as a map key; a reused buffer cannot back a Go string
 func (is Itemset) Key() string {
 	buf := make([]byte, 4*len(is))
 	for i, it := range is {

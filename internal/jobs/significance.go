@@ -234,7 +234,7 @@ func (e *Engine) significance(ctx context.Context, spec SignificanceSpec, tr *Tr
 		Metric:     m.Name,
 		Method:     spec.Method,
 		Alpha:      spec.Alpha,
-		Hypotheses: len(res.RankAll(m, core.ByAbsDivergence)),
+		Hypotheses: res.NumDefined(m),
 		GlobalRate: rate,
 	}
 	var sig []core.Significant

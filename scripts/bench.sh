@@ -15,6 +15,10 @@
 #   BenchmarkAnytimeTopK                 the anytime top-K explore:
 #                                        exhaustive vs. pattern-budgeted
 #                                        vs. row-sampled on one dataset
+#   BenchmarkRankAnalyze                 the ranking half of a cache-hit
+#                                        /analyze (top-K, item divergence,
+#                                        corrective items for FPR and FNR)
+#                                        served from the parent index
 #   BenchmarkLatticeExpand               one navigation step, cold
 #                                        (narrowed scan) vs. warm
 #                                        (conditional-tally cache hit)
@@ -60,7 +64,7 @@ echo "==> benchmarks (-benchtime ${benchtime}, -benchmem)"
     go test -run=NONE -benchmem -benchtime="${benchtime}" \
         -bench '^(BenchmarkMonitorIngest|BenchmarkWindowAdvance)$' ./internal/monitor
     go test -run=NONE -benchmem -benchtime="${benchtime}" \
-        -bench '^BenchmarkAnytimeTopK$' ./internal/core
+        -bench '^(BenchmarkAnytimeTopK|BenchmarkRankAnalyze)$' ./internal/core
     go test -run=NONE -benchmem -benchtime="${benchtime}" \
         -bench '^BenchmarkLatticeExpand$' ./internal/lattice
     go test -run=NONE -benchmem -benchtime="${benchtime}" \

@@ -74,6 +74,11 @@
 #   9. benchmark smoke             every benchmark once, so a bench that
 #                                  panics or no longer compiles fails
 #                                  the gate, not the next perf session
+#   9b. bench-module tier          vet and test the end-to-end benchmark
+#                                  (bench/, a nested module that the
+#                                  root ./... never reaches): its stats,
+#                                  compare verdicts, seed determinism and
+#                                  the ~14 s smoke of all four workloads
 #  10. perf snapshot (opt-in)      with DIVEX_BENCH=1, scripts/bench.sh
 #                                  re-measures the mine / register /
 #                                  disk-fallthrough benchmarks and
@@ -140,6 +145,9 @@ go test -cover ./internal/jobs ./internal/fpm | awk '{print "    " $0}'
 
 echo "==> benchmark smoke (one iteration each)"
 go test -run=NONE -bench=. -benchtime=1x ./...
+
+echo "==> bench-module tier (end-to-end benchmark module: vet + tests)"
+(cd bench && go vet ./... && go test ./...)
 
 if [[ -n "${DIVEX_BENCH:-}" ]]; then
     echo "==> perf snapshot (DIVEX_BENCH set)"
