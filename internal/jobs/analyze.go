@@ -25,17 +25,9 @@ type AnalyzeFunc func(ctx context.Context, data *dataset.Dataset, spec Spec, tr 
 // snapshot. Input-shaped failures wrap ErrBadInput so the HTTP layer can
 // distinguish a bad request from an internal fault.
 func RunAnalysis(ctx context.Context, data *dataset.Dataset, spec Spec, tr *Tracker) (*core.Result, error) {
-	truth, pred, rest, err := extractLabels(data, spec.TruthCol, spec.PredCol)
+	db, err := confusionDB(data, spec.TruthCol, spec.PredCol)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
-	}
-	classes, err := core.ConfusionClasses(truth, pred)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
-	}
-	db, err := fpm.NewTxDB(rest, classes, core.NumConfusionClasses)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
+		return nil, err
 	}
 	if spec.Support < 0 || spec.Support > 1 {
 		return nil, fmt.Errorf("%w: support %v out of [0,1]", ErrBadInput, spec.Support)
@@ -48,6 +40,38 @@ func RunAnalysis(ctx context.Context, data *dataset.Dataset, spec Spec, tr *Trac
 		}
 	}
 	return core.ExploreContext(ctx, db, spec.Support, core.Options{Miner: miner})
+}
+
+// analysisWork is the work of a full-analysis job (Submit): mine, or
+// reuse, the lattice through the result cache.
+type analysisWork Spec
+
+func (w analysisWork) run(ctx context.Context, e *Engine, tr *Tracker) (any, bool, error) {
+	res, hit, err := e.analyzeCached(ctx, Spec(w), tr)
+	if res == nil {
+		return nil, hit, err // never box a nil pointer into the outcome
+	}
+	return res, hit, err
+}
+
+// confusionDB builds the transaction database DivExplorer mines from a
+// dataset: the Boolean label columns are removed and each row's
+// (truth, prediction) pair becomes its confusion class. Every failure is
+// the request's fault and wraps ErrBadInput.
+func confusionDB(data *dataset.Dataset, truthCol, predCol string) (*fpm.TxDB, error) {
+	truth, pred, rest, err := extractLabels(data, truthCol, predCol)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
+	}
+	classes, err := core.ConfusionClasses(truth, pred)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
+	}
+	db, err := fpm.NewTxDB(rest, classes, core.NumConfusionClasses)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
+	}
+	return db, nil
 }
 
 // extractLabels pulls and removes the Boolean label columns. The input

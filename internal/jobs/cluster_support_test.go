@@ -44,7 +44,7 @@ func TestSubmitRejectsDuplicateID(t *testing.T) {
 	}
 	// The non-adopted path must refuse to silently merge distinct
 	// submissions under one ID.
-	if _, err := e.submit("dup", sampleSpec(h), false); err == nil {
+	if _, err := e.submit("dup", sampleSpec(h), analysisWork(sampleSpec(h)), false); err == nil {
 		t.Fatalf("duplicate non-adopted id accepted")
 	}
 }

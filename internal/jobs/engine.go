@@ -132,7 +132,7 @@ type Engine struct {
 	cfg     Config
 	reg     *registry.Registry
 	analyze AnalyzeFunc
-	cache   *resultCache
+	cache   *lru[*core.Result]
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -150,18 +150,16 @@ type Engine struct {
 	store atomic.Pointer[Store]
 
 	// Anytime exploration tier: outcome cache and per-dataset
-	// navigation sessions, both LRU-bounded under one lock.
-	exploreMu sync.Mutex
-	xcache    exploreCache
-	sessions  *keyedLRU
+	// navigation sessions.
+	xcache   *lru[*ExploreOutcome]
+	sessions *lru[*session]
 
 	explores     atomic.Int64
 	exploreMines atomic.Int64
 	expands      atomic.Int64
 
-	// Significance tier: outcome LRU under its own lock, plus counters.
-	sigMu      sync.Mutex
-	sigCache   *keyedLRU
+	// Significance tier: outcome cache and counters.
+	sigCache   *lru[*SignificanceOutcome]
 	sigQueries atomic.Int64
 	sigRuns    atomic.Int64
 	sigPerms   atomic.Int64
@@ -187,37 +185,14 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Registry == nil {
 		return nil, fmt.Errorf("jobs: Config.Registry is required")
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	depth := cfg.QueueDepth
-	if depth <= 0 {
-		depth = 64
-	}
-	cacheEntries := cfg.ResultCacheEntries
-	if cacheEntries <= 0 {
-		cacheEntries = 128
-	}
+	workers := positiveOr(cfg.Workers, runtime.GOMAXPROCS(0))
 	analyze := cfg.Analyze
 	if analyze == nil {
 		analyze = RunAnalysis
 	}
-	exploreEntries := cfg.ExploreCacheEntries
-	if exploreEntries <= 0 {
-		exploreEntries = 64
-	}
-	sessionEntries := cfg.ExploreSessions
-	if sessionEntries <= 0 {
-		sessionEntries = 16
-	}
-	sigEntries := cfg.SignificanceCacheEntries
-	if sigEntries <= 0 {
-		sigEntries = 64
-	}
 	queue := cfg.Queue
 	if queue == nil {
-		queue = chanQueue{ch: make(chan *Job, depth)}
+		queue = chanQueue{ch: make(chan *Job, positiveOr(cfg.QueueDepth, 64))}
 	}
 	// lint:ignore ctxflow the engine root context outlives any caller request; it is canceled by Engine.Close, not by whoever happened to construct the engine
 	ctx, cancel := context.WithCancel(context.Background())
@@ -225,15 +200,15 @@ func New(cfg Config) (*Engine, error) {
 		cfg:        cfg,
 		reg:        cfg.Registry,
 		analyze:    analyze,
-		cache:      newResultCache(cacheEntries),
+		cache:      newLRU[*core.Result](positiveOr(cfg.ResultCacheEntries, 128)),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		queue:      queue,
 		jobs:       make(map[string]*Job),
 		workers:    workers,
-		xcache:     exploreCache{c: newKeyedLRU(exploreEntries)},
-		sessions:   newKeyedLRU(sessionEntries),
-		sigCache:   newKeyedLRU(sigEntries),
+		xcache:     newLRU[*ExploreOutcome](positiveOr(cfg.ExploreCacheEntries, 64)),
+		sessions:   newLRU[*session](positiveOr(cfg.ExploreSessions, 16)),
+		sigCache:   newLRU[*SignificanceOutcome](positiveOr(cfg.SignificanceCacheEntries, 64)),
 	}
 	if cfg.Store != nil {
 		e.store.Store(cfg.Store)
@@ -246,6 +221,15 @@ func New(cfg Config) (*Engine, error) {
 		go e.worker()
 	}
 	return e, nil
+}
+
+// positiveOr returns n when it is positive and def otherwise: the
+// default rule of every size in Config.
+func positiveOr(n, def int) int {
+	if n > 0 {
+		return n
+	}
+	return def
 }
 
 // Store returns the attached write-ahead store, or nil when the engine
@@ -270,11 +254,7 @@ func (e *Engine) worker() {
 // — a submit the store cannot record is refused, so every acknowledged
 // job survives a crash.
 func (e *Engine) Submit(spec Spec) (*Job, error) {
-	id, err := newJobID()
-	if err != nil {
-		return nil, err
-	}
-	return e.submit(id, spec, false)
+	return e.submit("", spec, analysisWork(spec), false)
 }
 
 // SubmitAdopted enqueues a job under an externally minted ID — the
@@ -285,22 +265,23 @@ func (e *Engine) SubmitAdopted(id string, spec Spec) (*Job, error) {
 	if id == "" {
 		return nil, fmt.Errorf("jobs: empty job id")
 	}
-	return e.submit(id, spec, true)
+	return e.submit(id, spec, analysisWork(spec), true)
 }
 
-// submit builds a plain analysis job and hands it to the shared
-// enqueue path.
-func (e *Engine) submit(id string, spec Spec, adopted bool) (*Job, error) {
-	job := &Job{id: id, spec: spec, state: StateQueued, created: time.Now()}
-	return e.enqueue(job, adopted)
-}
-
-// enqueue is the shared enqueue path for every submission kind
-// (analysis, explore, significance, adopted). The job is made visible
-// in the job table before the write-ahead append so concurrent
-// duplicate submissions under the same ID resolve to one winner under
-// jobsMu; adopted re-submissions return the existing job unchanged.
-func (e *Engine) enqueue(job *Job, adopted bool) (*Job, error) {
+// submit is the one enqueue path for every job kind: it queues a job
+// that computes w under id, or under a fresh ID when id is empty; spec
+// is what the write-ahead log and status endpoints see. The job is
+// visible in the job table before the write-ahead append, so concurrent
+// duplicate submissions under one ID resolve to one winner under jobsMu;
+// adopted re-submissions return the existing job unchanged.
+func (e *Engine) submit(id string, spec Spec, w work, adopted bool) (*Job, error) {
+	if id == "" {
+		var err error
+		if id, err = NewID(); err != nil {
+			return nil, err
+		}
+	}
+	job := &Job{id: id, spec: spec, work: w, state: StateQueued, created: time.Now()}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.draining {
@@ -451,6 +432,16 @@ func (e *Engine) notifyTerminal(job *Job) {
 	}
 }
 
+// work is what one job kind computes on a worker: analysisWork,
+// exploreWork or significanceWork, each a value of its kind's spec type.
+// run returns the job's outcome, never a nil pointer boxed in out. The
+// seam is an interface, not a closure, because a closure built inside
+// the context-free Submit* functions would call the kinds'
+// context-taking entry points, which divlint's ctxflow rejects.
+type work interface {
+	run(ctx context.Context, e *Engine, tr *Tracker) (out any, cacheHit bool, err error)
+}
+
 // run executes one dequeued job through the full lifecycle.
 func (e *Engine) run(job *Job) {
 	job.mu.Lock()
@@ -487,27 +478,18 @@ func (e *Engine) run(job *Job) {
 		},
 	}
 
-	var res *core.Result
-	var xout *ExploreOutcome
-	var sout *SignificanceOutcome
-	var cacheHit bool
-	var err error
-	switch {
-	case job.explore != nil:
-		xout, err = e.explore(ctx, *job.explore, tr)
-		cacheHit = xout != nil && xout.CacheHit
-	case job.sig != nil:
-		sout, err = e.significance(ctx, *job.sig, tr)
-		cacheHit = sout != nil && sout.CacheHit
-	default:
-		res, cacheHit, err = e.analyzeCached(ctx, job.spec, tr)
-	}
+	out, cacheHit, err := job.work.run(ctx, e, tr)
 
-	// Summarize outside the job lock: it ranks the whole lattice, and
-	// status polls must not stall behind it.
+	// Only an analysis leaves a durable summary and a re-mine recipe (the
+	// spec on its done record, schema v2); explore and significance
+	// outcomes are not kept across restarts. Summarize outside the job
+	// lock: it ranks the whole lattice, and status polls must not stall
+	// behind it.
 	var sum *ResultSummary
-	if err == nil && res != nil {
+	var recipe *Spec
+	if res, ok := out.(*core.Result); ok && err == nil {
 		sum = summarize(res, job.spec)
+		recipe = &job.spec
 	}
 
 	var rec Record
@@ -517,16 +499,11 @@ func (e *Engine) run(job *Job) {
 	switch {
 	case err == nil:
 		job.state = StateDone
-		job.result = res
-		job.exploreOut = xout
-		job.sigOut = sout
+		job.out = out
 		job.summary = sum
 		job.cacheHit = cacheHit
 		e.completed.Add(1)
-		// The done record carries the spec too (schema v2): together with
-		// the summary it is a self-contained recipe for re-mining the full
-		// result after a restart, as long as the dataset is resident.
-		rec = Record{Type: RecDone, Job: job.id, Result: sum, CacheHit: cacheHit, Spec: &job.spec}
+		rec = Record{Type: RecDone, Job: job.id, Result: sum, CacheHit: cacheHit, Spec: recipe}
 	case errors.Is(err, context.Canceled) || (job.canceledByUser.Load() && ctx.Err() != nil):
 		job.state = StateCanceled
 		job.err = err
@@ -570,8 +547,7 @@ func (e *Engine) analyzeCached(ctx context.Context, spec Spec, tr *Tracker) (*co
 	if err != nil {
 		return nil, false, err
 	}
-	e.cache.put(key, res)
-	return res, false, nil
+	return e.cache.put(key, res), false, nil
 }
 
 // Shutdown drains the engine: no new submissions are accepted, queued

@@ -1,11 +1,9 @@
 package jobs
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -51,13 +49,9 @@ type ExploreSpec struct {
 // serve any budget. Sampling parameters change the answer and are
 // included.
 func (s ExploreSpec) CacheKey() string {
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	parts := []string{
-		"explore", string(s.Dataset), s.TruthCol, s.PredCol,
-		f(s.Support), s.Metric, strconv.Itoa(s.TopK),
-		strconv.Itoa(s.SampleRows), strconv.FormatInt(s.SampleSeed, 10), f(s.Confidence),
-	}
-	return strings.Join(parts, "\x1f")
+	return cacheKey("explore", string(s.Dataset), s.TruthCol, s.PredCol,
+		ftoa(s.Support), s.Metric, strconv.Itoa(s.TopK),
+		strconv.Itoa(s.SampleRows), strconv.FormatInt(s.SampleSeed, 10), ftoa(s.Confidence))
 }
 
 // ExplorePattern is one ranked pattern on the explore wire format. The
@@ -134,73 +128,12 @@ type ExploreStats struct {
 	Navigation lattice.ExplorerStats `json:"navigation"`
 }
 
-// exploreCache is an LRU of complete explore outcomes. Outcomes are
-// immutable once published.
-type exploreCache struct {
-	c *keyedLRU
-}
-
 // session is one per-(dataset, labels) exploration context: the
 // transaction database and the navigation explorer sharing its
 // conditional-tally cache across requests.
 type session struct {
 	db  *fpm.TxDB
 	nav *lattice.Explorer
-}
-
-// keyedLRU is the engine's shared entry-bounded LRU shape.
-type keyedLRU struct {
-	capacity  int
-	ll        *list.List
-	entries   map[string]*list.Element
-	hits      int64
-	misses    int64
-	evictions int64
-}
-
-type lruEntry struct {
-	key string
-	val interface{}
-}
-
-func newKeyedLRU(capacity int) *keyedLRU {
-	return &keyedLRU{capacity: capacity, ll: list.New(), entries: make(map[string]*list.Element)}
-}
-
-func (c *keyedLRU) get(key string) (interface{}, bool) {
-	el, ok := c.entries[key]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).val, true
-}
-
-func (c *keyedLRU) put(key string, val interface{}) {
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*lruEntry).val = val
-		return
-	}
-	c.entries[key] = c.ll.PushFront(&lruEntry{key: key, val: val})
-	for c.ll.Len() > c.capacity {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.entries, back.Value.(*lruEntry).key)
-		c.evictions++
-	}
-}
-
-func (c *keyedLRU) stats() CacheStats {
-	return CacheStats{
-		Entries:   c.ll.Len(),
-		Capacity:  c.capacity,
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-	}
 }
 
 // validateExplore normalizes and checks a spec, resolving the metric.
@@ -217,53 +150,41 @@ func (e *Engine) validateExplore(s *ExploreSpec) (core.Metric, error) {
 	if s.Confidence < 0 || s.Confidence >= 1 {
 		return core.Metric{}, fmt.Errorf("%w: confidence %v out of [0,1)", ErrBadInput, s.Confidence)
 	}
-	if s.Metric == "" {
-		s.Metric = "ER"
+	return resolveMetric(&s.Metric)
+}
+
+// resolveMetric resolves a spec's metric name in place, "ER" when
+// empty, and returns the metric.
+func resolveMetric(name *string) (core.Metric, error) {
+	if *name == "" {
+		*name = "ER"
 	}
-	m, err := core.MetricByName(s.Metric)
+	m, err := core.MetricByName(*name)
 	if err != nil {
 		return core.Metric{}, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
-	s.Metric = m.Name
+	*name = m.Name
 	return m, nil
 }
 
 // session returns the cached exploration context for a dataset and
 // label-column pair, building the transaction database on first use.
 func (e *Engine) session(ds registry.Hash, truthCol, predCol string) (*session, error) {
-	key := string(ds) + "\x1f" + truthCol + "\x1f" + predCol
-	e.exploreMu.Lock()
-	if v, ok := e.sessions.get(key); ok {
-		e.exploreMu.Unlock()
-		return v.(*session), nil
+	key := cacheKey(string(ds), truthCol, predCol)
+	if s, ok := e.sessions.get(key); ok {
+		return s, nil
 	}
-	e.exploreMu.Unlock()
-
 	entry, ok := e.reg.Get(ds)
 	if !ok {
 		return nil, fmt.Errorf("%w: %w: %s", ErrBadInput, ErrDatasetGone, ds)
 	}
-	truth, pred, rest, err := extractLabels(entry.Data, truthCol, predCol)
+	db, err := confusionDB(entry.Data, truthCol, predCol)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
+		return nil, err
 	}
-	classes, err := core.ConfusionClasses(truth, pred)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
-	}
-	db, err := fpm.NewTxDB(rest, classes, core.NumConfusionClasses)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
-	}
-	s := &session{db: db, nav: lattice.NewExplorer(db, 0)}
-
-	e.exploreMu.Lock()
-	defer e.exploreMu.Unlock()
-	if v, ok := e.sessions.get(key); ok { // raced with another builder
-		return v.(*session), nil
-	}
-	e.sessions.put(key, s)
-	return s, nil
+	// A concurrent builder of the same session may have stored first;
+	// put then hands back its session, so all callers share one.
+	return e.sessions.put(key, &session{db: db, nav: lattice.NewExplorer(db, 0)}), nil
 }
 
 // Explore answers one anytime exploration synchronously, consulting the
@@ -283,14 +204,11 @@ func (e *Engine) explore(ctx context.Context, spec ExploreSpec, tr *Tracker) (*E
 	}
 	e.explores.Add(1)
 	key := spec.CacheKey()
-	e.exploreMu.Lock()
-	if v, ok := e.xcache.c.get(key); ok {
-		e.exploreMu.Unlock()
-		out := *v.(*ExploreOutcome)
+	if v, ok := e.xcache.get(key); ok {
+		out := *v
 		out.CacheHit = true
 		return &out, nil
 	}
-	e.exploreMu.Unlock()
 
 	sess, err := e.session(spec.Dataset, spec.TruthCol, spec.PredCol)
 	if err != nil {
@@ -355,9 +273,7 @@ func (e *Engine) explore(ctx context.Context, spec ExploreSpec, tr *Tracker) (*E
 		})
 	}
 	if res.Reason == fpm.ReasonExhausted {
-		e.exploreMu.Lock()
-		e.xcache.c.put(key, out)
-		e.exploreMu.Unlock()
+		e.xcache.put(key, out)
 	}
 	return out, nil
 }
@@ -429,17 +345,16 @@ func (e *Engine) Expand(spec ExpandSpec) (*ExpandOutcome, error) {
 
 // ExploreStatsSnapshot returns the anytime-tier counters.
 func (e *Engine) ExploreStatsSnapshot() ExploreStats {
-	e.exploreMu.Lock()
-	defer e.exploreMu.Unlock()
+	sessions := e.sessions.values()
 	st := ExploreStats{
 		Explores: e.explores.Load(),
 		Mines:    e.exploreMines.Load(),
 		Expands:  e.expands.Load(),
-		Cache:    e.xcache.c.stats(),
-		Sessions: e.sessions.ll.Len(),
+		Cache:    e.xcache.stats(),
+		Sessions: len(sessions),
 	}
-	for el := e.sessions.ll.Front(); el != nil; el = el.Next() {
-		ns := el.Value.(*lruEntry).val.(*session).nav.Stats()
+	for _, s := range sessions {
+		ns := s.nav.Stats()
 		st.Navigation.Entries += ns.Entries
 		st.Navigation.Hits += ns.Hits
 		st.Navigation.Misses += ns.Misses
@@ -517,16 +432,22 @@ func (e *Engine) SubmitExplore(spec ExploreSpec) (*Job, error) {
 	if _, err := e.validateExplore(&spec); err != nil {
 		return nil, err
 	}
-	id, err := newJobID()
-	if err != nil {
-		return nil, err
-	}
 	// The synthesized Spec keeps the WAL records and status endpoints
 	// meaningful for explore jobs.
 	jspec := Spec{
 		Dataset: spec.Dataset, TruthCol: spec.TruthCol, PredCol: spec.PredCol,
 		Support: spec.Support, Metrics: []string{spec.Metric}, TopK: spec.TopK,
 	}
-	job := &Job{id: id, spec: jspec, explore: &spec, state: StateQueued, created: time.Now()}
-	return e.enqueue(job, false)
+	return e.submit("", jspec, exploreWork(spec), false)
+}
+
+// exploreWork is the work of an explore job (SubmitExplore).
+type exploreWork ExploreSpec
+
+func (w exploreWork) run(ctx context.Context, e *Engine, tr *Tracker) (any, bool, error) {
+	out, err := e.explore(ctx, ExploreSpec(w), tr)
+	if err != nil {
+		return nil, false, err
+	}
+	return out, out.CacheHit, nil
 }

@@ -17,7 +17,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -49,7 +48,7 @@ var (
 	// store: the full in-memory result is gone. Engine.Rehydrate re-mines
 	// it when the job's done record carries a spec (schema v2) and the
 	// dataset is still resident; otherwise only the durable summary
-	// (Job.Summary) survives a restart.
+	// (Job.Summary), if the job has one, survives a restart.
 	ErrNoResult = errors.New("jobs: full result not in memory (job recovered from store); use the summary")
 	// ErrDatasetGone marks an analysis or rehydration whose dataset is no
 	// longer resident in the registry (never registered, evicted, or lost
@@ -121,39 +120,35 @@ type Spec struct {
 // (TopK, Alpha, Timeout) and the admission identity (Tenant) are
 // deliberately excluded.
 func (s Spec) CacheKey() string {
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	parts := []string{
-		string(s.Dataset), s.TruthCol, s.PredCol,
-		f(s.Support), strings.Join(s.Metrics, ","), f(s.Epsilon),
-	}
-	return strings.Join(parts, "\x1f")
+	return cacheKey(string(s.Dataset), s.TruthCol, s.PredCol,
+		ftoa(s.Support), strings.Join(s.Metrics, ","), ftoa(s.Epsilon))
 }
 
-// Job is one submitted analysis. All exported access goes through
-// Snapshot; the engine owns the mutable state.
+// Job is one submitted analysis, exploration or significance query.
+// All exported access goes through Snapshot and the outcome accessors;
+// the engine owns the mutable state.
 type Job struct {
 	id   string
 	spec Spec
-	// explore, when non-nil, marks an anytime exploration job
-	// (SubmitExplore); run() routes it to the explore path instead of a
-	// full analysis. sig does the same for significance jobs
-	// (SubmitSignificance).
-	explore *ExploreSpec
-	sig     *SignificanceSpec
+	// work is what the job computes: analysisWork, exploreWork or
+	// significanceWork. Nil for jobs reconstructed from a store or an
+	// adopted done record, which never run here.
+	work work
 
-	mu         sync.Mutex
-	state      State
-	err        error
-	result     *core.Result
-	exploreOut *ExploreOutcome
-	sigOut     *SignificanceOutcome
-	summary    *ResultSummary
-	recovered  bool
-	cacheHit   bool
-	created    time.Time
-	started    time.Time
-	finished   time.Time
-	cancel     func() // non-nil only while running
+	mu    sync.Mutex
+	state State
+	err   error
+	// out is a done job's outcome: a *core.Result, *ExploreOutcome or
+	// *SignificanceOutcome, never a nil pointer. A done job recovered from
+	// the store has none until Rehydrate re-mines its result.
+	out       any
+	summary   *ResultSummary
+	recovered bool
+	cacheHit  bool
+	created   time.Time
+	started   time.Time
+	finished  time.Time
+	cancel    func() // non-nil only while running
 
 	// recompute, set during recovery from a v2 done record, is the spec
 	// to re-mine the full result from; rehydrateMu single-flights that
@@ -181,56 +176,39 @@ func (j *Job) Spec() Spec { return j.spec }
 // Result returns the mined result once the job is done. For done jobs
 // recovered from the store only the summary survives; Result returns
 // ErrNoResult and callers fall back to Summary.
-func (j *Job) Result() (*core.Result, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch j.state {
-	case StateDone:
-		if j.result == nil {
-			return nil, fmt.Errorf("%w: job %s", ErrNoResult, j.id)
-		}
-		return j.result, nil
-	case StateFailed:
-		return nil, j.err
-	default:
-		return nil, fmt.Errorf("jobs: job %s is %s, not done", j.id, j.state)
-	}
-}
+func (j *Job) Result() (*core.Result, error) { return outcome[*core.Result](j) }
 
 // Explore returns the anytime-exploration outcome of a done explore
 // job (SubmitExplore). Analysis jobs and unfinished jobs have none.
-func (j *Job) Explore() (*ExploreOutcome, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch j.state {
-	case StateDone:
-		if j.exploreOut == nil {
-			return nil, fmt.Errorf("jobs: job %s is not an explore job", j.id)
-		}
-		return j.exploreOut, nil
-	case StateFailed:
-		return nil, j.err
-	default:
-		return nil, fmt.Errorf("jobs: job %s is %s, not done", j.id, j.state)
-	}
-}
+func (j *Job) Explore() (*ExploreOutcome, error) { return outcome[*ExploreOutcome](j) }
 
 // Significance returns the significance outcome of a done significance
 // job (SubmitSignificance). Other job kinds and unfinished jobs have
 // none.
 func (j *Job) Significance() (*SignificanceOutcome, error) {
+	return outcome[*SignificanceOutcome](j)
+}
+
+// outcome returns a done job's outcome as a T. A done job without one
+// (recovered from the store) reports ErrNoResult; a job of another kind
+// reports that it has no T.
+func outcome[T any](j *Job) (T, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	var zero T
 	switch j.state {
 	case StateDone:
-		if j.sigOut == nil {
-			return nil, fmt.Errorf("jobs: job %s is not a significance job", j.id)
+		if j.out == nil {
+			return zero, fmt.Errorf("%w: job %s", ErrNoResult, j.id)
 		}
-		return j.sigOut, nil
+		if v, ok := j.out.(T); ok {
+			return v, nil
+		}
+		return zero, fmt.Errorf("jobs: job %s has no %T outcome", j.id, zero)
 	case StateFailed:
-		return nil, j.err
+		return zero, j.err
 	default:
-		return nil, fmt.Errorf("jobs: job %s is %s, not done", j.id, j.state)
+		return zero, fmt.Errorf("jobs: job %s is %s, not done", j.id, j.state)
 	}
 }
 
@@ -304,13 +282,10 @@ func (j *Job) Snapshot() Status {
 	return st
 }
 
-// NewID mints a job identifier in the engine's format. The cluster
+// NewID mints a job identifier: 16 random hex characters. The cluster
 // forwarding layer mints IDs before a submission leaves the ingress
 // node, so hedged and retried forwards land idempotently under one ID.
-func NewID() (string, error) { return newJobID() }
-
-// newJobID returns a 16-hex-character random identifier.
-func newJobID() (string, error) {
+func NewID() (string, error) {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		return "", fmt.Errorf("jobs: generating id: %w", err)

@@ -3,8 +3,10 @@ package jobs
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -147,5 +149,44 @@ func TestV1LogUpgradesInPlace(t *testing.T) {
 	}
 	if v2done.Spec.Dataset != entry.Hash || v2done.Spec.TruthCol != "truth" {
 		t.Errorf("new done record spec = %+v, want the submitted spec", v2done.Spec)
+	}
+}
+
+// TestDoneRecordWithoutSummaryIsNotARecipe: earlier v2 builds wrote the
+// synthesized spec of an explore or significance job onto its done
+// record, with no summary beside it. Recovery must not take that spec
+// for a re-mine recipe, which would serve an analysis report in place
+// of the job's outcome, and Rehydrate must name the job's kind.
+func TestDoneRecordWithoutSummaryIsNotARecipe(t *testing.T) {
+	reg := registry.New(0)
+	entry, _, err := reg.Register([]byte(sampleCSV), dataset.CSVOptions{TrimSpace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for kind, alpha := range map[string]string{"explore": "0", "significance": "0.05"} {
+		t.Run(kind, func(t *testing.T) {
+			spec := fmt.Sprintf(`{"Dataset":%q,"TruthCol":"truth","PredCol":"pred","Support":0.05,"Metrics":["ER"],"Epsilon":0,"TopK":10,"Alpha":%s,"Timeout":0}`,
+				entry.Hash, alpha)
+			log := fmt.Sprintf(`{"v":2,"type":"submitted","job":"j","time":"2026-01-01T00:00:00Z","spec":%s}
+{"v":2,"type":"running","job":"j","time":"2026-01-01T00:00:01Z"}
+{"v":2,"type":"done","job":"j","time":"2026-01-01T00:00:02Z","spec":%s}
+`, spec, spec)
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, WALName), []byte(log), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			e, _ := recoveredEngineWith(t, dir, reg)
+			job, _ := e.Get("j")
+			if job.Recomputable() {
+				t.Fatal("spec without a summary taken for a re-mine recipe")
+			}
+			_, err := e.Rehydrate(context.Background(), job)
+			if !errors.Is(err, ErrNoResult) || !strings.Contains(err.Error(), kind) {
+				t.Errorf("Rehydrate err = %v, want ErrNoResult naming %s", err, kind)
+			}
+			if got := e.Stats().Rehydrated; got != 0 {
+				t.Errorf("rehydrated = %d, want 0", got)
+			}
+		})
 	}
 }

@@ -117,9 +117,13 @@ func applyRecord(j *Job, rec Record, rejected map[string]bool) {
 		j.summary = rec.Result
 		j.cacheHit = rec.CacheHit
 		j.finished = rec.Time
-		// Schema v2 done records carry the spec; v1 records leave it nil
-		// and the job folds to summary-only, the pre-v2 behavior.
-		j.recompute = rec.Spec
+		// Schema v2 done records of analysis jobs carry the spec, the
+		// re-mine recipe; v1 records fold to summary-only. Earlier builds
+		// also wrote a spec, but no summary, for explore and significance
+		// jobs: re-mining it would answer a different question.
+		if rec.Result != nil {
+			j.recompute = rec.Spec
+		}
 	case RecFailed:
 		j.state = StateFailed
 		j.err = recordError(rec.Error)
@@ -144,15 +148,17 @@ func applyRecord(j *Job, rec Record, rejected map[string]bool) {
 // to the pre-crash response.
 //
 // Failure modes, in the order the server's fallback chain meets them:
-// a job that is not done fails outright; a v1-format job (no spec on the
-// done record) returns ErrNoResult; an evicted or never-re-registered
-// dataset returns ErrDatasetGone. In the latter two cases the durable
-// summary is still servable.
+// a job that is not done fails outright; a job with no recipe (a v1
+// done record, or an explore or significance job, whose outcome is not
+// kept across restarts) returns ErrNoResult; an evicted or
+// never-re-registered dataset returns ErrDatasetGone. For v1 records and
+// a gone dataset the durable summary is still servable.
 func (e *Engine) Rehydrate(ctx context.Context, job *Job) (*core.Result, error) {
 	job.mu.Lock()
 	state := job.state
-	res := job.result
+	res, _ := job.out.(*core.Result)
 	spec := job.recompute
+	summary := job.summary
 	job.mu.Unlock()
 	if state != StateDone {
 		return nil, fmt.Errorf("jobs: job %s is %s, not done", job.id, state)
@@ -161,13 +167,13 @@ func (e *Engine) Rehydrate(ctx context.Context, job *Job) (*core.Result, error) 
 		return res, nil
 	}
 	if spec == nil {
-		return nil, fmt.Errorf("%w: job %s has no recompute spec (v1 done record)", ErrNoResult, job.id)
+		return nil, fmt.Errorf("%w: job %s %s", ErrNoResult, job.id, noRecipe(job.spec, summary))
 	}
 
 	job.rehydrateMu.Lock()
 	defer job.rehydrateMu.Unlock()
 	job.mu.Lock()
-	res = job.result
+	res, _ = job.out.(*core.Result)
 	job.mu.Unlock()
 	if res != nil { // a concurrent fetch already re-mined it
 		return res, nil
@@ -187,11 +193,28 @@ func (e *Engine) Rehydrate(ctx context.Context, job *Job) (*core.Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	job.mu.Lock()
-	job.result = res
-	job.mu.Unlock()
+	if res != nil { // never store a nil pointer as the outcome
+		job.mu.Lock()
+		job.out = res
+		job.mu.Unlock()
+	}
 	e.rehydrated.Add(1)
 	return res, nil
+}
+
+// noRecipe says why a done job has no re-mine recipe. Analysis jobs
+// write one next to their summary, so a summary alone is a v1 done
+// record. Explore and significance jobs write neither; of their
+// synthesized specs only the significance one sets Alpha.
+func noRecipe(spec Spec, summary *ResultSummary) string {
+	switch {
+	case summary != nil:
+		return "has no recompute spec (v1 done record)"
+	case spec.Alpha > 0:
+		return "is a significance job: its outcome is not kept across restarts"
+	default:
+		return "is an explore job: its outcome is not kept across restarts"
+	}
 }
 
 // recordError rehydrates a persisted error string. The interrupted

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/permtest"
@@ -70,15 +68,11 @@ type SignificanceSpec struct {
 // normalizes the method-irrelevant permutation knobs first so
 // equivalent analytic specs collapse to one entry.
 func (s SignificanceSpec) CacheKey() string {
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	parts := []string{
-		"significance", string(s.Dataset), s.TruthCol, s.PredCol,
-		f(s.Support), s.Metric, s.Method, f(s.Alpha),
+	return cacheKey("significance", string(s.Dataset), s.TruthCol, s.PredCol,
+		ftoa(s.Support), s.Metric, s.Method, ftoa(s.Alpha),
 		strconv.Itoa(s.Permutations), strconv.FormatInt(s.Seed, 10),
 		strconv.FormatBool(s.Exhaustive), strconv.Itoa(s.TopK),
-		strconv.FormatBool(s.Baseline),
-	}
-	return strings.Join(parts, "\x1f")
+		strconv.FormatBool(s.Baseline))
 }
 
 // MaxEntInfo is the max-entropy baseline slice of a reported pattern.
@@ -165,29 +159,13 @@ func (e *Engine) validateSignificance(s *SignificanceSpec) (core.Metric, error) 
 		} else if s.Permutations == 0 {
 			s.Permutations = permtest.DefaultPermutations
 		}
-		if max := e.maxPermutations(); s.Permutations > max {
-			return core.Metric{}, fmt.Errorf("%w: %d permutations over the limit %d", ErrBadInput, s.Permutations, max)
+		if limit := positiveOr(e.cfg.MaxPermutations, 100000); s.Permutations > limit {
+			return core.Metric{}, fmt.Errorf("%w: %d permutations over the limit %d", ErrBadInput, s.Permutations, limit)
 		}
 	default:
 		return core.Metric{}, fmt.Errorf("%w: unknown significance method %q", ErrBadInput, s.Method)
 	}
-	if s.Metric == "" {
-		s.Metric = "ER"
-	}
-	m, err := core.MetricByName(s.Metric)
-	if err != nil {
-		return core.Metric{}, fmt.Errorf("%w: %v", ErrBadInput, err)
-	}
-	s.Metric = m.Name
-	return m, nil
-}
-
-// maxPermutations returns the configured permutation-count ceiling.
-func (e *Engine) maxPermutations() int {
-	if e.cfg.MaxPermutations > 0 {
-		return e.cfg.MaxPermutations
-	}
-	return 100000
+	return resolveMetric(&s.Metric)
 }
 
 // Significance answers one significance query synchronously, consulting
@@ -204,14 +182,11 @@ func (e *Engine) significance(ctx context.Context, spec SignificanceSpec, tr *Tr
 	}
 	e.sigQueries.Add(1)
 	key := spec.CacheKey()
-	e.sigMu.Lock()
 	if v, ok := e.sigCache.get(key); ok {
-		e.sigMu.Unlock()
-		out := *v.(*SignificanceOutcome)
+		out := *v
 		out.CacheHit = true
 		return &out, nil
 	}
-	e.sigMu.Unlock()
 
 	// The mined lattice is shared with the analysis tier through the
 	// result cache: a significance query after an /analyze of the same
@@ -318,16 +293,12 @@ func (e *Engine) significance(ctx context.Context, spec SignificanceSpec, tr *Tr
 		})
 	}
 
-	e.sigMu.Lock()
 	e.sigCache.put(key, out)
-	e.sigMu.Unlock()
 	return out, nil
 }
 
 // SignificanceStatsSnapshot returns the significance-tier counters.
 func (e *Engine) SignificanceStatsSnapshot() SignificanceStats {
-	e.sigMu.Lock()
-	defer e.sigMu.Unlock()
 	return SignificanceStats{
 		Queries:      e.sigQueries.Load(),
 		Runs:         e.sigRuns.Load(),
@@ -345,17 +316,25 @@ func (e *Engine) SubmitSignificance(spec SignificanceSpec) (*Job, error) {
 	if _, err := e.validateSignificance(&spec); err != nil {
 		return nil, err
 	}
-	id, err := newJobID()
-	if err != nil {
-		return nil, err
-	}
 	// The synthesized Spec keeps the WAL records and status endpoints
-	// meaningful for significance jobs.
+	// meaningful for significance jobs. Its Alpha is always set, which is
+	// how recovery tells a significance job from an explore job.
 	jspec := Spec{
 		Dataset: spec.Dataset, TruthCol: spec.TruthCol, PredCol: spec.PredCol,
 		Support: spec.Support, Metrics: []string{spec.Metric}, TopK: spec.TopK,
 		Alpha: spec.Alpha,
 	}
-	job := &Job{id: id, spec: jspec, sig: &spec, state: StateQueued, created: time.Now()}
-	return e.enqueue(job, false)
+	return e.submit("", jspec, significanceWork(spec), false)
+}
+
+// significanceWork is the work of a significance job
+// (SubmitSignificance).
+type significanceWork SignificanceSpec
+
+func (w significanceWork) run(ctx context.Context, e *Engine, tr *Tracker) (any, bool, error) {
+	out, err := e.significance(ctx, SignificanceSpec(w), tr)
+	if err != nil {
+		return nil, false, err
+	}
+	return out, out.CacheHit, nil
 }

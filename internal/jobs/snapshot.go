@@ -121,12 +121,18 @@ type Tracker struct {
 }
 
 // Progress records mining-subproblem completion counts on the job. It
-// has the signature fpm.Parallel.Progress expects.
+// has the signature fpm.Parallel.Progress expects. Concurrent workers
+// count completions atomically but report them in any order, so the
+// job keeps the largest count seen.
 func (t *Tracker) Progress(done, total int) {
 	if t == nil || t.job == nil {
 		return
 	}
-	t.job.progressDone.Store(int64(done))
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if int64(done) > t.job.progressDone.Load() {
+		t.job.progressDone.Store(int64(done))
+	}
 	t.job.progressTotal.Store(int64(total))
 }
 
@@ -134,24 +140,23 @@ func (t *Tracker) Progress(done, total int) {
 // the next sequence number, made visible to pollers immediately, and
 // written through to the store at the configured cadence (terminal
 // persistence is the engine's job, so a rate-limited snapshot lost in a
-// crash costs only staleness, never correctness).
+// crash costs only staleness, never correctness). Publishing and
+// persisting happen under the stamping lock, so neither can be
+// overtaken by an older snapshot: the last one persisted is the live
+// one whenever every update is persisted.
 func (t *Tracker) Partial(snap Snapshot) {
 	if t == nil || t.job == nil {
 		return
 	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.seq++
 	snap.Seq = t.seq
 	snap.Updated = time.Now()
-	due := t.persist != nil &&
-		(t.every <= 0 || t.lastPersist.IsZero() || time.Since(t.lastPersist) >= t.every)
-	if due {
-		t.lastPersist = snap.Updated
-	}
-	t.mu.Unlock()
-
 	t.job.partial.Store(&snap)
-	if due {
+	if t.persist != nil &&
+		(t.every <= 0 || t.lastPersist.IsZero() || time.Since(t.lastPersist) >= t.every) {
+		t.lastPersist = snap.Updated
 		t.persist(&snap)
 	}
 }
@@ -169,6 +174,7 @@ type partialAccum struct {
 
 	mu       sync.Mutex
 	patterns int64
+	done     int             // largest completion count seen, so Done is monotone
 	top      []scoredPattern // descending |divergence|, len <= topK
 }
 
@@ -210,6 +216,7 @@ func (a *partialAccum) add(batch []fpm.FrequentPattern, done, total int) Snapsho
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.patterns += int64(len(batch))
+	a.done = max(a.done, done)
 	if a.defined {
 		for _, p := range batch {
 			kp, kn := a.metric.Counts(p.Tally)
@@ -226,7 +233,7 @@ func (a *partialAccum) add(batch []fpm.FrequentPattern, done, total int) Snapsho
 		}
 	}
 	snap := Snapshot{
-		Done:     done,
+		Done:     a.done,
 		Total:    total,
 		Patterns: a.patterns,
 		Metric:   a.metric.Name,

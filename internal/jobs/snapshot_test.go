@@ -245,3 +245,78 @@ func TestPartialGrowsMonotonicallyDuringJob(t *testing.T) {
 		t.Errorf("final partial = %+v, want seq=done=%d", last, steps)
 	}
 }
+
+// TestTrackerLastPersistedIsLive drives Partial and Progress from
+// several goroutines, as fpm.Parallel and permtest do, with every update
+// persisted. The last snapshot written through must be the one readers
+// see, so a recovered job reattaches exactly the live snapshot; and
+// progress must end at the largest count reported, whichever call lands
+// last.
+func TestTrackerLastPersistedIsLive(t *testing.T) {
+	job := &Job{id: "x"}
+	var persistMu sync.Mutex
+	var persisted []int64
+	tr := &Tracker{
+		job: job,
+		persist: func(s *Snapshot) {
+			persistMu.Lock()
+			persisted = append(persisted, s.Seq)
+			persistMu.Unlock()
+		},
+	}
+	const writers, perWriter = 8, 200
+	const total = writers * perWriter
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				done := w*perWriter + i + 1
+				tr.Partial(Snapshot{Done: done, Total: total})
+				tr.Progress(done, total)
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	final := job.Partial()
+	if final == nil || final.Seq != total {
+		t.Fatalf("final seq = %+v, want %d", final, total)
+	}
+	if len(persisted) != total {
+		t.Fatalf("persisted %d snapshots, want %d", len(persisted), total)
+	}
+	if last := persisted[len(persisted)-1]; last != final.Seq {
+		t.Errorf("last persisted seq = %d, live seq = %d", last, final.Seq)
+	}
+	for i := 1; i < len(persisted); i++ {
+		if persisted[i] <= persisted[i-1] {
+			t.Fatalf("persisted seq %d after %d", persisted[i], persisted[i-1])
+		}
+	}
+	if got := job.progressDone.Load(); got != total {
+		t.Errorf("progress done = %d, want the maximum %d", got, total)
+	}
+	if got := job.progressTotal.Load(); got != total {
+		t.Errorf("progress total = %d, want %d", got, total)
+	}
+}
+
+// TestPartialAccumDoneMonotone: subproblem completions can reach the
+// accumulator out of order; its snapshots' Done must never go back.
+func TestPartialAccumDoneMonotone(t *testing.T) {
+	db := sampleTxDB(t)
+	acc := newPartialAccum(db, Spec{Metrics: []string{"FPR"}})
+	last := 0
+	for _, done := range []int{1, 3, 2, 4} {
+		snap := acc.add(nil, done, 4)
+		if snap.Done < last {
+			t.Fatalf("Done went from %d to %d", last, snap.Done)
+		}
+		last = snap.Done
+	}
+	if last != 4 {
+		t.Errorf("final Done = %d, want 4", last)
+	}
+}

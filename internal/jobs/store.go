@@ -51,17 +51,17 @@ const (
 //
 //   - v1 (the original format): done records carried only the durable
 //     ResultSummary, so recovery could never serve more than a digest.
-//   - v2: done records additionally carry the job's Spec — the dataset
-//     content hash plus every mining parameter — making each one a
-//     self-contained recipe for re-mining the full result after a
+//   - v2: done records of analysis jobs also carry the job's Spec — the
+//     dataset content hash plus every mining parameter — making each
+//     one a self-contained recipe for re-mining the full result after a
 //     restart (Engine.Rehydrate). v1 logs replay unchanged: their done
 //     records have no spec, so those jobs fold to summary-only exactly
 //     as before, and unknown future record types are skipped.
 const storeVersion = 2
 
 // Record is one write-ahead log entry. Spec is set on submitted records
-// and (since v2) on done records; at most one of Snapshot and Result is
-// set, depending on Type.
+// and (since v2) on the done records of analysis jobs; at most one of
+// Snapshot and Result is set, depending on Type.
 type Record struct {
 	V        int            `json:"v"`
 	Type     string         `json:"type"`

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
@@ -305,7 +306,9 @@ func TestExhaustiveRejectsLargeN(t *testing.T) {
 func TestProgressReachesTotal(t *testing.T) {
 	db := nullDB(t, 7, 40, 3, 2)
 	e := newEngine(t, db, mine(t, db, 2))
-	var last int64
+	// Progress runs concurrently on the workers and its calls can land
+	// out of order, so keep the maximum seen rather than the last value.
+	var highest atomic.Int64
 	res, err := e.Run(context.Background(), Config{
 		Permutations: 64,
 		Workers:      3,
@@ -313,13 +316,18 @@ func TestProgressReachesTotal(t *testing.T) {
 			if total != 64 {
 				t.Errorf("progress total %d want 64", total)
 			}
-			last = int64(done)
+			for {
+				cur := highest.Load()
+				if int64(done) <= cur || highest.CompareAndSwap(cur, int64(done)) {
+					break
+				}
+			}
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Permutations != 64 || last != 64 {
-		t.Fatalf("final progress %d want 64", last)
+	if res.Permutations != 64 || highest.Load() != 64 {
+		t.Fatalf("final progress %d want 64", highest.Load())
 	}
 }

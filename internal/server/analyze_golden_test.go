@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the /analyze golden bodies under testdata/analyze")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata: the /analyze bodies and the /statsz key paths")
 
 // analyzeGoldenCases are the seeded datasets whose /analyze answers are
 // pinned byte for byte. The queries set eps and alpha so the pruned and

@@ -63,16 +63,9 @@ type exploreRequest struct {
 // engine so the two entry points cannot drift.
 func parseExploreBody(body []byte) (exploreRequest, error) {
 	var req exploreRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
 	var b exploreBody
-	if err := dec.Decode(&b); err != nil {
-		return req, fmt.Errorf("bad explore body: %w", err)
-	}
-	// A trailing second JSON value is a malformed request, not extra data
-	// to silently ignore.
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return req, errors.New("bad explore body: trailing data after the JSON object")
+	if err := decodeStrict(body, "explore", &b); err != nil {
+		return req, err
 	}
 	if b.Dataset == "" {
 		return req, errors.New("missing dataset hash (register the CSV via POST /datasets first)")
@@ -136,6 +129,22 @@ func parseExploreBody(body []byte) (exploreRequest, error) {
 	return req, nil
 }
 
+// decodeStrict decodes a request body holding exactly one JSON object
+// into v, refusing unknown fields; what names the body in errors.
+func decodeStrict(body []byte, what string, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("bad %s body: %w", what, err)
+	}
+	// A trailing second JSON value is a malformed request, not extra data
+	// to silently ignore.
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return fmt.Errorf("bad %s body: trailing data after the JSON object", what)
+	}
+	return nil
+}
+
 // handleExplore implements POST /explore.
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	body, ok := s.readBody(w, r)
@@ -167,17 +176,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.async {
 		job, err := s.engine.SubmitExplore(req.spec)
-		switch {
-		case errors.Is(err, jobs.ErrQueueFull):
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, err.Error())
-		case errors.Is(err, jobs.ErrShuttingDown):
-			writeError(w, http.StatusServiceUnavailable, err.Error())
-		case err != nil:
-			s.writeExploreError(w, r, err)
-		default:
-			writeJSON(w, http.StatusAccepted, jobToJSON(job.Snapshot()))
-		}
+		s.writeAccepted(w, r, job, err)
 		return
 	}
 	out, err := s.engine.Explore(r.Context(), req.spec)
@@ -186,6 +185,19 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+// writeAccepted answers an async /explore or /significance submission:
+// 202 with the job's status, or the submission error mapped to a status.
+func (s *Server) writeAccepted(w http.ResponseWriter, r *http.Request, job *jobs.Job, err error) {
+	switch {
+	case errors.Is(err, jobs.ErrQueueFull), errors.Is(err, jobs.ErrShuttingDown):
+		writeSubmitError(w, err)
+	case err != nil:
+		s.writeExploreError(w, r, err)
+	default:
+		writeJSON(w, http.StatusAccepted, jobToJSON(job.Snapshot()))
+	}
 }
 
 // writeExploreError maps explore/expand failures to HTTP statuses. The

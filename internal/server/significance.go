@@ -1,11 +1,8 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"repro/internal/jobs"
@@ -52,16 +49,9 @@ type significanceRequest struct {
 // points cannot drift.
 func parseSignificanceBody(body []byte) (significanceRequest, error) {
 	var req significanceRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
 	var b significanceBody
-	if err := dec.Decode(&b); err != nil {
-		return req, fmt.Errorf("bad significance body: %w", err)
-	}
-	// A trailing second JSON value is a malformed request, not extra data
-	// to silently ignore.
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return req, errors.New("bad significance body: trailing data after the JSON object")
+	if err := decodeStrict(body, "significance", &b); err != nil {
+		return req, err
 	}
 	if b.Dataset == "" {
 		return req, errors.New("missing dataset hash (register the CSV via POST /datasets first)")
@@ -132,17 +122,7 @@ func (s *Server) handleSignificance(w http.ResponseWriter, r *http.Request) {
 
 	if req.async {
 		job, err := s.engine.SubmitSignificance(req.spec)
-		switch {
-		case errors.Is(err, jobs.ErrQueueFull):
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, err.Error())
-		case errors.Is(err, jobs.ErrShuttingDown):
-			writeError(w, http.StatusServiceUnavailable, err.Error())
-		case err != nil:
-			s.writeExploreError(w, r, err)
-		default:
-			writeJSON(w, http.StatusAccepted, jobToJSON(job.Snapshot()))
-		}
+		s.writeAccepted(w, r, job, err)
 		return
 	}
 	out, err := s.engine.Significance(r.Context(), req.spec)

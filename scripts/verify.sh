@@ -20,7 +20,10 @@
 #                                  single-flight and submit/cancel/
 #                                  shutdown interleavings are
 #                                  timing-sensitive, so extra runs buy
-#                                  extra schedules
+#                                  extra schedules; the snapshot and
+#                                  progress ordering tests run twenty
+#                                  times, since a reordering flake
+#                                  hides at two
 #   6. fault-injection tier        the disk-facing subsystems (faultfs
 #                                  injector, registry spill tier, WAL
 #                                  chaos tests, spill e2e) once more
@@ -105,6 +108,7 @@ go test -race ./...
 
 echo "==> registry-race tier (sharded registry + durable jobs, -count=2)"
 go test -race -count=2 ./internal/registry/... ./internal/jobs/... ./internal/server/...
+go test -race -count=20 -run 'Tracker|RecoverReattachesPartialSnapshot|ProgressReachesTotal' ./internal/jobs ./internal/permtest
 
 echo "==> fault-injection tier (seed ${DIVEX_FAULT_SEED:-1})"
 DIVEX_FAULT_SEED="${DIVEX_FAULT_SEED:-1}" \
