@@ -203,14 +203,14 @@ func BenchmarkSliceFinderCompas(b *testing.B) {
 	}
 }
 
-// BenchmarkMinerAblation compares the four Algorithm 1 backends on two
+// BenchmarkMinerAblation compares the three Algorithm 1 backends on two
 // contrasting workloads: COMPAS (small schema) and german at s=0.1 (wide
-// schema). Bitset Apriori dominates at these supports; Eclat overtakes
-// it on german once the threshold drops to ~0.02 and tidsets shorten
-// (run cmd/experiments or lower minSup here to see the crossover), and
-// the parallel FP-growth variant only pays off with multiple cores. All
-// four produce identical output (verified by the fpm property tests);
-// this measures the cost of the design choice DESIGN.md calls out.
+// schema). Bitset Apriori dominates at these supports; the parallel
+// FP-growth variant overtakes it on german once the threshold drops to
+// ~0.05 (lower minSup here to see the crossover), and only pays off with
+// multiple cores. All three produce identical output (verified by the
+// fpm property tests); this measures the cost of the design choice
+// DESIGN.md calls out.
 func BenchmarkMinerAblation(b *testing.B) {
 	workloads := []struct {
 		dataset string
@@ -219,7 +219,7 @@ func BenchmarkMinerAblation(b *testing.B) {
 		{"COMPAS", 0.05},
 		{"german", 0.1},
 	}
-	miners := []string{"apriori", "fpgrowth", "eclat", "fpgrowth-parallel"}
+	miners := []string{"apriori", "fpgrowth", "fpgrowth-parallel"}
 	for _, wl := range workloads {
 		gen, err := datagen.ByName(wl.dataset, experiments.Seed)
 		if err != nil {

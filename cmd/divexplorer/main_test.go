@@ -109,6 +109,7 @@ func TestRunErrors(t *testing.T) {
 		{"bad truth column", func(c *config) { c.truthCol = "ghost" }, sampleCSV},
 		{"bad metric", func(c *config) { c.metrics = "XYZ" }, sampleCSV},
 		{"bad miner", func(c *config) { c.miner = "carpenter" }, sampleCSV},
+		{"retired miner", func(c *config) { c.miner = "eclat" }, sampleCSV},
 		{"bad discretize spec", func(c *config) { c.discretize = "score" }, sampleCSV},
 		{"bad discretize bins", func(c *config) { c.discretize = "score=x" }, sampleCSV},
 		{"bad lattice pattern", func(c *config) { c.lattice = "nope=1" }, sampleCSV},
@@ -199,19 +200,6 @@ func TestRunSignificanceAndExport(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(data), "itemset,") {
 		t.Errorf("export file malformed: %q", string(data)[:40])
-	}
-}
-
-func TestRunEclatMiner(t *testing.T) {
-	cfg := baseConfig()
-	cfg.miner = "eclat"
-	cfg.discretize = "score=2"
-	var out bytes.Buffer
-	if err := run(cfg, strings.NewReader(sampleCSV), &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "miner eclat") {
-		t.Error("eclat banner missing")
 	}
 }
 

@@ -61,7 +61,7 @@ func NewOutcomeExplorer(d *Data, o func(row int) Outcome) (*Explorer, error) {
 type ExploreOption func(*core.Options) error
 
 // WithMiner selects the frequent-pattern-mining algorithm: "fpgrowth"
-// (default), "apriori", "eclat", or "fpgrowth-parallel".
+// (default), "apriori", or "fpgrowth-parallel".
 func WithMiner(name string) ExploreOption {
 	return func(o *core.Options) error {
 		switch name {
@@ -69,12 +69,10 @@ func WithMiner(name string) ExploreOption {
 			o.Miner = fpm.FPGrowth{}
 		case "apriori":
 			o.Miner = fpm.Apriori{}
-		case "eclat":
-			o.Miner = fpm.Eclat{}
 		case "fpgrowth-parallel", "parallel":
 			o.Miner = fpm.Parallel{}
 		default:
-			return fmt.Errorf("divexplorer: unknown miner %q (want fpgrowth, apriori, eclat, or fpgrowth-parallel)", name)
+			return fmt.Errorf("divexplorer: unknown miner %q (want fpgrowth, apriori, or fpgrowth-parallel)", name)
 		}
 		return nil
 	}
@@ -99,11 +97,20 @@ func (e *Explorer) Explore(minSup float64, opts ...ExploreOption) (*Result, erro
 }
 
 // ExploreTopK streams the mining pass and returns only the k most
-// divergent patterns for one metric, in O(k) memory. Exact but
+// divergent patterns for one metric, in O(k) memory. The answer equals
+// Result.TopK on a full exploration, ties included, but it is
 // leaderboard-only: Shapley, global divergence and corrective analyses
 // need the full Explore result.
 func (e *Explorer) ExploreTopK(minSup float64, m Metric, k int, order RankOrder) ([]Ranked, error) {
-	return core.ExploreTopK(e.db, minSup, m, k, order)
+	res, err := core.ExploreTopKAnytime(e.db, minSup, m, k, order, core.AnytimeOptions{})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Ranked, len(res.Top))
+	for i := range res.Top {
+		out[i] = res.Top[i].Ranked
+	}
+	return out, nil
 }
 
 // Result gives access to every analysis of the paper over one

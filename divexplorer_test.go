@@ -2,8 +2,12 @@ package divexplorer
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/datagen"
+	"repro/internal/experiments"
 )
 
 // publicFixture builds a small dataset through the public API only.
@@ -105,19 +109,52 @@ func TestExploreMinerOption(t *testing.T) {
 	if ap.NumPatterns() != fg.NumPatterns() {
 		t.Errorf("miners disagree: %d vs %d", ap.NumPatterns(), fg.NumPatterns())
 	}
-	ec, err := exp.Explore(0.05, WithMiner("eclat"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	par, err := exp.Explore(0.05, WithMiner("fpgrowth-parallel"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ec.NumPatterns() != fg.NumPatterns() || par.NumPatterns() != fg.NumPatterns() {
-		t.Error("eclat/parallel disagree with fpgrowth")
+	if par.NumPatterns() != fg.NumPatterns() {
+		t.Error("parallel disagrees with fpgrowth")
 	}
-	if _, err := exp.Explore(0.05, WithMiner("carpenter")); err == nil {
-		t.Error("unknown miner accepted")
+	for _, name := range []string{"carpenter", "eclat"} {
+		if _, err := exp.Explore(0.05, WithMiner(name)); err == nil {
+			t.Errorf("unknown miner %q accepted", name)
+		}
+	}
+}
+
+// TestExploreTopKMatchesResultTopK: the streaming leaderboard is the
+// exhaustive ranking's prefix, ties included. heart and german at
+// s=0.1 carry many patterns whose divergences tie exactly, which is
+// where a heap ordered by the ranking key alone disagreed.
+func TestExploreTopKMatchesResultTopK(t *testing.T) {
+	for _, name := range []string{"heart", "german"} {
+		gen, err := datagen.ByName(name, experiments.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exp, err := NewClassifierExplorer(gen.Data, gen.Truth, gen.Pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := exp.Explore(0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []Metric{FPR, FNR, ErrorRate} {
+			for _, order := range []RankOrder{ByDivergence, ByAbsDivergence, ByNegDivergence} {
+				for _, k := range []int{1, 10} {
+					got, err := exp.ExploreTopK(0.1, m, k, order)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := res.TopK(m, k, order); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s %s order=%v k=%d: ExploreTopK differs from Result.TopK\n got %v\nwant %v",
+							name, m.Name, order, k, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 //     package-level net/http helpers) is flagged — those waits are
 //     exactly what a caller needs to be able to cancel.
 //
-// Interface-compat shims (Miner.Mine over MineContext) and
+// Documented compatibility shims (core.Explore over ExploreContext) and
 // process-lifetime roots carry lint:ignore justifications.
 type CtxFlow struct{}
 

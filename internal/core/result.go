@@ -51,11 +51,10 @@ func Explore(db *fpm.TxDB, minSup float64, opts Options) (*Result, error) {
 	return ExploreContext(context.Background(), db, minSup, opts)
 }
 
-// ExploreContext is Explore under a context: when the configured miner
-// supports cancellation (fpm.ContextMiner), a canceled context aborts the
-// mine at the next tree-recursion boundary and the error wraps ctx.Err().
-// The async job engine and the HTTP server use this so canceled jobs and
-// disconnected clients stop burning CPU.
+// ExploreContext is Explore under a context: a canceled context aborts
+// the mine (see fpm.Miner for how soon each miner notices) and the error
+// wraps ctx.Err(). The async job engine and the HTTP server use this so
+// canceled jobs and disconnected clients stop burning CPU.
 //
 // lint:hot
 func ExploreContext(ctx context.Context, db *fpm.TxDB, minSup float64, opts Options) (*Result, error) {
@@ -67,7 +66,7 @@ func ExploreContext(ctx context.Context, db *fpm.TxDB, minSup float64, opts Opti
 		miner = fpm.FPGrowth{}
 	}
 	minCount := fpm.MinCount(db.NumRows(), minSup)
-	mined, err := fpm.MineWith(ctx, miner, db, minCount)
+	mined, err := miner.Mine(ctx, db, minCount)
 	if err != nil {
 		return nil, fmt.Errorf("core: mining: %w", err)
 	}

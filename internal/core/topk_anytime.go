@@ -34,8 +34,7 @@ const DefaultConfidence = 0.95
 const defaultUpdateEvery = 4096
 
 // AnytimeOptions configures ExploreTopKAnytime. The zero value is an
-// unbudgeted, unsampled run — exactly ExploreTopK with a stronger
-// ordering guarantee.
+// unbudgeted, unsampled run, whose Top equals Result.TopK.
 type AnytimeOptions struct {
 	// Budget bounds the mine (deadline and/or pattern count); zero means
 	// run to exhaustion.
@@ -151,7 +150,7 @@ func ExploreTopKAnytime(db *fpm.TxDB, minSup float64, m Metric, k int, order Ran
 	// k costs nothing up front.
 	h := newBestK(k, 0, func(a, b *RankedEstimate) bool { return rankedBetter(&a.Ranked, &b.Ranked, order) })
 	var seen int64
-	info, err := fpm.FPGrowth{}.MineAnytimeVisit(mdb, minCount, opts.Budget, func(p fpm.FrequentPattern) error {
+	info, err := fpm.FPGrowth{}.MineVisit(mdb, minCount, opts.Budget, func(p fpm.FrequentPattern) error {
 		seen++
 		if opts.OnUpdate != nil && seen%updateEvery == 0 {
 			opts.OnUpdate(h.snapshot(), seen)
@@ -213,4 +212,21 @@ func annotate(rk Ranked, sampled bool, conf, supportEps, globalRate float64, m M
 	e.DivergenceLo = e.RateLo - globalRate
 	e.DivergenceHi = e.RateHi - globalRate
 	return e
+}
+
+func rateOf(t fpm.Tally, m Metric) float64 {
+	kp, kn := m.Counts(t)
+	if kp+kn == 0 {
+		return math.NaN()
+	}
+	return float64(kp) / float64(kp+kn)
+}
+
+func posteriorOf(t fpm.Tally, m Metric) stats.PosteriorRate {
+	kp, kn := m.Counts(t)
+	return stats.NewPosteriorRate(float64(kp), float64(kn))
+}
+
+func welchOf(t fpm.Tally, m Metric, global stats.PosteriorRate) float64 {
+	return stats.WelchTPosterior(posteriorOf(t, m), global)
 }

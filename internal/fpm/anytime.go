@@ -11,9 +11,12 @@ import (
 	"repro/internal/dataset"
 )
 
-// Anytime mining: the progressive tier behind budgeted queries
-// ("best answer in 200ms"). The mine runs through the same zero-alloc
-// patternSink seam as Mine/MineVisit/Parallel, with two differences:
+// Streaming mining: MineVisit is the one entry point that emits
+// patterns one by one instead of materializing the result, serving
+// exploration (core.ExploreTopKAnytime), the monitor's re-mine, and any
+// workload too large to hold, like german at s = 0.01 (3.5M itemsets).
+// It runs through the same zero-alloc patternSink seam as Mine and
+// Parallel, with two differences:
 //
 //   - Visit order. Top-level subproblems are visited in descending
 //     support order (most frequent item first) instead of ascending item
@@ -24,7 +27,8 @@ import (
 //   - Budgets. A deadline and/or a pattern-count budget cut the mine
 //     short. Every pattern emitted before the cut carries its exact
 //     tally (budgets only truncate, they never approximate), and the
-//     returned AnytimeInfo says why the mine ended.
+//     returned AnytimeInfo says why the mine ended. The zero budget
+//     streams every frequent pattern.
 //
 // Approximation enters only through SampleRows: mining a row sample
 // trades exact tallies for speed, with the error quantified by the
@@ -60,8 +64,9 @@ func (r CompletionReason) String() string {
 // Partial reports whether the mine was cut short.
 func (r CompletionReason) Partial() bool { return r != ReasonExhausted }
 
-// AnytimeBudget bounds an anytime mine. The zero value is unlimited, in
-// which case the mine is exactly MineVisit modulo emission order.
+// AnytimeBudget bounds a MineVisit stream. The zero value is unlimited:
+// the stream then holds exactly the patterns Mine returns, in a
+// different order.
 type AnytimeBudget struct {
 	// Deadline, when non-zero, stops the mine once time.Now passes it.
 	// The check runs at every subproblem boundary and every
@@ -88,16 +93,22 @@ type AnytimeInfo struct {
 const deadlineCheckEvery = 512
 
 // errAnytimeStop is the internal control-flow sentinel a budgeted sink
-// returns to abort the recursion; MineAnytimeVisit converts it back into
-// a successful, partial result.
+// returns to abort the recursion; MineVisit converts it back into a
+// successful, partial result.
 var errAnytimeStop = errors.New("fpm: anytime budget reached")
+
+// Visitor receives one frequent pattern during a streaming mine. The
+// Items slice is owned by the callee only for the duration of the call;
+// clone it to retain it. Returning an error aborts the mine.
+type Visitor func(p FrequentPattern) error
 
 // anytimeSink adapts a Visitor to the mining core's patternSink with
 // budget enforcement: before each emission it charges the pattern
 // budget and polls the deadline, stopping the mine with errAnytimeStop
-// once either is exhausted. Like visitorSink it copies the borrowed
-// suffix-stack slice into one reused scratch buffer, so the budgeted
-// stream stays allocation-free in steady state.
+// once either is exhausted. It copies the borrowed suffix-stack slice
+// into one reused scratch buffer and sorts it, so the whole stream
+// costs a single pattern-sized buffer and stays allocation-free in
+// steady state.
 type anytimeSink struct {
 	visit       Visitor
 	scratch     Itemset
@@ -123,13 +134,15 @@ func (a *anytimeSink) emit(items Itemset, t Tally) error {
 	return a.visit(FrequentPattern{Items: a.scratch, Tally: t})
 }
 
-// MineAnytimeVisit streams frequent patterns like MineVisit, but visits
-// top-level subproblems in descending support order and stops early when
-// the budget runs out. Every emitted pattern carries its exact tally;
-// budgets truncate the stream, they never distort it. The returned info
-// says whether the stream is complete (ReasonExhausted) or why it was
-// cut. A visitor error aborts the mine and is returned as-is.
-func (g FPGrowth) MineAnytimeVisit(db *TxDB, minCount int64, budget AnytimeBudget, visit Visitor) (AnytimeInfo, error) {
+// MineVisit calls visit for every frequent pattern, with items sorted
+// ascending within each pattern. Top-level subproblems are visited in
+// descending support order, and the stream stops early when the budget
+// runs out; the zero budget streams every pattern. Every emitted pattern
+// carries its exact tally: budgets truncate the stream, they never
+// distort it. The returned info says whether the stream is complete
+// (ReasonExhausted) or why it was cut. A visitor error aborts the mine
+// and is returned as-is.
+func (FPGrowth) MineVisit(db *TxDB, minCount int64, budget AnytimeBudget, visit Visitor) (AnytimeInfo, error) {
 	if minCount < 1 {
 		return AnytimeInfo{}, fmt.Errorf("fpm: minCount %d < 1", minCount)
 	}
@@ -140,7 +153,7 @@ func (g FPGrowth) MineAnytimeVisit(db *TxDB, minCount int64, budget AnytimeBudge
 	return mineAnytime(s, db, minCount, budget, visit)
 }
 
-// mineAnytime is the warm-state core of MineAnytimeVisit: reusing s
+// mineAnytime is the warm-state core of MineVisit: reusing s
 // across calls makes the whole budgeted mine allocation-free once the
 // arenas reach their high-water marks (guarded in anytime_test.go).
 //

@@ -1,6 +1,8 @@
 package fpm
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -10,7 +12,7 @@ import (
 func collectAnytime(t *testing.T, db *TxDB, minCount int64, budget AnytimeBudget) ([]FrequentPattern, AnytimeInfo) {
 	t.Helper()
 	var out []FrequentPattern
-	info, err := FPGrowth{}.MineAnytimeVisit(db, minCount, budget, func(p FrequentPattern) error {
+	info, err := FPGrowth{}.MineVisit(db, minCount, budget, func(p FrequentPattern) error {
 		out = append(out, FrequentPattern{Items: p.Items.Clone(), Tally: p.Tally})
 		return nil
 	})
@@ -30,7 +32,7 @@ func TestAnytimeUnlimitedMatchesExhaustive(t *testing.T) {
 				db := randomLabeledTxDB(t, seed, sh)
 				for _, sup := range []float64{0.02, 0.1, 0.4} {
 					minCount := MinCount(db.NumRows(), sup)
-					want, err := FPGrowth{}.Mine(db, minCount)
+					want, err := FPGrowth{}.Mine(context.Background(), db, minCount)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -130,7 +132,7 @@ func TestAnytimeSupportDescendingOrder(t *testing.T) {
 func TestAnytimeWarmStateReusable(t *testing.T) {
 	db := randomLabeledTxDB(t, 5, diffShape{rows: 200, attrs: 5, maxCard: 4})
 	minCount := MinCount(db.NumRows(), 0.05)
-	want, err := FPGrowth{}.Mine(db, minCount)
+	want, err := FPGrowth{}.Mine(context.Background(), db, minCount)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,37 +207,87 @@ func TestSampleRows(t *testing.T) {
 }
 
 // TestAnytimeSteadyStateAllocFree extends the zero-allocation contract
-// to the budgeted path: a warm state driving an anytimeSink — budget
-// checks, deadline polls and all — emits every pattern without
-// allocating.
+// to the streaming path: a warm state driving an anytimeSink emits every
+// pattern without allocating, both on a complete (zero-budget) stream
+// and with budget checks and deadline polls active.
 func TestAnytimeSteadyStateAllocFree(t *testing.T) {
 	db := smallTxDB(t)
-	s := newMineState(db.Catalog.NumItems(), db.Catalog.NumAttrs())
-	budget := AnytimeBudget{Deadline: time.Now().Add(time.Hour), MaxPatterns: 1 << 40}
-	var n int64
-	visit := func(FrequentPattern) error { n++; return nil }
-	runOnce := func() {
-		n = 0
-		info, err := mineAnytime(s, db, 1, budget, visit)
-		if err != nil {
-			t.Fatal(err)
+	for _, budget := range []AnytimeBudget{
+		{},
+		{Deadline: time.Now().Add(time.Hour), MaxPatterns: 1 << 40},
+	} {
+		s := newMineState(db.Catalog.NumItems(), db.Catalog.NumAttrs())
+		var n int64
+		visit := func(FrequentPattern) error { n++; return nil }
+		runOnce := func() {
+			n = 0
+			info, err := mineAnytime(s, db, 1, budget, visit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Reason != ReasonExhausted {
+				t.Fatalf("reason = %s, want exhausted", info.Reason)
+			}
 		}
-		if info.Reason != ReasonExhausted {
-			t.Fatalf("reason = %s, want exhausted", info.Reason)
+
+		runOnce()
+		want := n
+		if want == 0 {
+			t.Fatal("warm-up anytime mine produced no patterns; fixture db is unusable")
+		}
+		runOnce()
+		if n != want {
+			t.Fatalf("re-mine produced %d patterns, want %d", n, want)
+		}
+
+		if allocs := testing.AllocsPerRun(10, runOnce); allocs != 0 {
+			t.Errorf("budget %+v: steady-state mine allocates %v allocs/run, want 0", budget, allocs)
 		}
 	}
+}
 
-	runOnce()
-	want := n
-	if want == 0 {
-		t.Fatal("warm-up anytime mine produced no patterns; fixture db is unusable")
+func TestMineVisitAbortsOnError(t *testing.T) {
+	db := smallTxDB(t)
+	sentinel := errors.New("stop")
+	count := 0
+	_, err := FPGrowth{}.MineVisit(db, 1, AnytimeBudget{}, func(FrequentPattern) error {
+		count++
+		if count == 3 {
+			return sentinel
+		}
+		return nil
+	})
+	if !errors.Is(err, sentinel) {
+		t.Fatalf("err = %v, want sentinel", err)
 	}
-	runOnce()
-	if n != want {
-		t.Fatalf("re-mine produced %d patterns, want %d", n, want)
+	if count != 3 {
+		t.Fatalf("visited %d patterns after abort, want 3", count)
 	}
+}
 
-	if allocs := testing.AllocsPerRun(10, runOnce); allocs != 0 {
-		t.Errorf("steady-state anytime mine allocates %v allocs/run, want 0", allocs)
+func TestMineVisitValidation(t *testing.T) {
+	db := smallTxDB(t)
+	if _, err := (FPGrowth{}).MineVisit(db, 0, AnytimeBudget{}, func(FrequentPattern) error { return nil }); err == nil {
+		t.Error("minCount=0 accepted")
+	}
+	if _, err := (FPGrowth{}).MineVisit(db, 1, AnytimeBudget{}, nil); err == nil {
+		t.Error("nil visitor accepted")
+	}
+}
+
+// Streaming with a threshold above every support yields nothing and no
+// error.
+func TestMineVisitEmpty(t *testing.T) {
+	db := smallTxDB(t)
+	visited := 0
+	info, err := FPGrowth{}.MineVisit(db, int64(db.NumRows()+1), AnytimeBudget{}, func(FrequentPattern) error {
+		visited++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if visited != 0 || info.Patterns != 0 || info.Reason != ReasonExhausted {
+		t.Errorf("visited %d patterns above max support (info %+v)", visited, info)
 	}
 }

@@ -1,6 +1,9 @@
 package fpm
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+)
 
 // Apriori mines frequent itemsets level-wise (Agrawal & Srikant, VLDB'94)
 // over a vertical bitset layout: every itemset carries the bitset of rows
@@ -18,10 +21,14 @@ type levelEntry struct {
 	cover bitset
 }
 
-// Mine implements Miner.
-func (Apriori) Mine(db *TxDB, minCount int64) ([]FrequentPattern, error) {
+// Mine implements Miner. The context is checked once per level, so a
+// canceled mine stops before the next level's candidate join.
+func (Apriori) Mine(ctx context.Context, db *TxDB, minCount int64) ([]FrequentPattern, error) {
 	if minCount < 1 {
 		return nil, fmt.Errorf("fpm: minCount %d < 1", minCount)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, mineCanceled{err}
 	}
 	n := db.NumRows()
 	cat := db.Catalog
@@ -67,6 +74,9 @@ func (Apriori) Mine(db *TxDB, minCount int64) ([]FrequentPattern, error) {
 	// Levels k >= 2: join entries sharing a (k-1)-prefix; prune candidates
 	// with an infrequent subset; verify support by cover intersection.
 	for len(level) >= 2 {
+		if err := ctx.Err(); err != nil {
+			return nil, mineCanceled{err}
+		}
 		frequentKeys := make(map[string]bool, len(level))
 		for _, e := range level {
 			frequentKeys[e.items.Key()] = true

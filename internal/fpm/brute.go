@@ -1,6 +1,7 @@
 package fpm
 
 import (
+	"context"
 	"fmt"
 	"sort"
 )
@@ -16,10 +17,14 @@ type BruteForce struct{}
 // Name implements Miner.
 func (BruteForce) Name() string { return "brute" }
 
-// Mine implements Miner.
-func (BruteForce) Mine(db *TxDB, minCount int64) ([]FrequentPattern, error) {
+// Mine implements Miner. The context is checked once, at entry: the
+// oracle runs only on inputs small enough to finish promptly.
+func (BruteForce) Mine(ctx context.Context, db *TxDB, minCount int64) ([]FrequentPattern, error) {
 	if minCount < 1 {
 		return nil, fmt.Errorf("fpm: minCount %d < 1", minCount)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, mineCanceled{err}
 	}
 	cat := db.Catalog
 	var out []FrequentPattern

@@ -3,38 +3,18 @@ package fpm
 import (
 	"context"
 	"errors"
-	"reflect"
 	"testing"
 )
 
 // TestMineContextPreCanceled: a context canceled before the mine starts
-// aborts both context-aware miners with an error wrapping ctx.Err().
+// aborts every miner with an error wrapping ctx.Err().
 func TestMineContextPreCanceled(t *testing.T) {
 	db := randomTxDB(t, 7, 120, 4, 3, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, m := range []ContextMiner{FPGrowth{}, Parallel{Workers: 2}} {
-		if _, err := m.MineContext(ctx, db, 1); !errors.Is(err, context.Canceled) {
+	for _, m := range []Miner{FPGrowth{}, Parallel{Workers: 2}, Apriori{}, BruteForce{}} {
+		if _, err := m.Mine(ctx, db, 1); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", m.Name(), err)
-		}
-	}
-}
-
-// TestMineContextMatchesMine: with a live context, MineContext is
-// byte-identical to the context-free entry point.
-func TestMineContextMatchesMine(t *testing.T) {
-	db := randomTxDB(t, 11, 150, 4, 3, 2)
-	want, err := FPGrowth{}.Mine(db, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range []ContextMiner{FPGrowth{}, Parallel{Workers: 3}} {
-		got, err := m.MineContext(context.Background(), db, 3)
-		if err != nil {
-			t.Fatalf("%s: %v", m.Name(), err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: MineContext output differs from Mine", m.Name())
 		}
 	}
 }
@@ -51,7 +31,7 @@ func TestParallelCancelDuringMine(t *testing.T) {
 			cancel()
 		}
 	}}
-	if _, err := p.MineContext(ctx, db, 1); !errors.Is(err, context.Canceled) {
+	if _, err := p.Mine(ctx, db, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -67,25 +47,10 @@ func TestParallelProgressReachesTotal(t *testing.T) {
 		}
 		last, total = d, tot
 	}}
-	if _, err := p.Mine(db, 2); err != nil {
+	if _, err := p.Mine(context.Background(), db, 2); err != nil {
 		t.Fatal(err)
 	}
 	if total == 0 || last != total {
 		t.Errorf("final progress %d/%d, want done == total > 0", last, total)
-	}
-}
-
-// TestMineWith routes through MineContext for context-aware miners and
-// still works (ignoring the context) for plain ones.
-func TestMineWith(t *testing.T) {
-	db := smallTxDB(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := MineWith(ctx, FPGrowth{}, db, 1); !errors.Is(err, context.Canceled) {
-		t.Errorf("context-aware miner ignored cancellation: %v", err)
-	}
-	// BruteForce has no MineContext; the canceled context is ignored.
-	if _, err := MineWith(ctx, BruteForce{}, db, 1); err != nil {
-		t.Errorf("plain miner failed under MineWith: %v", err)
 	}
 }

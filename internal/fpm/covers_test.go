@@ -13,7 +13,7 @@ import (
 func TestCoverIndexMatchesSupportSet(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		db := randomLabeledTxDB(t, 700+seed, diffShape{rows: 150, attrs: 4, maxCard: 4})
-		mined, err := MineWith(context.Background(), FPGrowth{}, db, 5)
+		mined, err := FPGrowth{}.Mine(context.Background(), db, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func TestCoverIndexMatchesSupportSet(t *testing.T) {
 // classes (covers never move, only labels do).
 func TestCoverIndexRefoldUnderRelabeling(t *testing.T) {
 	db := randomLabeledTxDB(t, 77, diffShape{rows: 120, attrs: 4, maxCard: 3})
-	mined, err := MineWith(context.Background(), FPGrowth{}, db, 4)
+	mined, err := FPGrowth{}.Mine(context.Background(), db, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

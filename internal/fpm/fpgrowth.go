@@ -162,7 +162,7 @@ type mineState struct {
 	frames   []*mineFrame
 	suffix   []Item // fixed-capacity pattern stack (max depth = NumAttrs+1)
 	sufLen   int
-	patArena []Item // append-only backing for emitted pattern slices
+	patArena []Item      // append-only backing for emitted pattern slices
 	anySink  anytimeSink // reusable budgeted sink; its scratch amortizes like the arenas
 }
 
@@ -221,18 +221,12 @@ type mineCanceled struct{ err error }
 func (e mineCanceled) Error() string { return "fpm: mining canceled: " + e.err.Error() }
 func (e mineCanceled) Unwrap() error { return e.err }
 
-// Mine implements Miner.
-func (g FPGrowth) Mine(db *TxDB, minCount int64) ([]FrequentPattern, error) {
-	// lint:ignore ctxflow Mine is the documented no-cancellation compatibility shim over MineContext; callers that can cancel use MineContext directly
-	return g.MineContext(context.Background(), db, minCount)
-}
-
-// MineContext implements ContextMiner: identical output to Mine, but the
-// recursion checks the context at every conditional-tree boundary and
-// aborts with an error wrapping ctx.Err() once it is canceled.
+// Mine implements Miner. The recursion checks the context at every
+// conditional-tree boundary and aborts with an error wrapping ctx.Err()
+// once it is canceled.
 //
 // lint:hot
-func (FPGrowth) MineContext(ctx context.Context, db *TxDB, minCount int64) ([]FrequentPattern, error) {
+func (FPGrowth) Mine(ctx context.Context, db *TxDB, minCount int64) ([]FrequentPattern, error) {
 	if minCount < 1 {
 		return nil, fmt.Errorf("fpm: minCount %d < 1", minCount)
 	}
@@ -319,7 +313,8 @@ func (s *mineState) buildRoot(db *TxDB, minCount int64) *mineFrame {
 }
 
 // mineAll mines every frequent item of root as an independent
-// subproblem, in ascending item order.
+// subproblem, in root.items order: ascending item id as buildRoot
+// leaves it, support-descending when MineVisit re-sorts it.
 func (s *mineState) mineAll(ctx context.Context, root *mineFrame, frameIdx int, minCount int64, sink patternSink) error {
 	for _, it := range root.items {
 		if err := s.mineSub(ctx, root, frameIdx, it, minCount, sink); err != nil {

@@ -40,37 +40,3 @@ func TestMineSteadyStateAllocFree(t *testing.T) {
 		t.Errorf("steady-state mine allocates %v allocs/run, want 0", allocs)
 	}
 }
-
-// TestStreamSteadyStateAllocFree is the streaming-path variant: a warm
-// state driving a visitorSink emits every pattern without allocating.
-func TestStreamSteadyStateAllocFree(t *testing.T) {
-	db := smallTxDB(t)
-	s := newMineState(db.Catalog.NumItems(), db.Catalog.NumAttrs())
-	var n int
-	sink := visitorSink{visit: func(FrequentPattern) error {
-		n++
-		return nil
-	}}
-	ctx := context.Background()
-	runOnce := func() {
-		n = 0
-		root := s.buildRoot(db, 1)
-		if err := s.mineAll(ctx, root, 1, 1, &sink); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	runOnce()
-	want := n
-	if want == 0 {
-		t.Fatal("warm-up stream produced no patterns; fixture db is unusable")
-	}
-	runOnce()
-	if n != want {
-		t.Fatalf("re-stream produced %d patterns, want %d", n, want)
-	}
-
-	if allocs := testing.AllocsPerRun(10, runOnce); allocs != 0 {
-		t.Errorf("steady-state stream allocates %v allocs/run, want 0", allocs)
-	}
-}

@@ -1,6 +1,7 @@
 package fpm
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -114,20 +115,20 @@ func patternsByKey(ps []FrequentPattern) map[string]Tally {
 }
 
 func minersUnderTest() []Miner {
-	return []Miner{BruteForce{}, Apriori{}, FPGrowth{}, Eclat{}, Parallel{}}
+	return []Miner{BruteForce{}, Apriori{}, FPGrowth{}, Parallel{}}
 }
 
 // All three miners agree exactly on the small fixture at every threshold.
 func TestMinersAgreeOnFixture(t *testing.T) {
 	db := smallTxDB(t)
 	for minCount := int64(1); minCount <= 4; minCount++ {
-		ref, err := BruteForce{}.Mine(db, minCount)
+		ref, err := BruteForce{}.Mine(context.Background(), db, minCount)
 		if err != nil {
 			t.Fatal(err)
 		}
 		refMap := patternsByKey(ref)
 		for _, m := range minersUnderTest()[1:] {
-			got, err := m.Mine(db, minCount)
+			got, err := m.Mine(context.Background(), db, minCount)
 			if err != nil {
 				t.Fatalf("%s: %v", m.Name(), err)
 			}
@@ -144,7 +145,7 @@ func TestMinersAgreeOnFixture(t *testing.T) {
 // covers only row 0, which has class 0.
 func TestMinedTalliesExact(t *testing.T) {
 	db := smallTxDB(t)
-	out, err := FPGrowth{}.Mine(db, 1)
+	out, err := FPGrowth{}.Mine(context.Background(), db, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestMinedTalliesExact(t *testing.T) {
 func TestMinerSoundness(t *testing.T) {
 	db := smallTxDB(t)
 	for _, m := range minersUnderTest() {
-		out, err := m.Mine(db, 2)
+		out, err := m.Mine(context.Background(), db, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
@@ -194,7 +195,7 @@ func TestMinerSoundness(t *testing.T) {
 func TestMinerRejectsBadMinCount(t *testing.T) {
 	db := smallTxDB(t)
 	for _, m := range minersUnderTest() {
-		if _, err := m.Mine(db, 0); err == nil {
+		if _, err := m.Mine(context.Background(), db, 0); err == nil {
 			t.Errorf("%s accepted minCount=0", m.Name())
 		}
 	}
@@ -243,13 +244,13 @@ func TestTheorem51SoundCompleteProperty(t *testing.T) {
 		card := int(cardRaw%3) + 2
 		minCount := int64(minRaw%5) + 1
 		db := randomTxDB(t, int64(seedRaw), rows, attrs, card, 3)
-		ref, err := BruteForce{}.Mine(db, minCount)
+		ref, err := BruteForce{}.Mine(context.Background(), db, minCount)
 		if err != nil {
 			return false
 		}
 		refMap := patternsByKey(ref)
-		for _, m := range []Miner{Apriori{}, FPGrowth{}, Eclat{}, Parallel{}} {
-			got, err := m.Mine(db, minCount)
+		for _, m := range []Miner{Apriori{}, FPGrowth{}, Parallel{}} {
+			got, err := m.Mine(context.Background(), db, minCount)
 			if err != nil {
 				return false
 			}
@@ -269,7 +270,7 @@ func TestTheorem51SoundCompleteProperty(t *testing.T) {
 // frequent with at least the same support.
 func TestAntiMonotonicityProperty(t *testing.T) {
 	db := randomTxDB(t, 42, 120, 4, 3, 2)
-	out, err := FPGrowth{}.Mine(db, 5)
+	out, err := FPGrowth{}.Mine(context.Background(), db, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +295,7 @@ func TestAntiMonotonicityProperty(t *testing.T) {
 // row is a frequent pattern of length = #attributes.
 func TestFullLengthPatternsAtMinCountOne(t *testing.T) {
 	db := smallTxDB(t)
-	out, err := Apriori{}.Mine(db, 1)
+	out, err := Apriori{}.Mine(context.Background(), db, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

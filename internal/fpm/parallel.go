@@ -42,18 +42,12 @@ type Parallel struct {
 // Name implements Miner.
 func (p Parallel) Name() string { return "fpgrowth-parallel" }
 
-// Mine implements Miner.
-func (p Parallel) Mine(db *TxDB, minCount int64) ([]FrequentPattern, error) {
-	// lint:ignore ctxflow Mine is the documented no-cancellation compatibility shim over MineContext; callers that can cancel use MineContext directly
-	return p.MineContext(context.Background(), db, minCount)
-}
-
-// MineContext implements ContextMiner. Workers check the context before
-// starting each per-item subproblem and inside the tree recursion, so a
-// canceled mine stops within one conditional-tree step per worker.
+// Mine implements Miner. Workers check the context before starting each
+// per-item subproblem and inside the tree recursion, so a canceled mine
+// stops within one conditional-tree step per worker.
 //
 // lint:hot
-func (p Parallel) MineContext(ctx context.Context, db *TxDB, minCount int64) ([]FrequentPattern, error) {
+func (p Parallel) Mine(ctx context.Context, db *TxDB, minCount int64) ([]FrequentPattern, error) {
 	if minCount < 1 {
 		return nil, fmt.Errorf("fpm: minCount %d < 1", minCount)
 	}

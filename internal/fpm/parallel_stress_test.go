@@ -1,6 +1,7 @@
 package fpm
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -33,14 +34,14 @@ func TestParallelStressDeterminism(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", shape.seed), func(t *testing.T) {
 			t.Parallel()
 			db := randomTxDB(t, shape.seed, shape.rows, shape.attrs, shape.card, shape.k)
-			want, err := FPGrowth{}.Mine(db, shape.minCount)
+			want, err := FPGrowth{}.Mine(context.Background(), db, shape.minCount)
 			if err != nil {
 				t.Fatal(err)
 			}
 			wantStr := fmt.Sprintf("%v", want)
 			for _, workers := range []int{1, 2, 3, 4, 8, 16, 32} {
 				for rep := 0; rep < repeats; rep++ {
-					got, err := Parallel{Workers: workers}.Mine(db, shape.minCount)
+					got, err := Parallel{Workers: workers}.Mine(context.Background(), db, shape.minCount)
 					if err != nil {
 						t.Fatalf("workers=%d rep=%d: %v", workers, rep, err)
 					}

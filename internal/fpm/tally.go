@@ -140,30 +140,13 @@ type Miner interface {
 	// Name identifies the algorithm, e.g. "apriori" or "fpgrowth".
 	Name() string
 	// Mine returns all frequent patterns with support count >= minCount.
-	// minCount must be at least 1.
-	Mine(db *TxDB, minCount int64) ([]FrequentPattern, error)
-}
-
-// ContextMiner is implemented by miners that honor cancellation: when the
-// context is canceled or its deadline passes, MineContext stops mining at
-// the next tree-recursion boundary and returns an error wrapping
-// ctx.Err(). The async job engine and the HTTP server use this so a
-// canceled job or a disconnected client stops burning CPU.
-type ContextMiner interface {
-	Miner
-	// MineContext is Mine under a context. A successful run returns
-	// exactly what Mine would.
-	MineContext(ctx context.Context, db *TxDB, minCount int64) ([]FrequentPattern, error)
-}
-
-// MineWith runs miner m under ctx when m supports cancellation and falls
-// back to a plain Mine otherwise, so callers can thread a context without
-// caring which miner they were configured with.
-func MineWith(ctx context.Context, m Miner, db *TxDB, minCount int64) ([]FrequentPattern, error) {
-	if cm, ok := m.(ContextMiner); ok {
-		return cm.MineContext(ctx, db, minCount)
-	}
-	return m.Mine(db, minCount)
+	// minCount must be at least 1. Once ctx is canceled the mine stops
+	// and returns an error wrapping ctx.Err(): FP-growth checks at every
+	// conditional tree, Apriori at every level, BruteForce (the oracle,
+	// for small inputs only) at entry. The async job engine and the HTTP
+	// server rely on this so a canceled job or a disconnected client
+	// stops burning CPU.
+	Mine(ctx context.Context, db *TxDB, minCount int64) ([]FrequentPattern, error)
 }
 
 // MinCount converts a relative support threshold s into the minimum

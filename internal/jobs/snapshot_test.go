@@ -150,7 +150,7 @@ func TestPartialAccumLeaderboard(t *testing.T) {
 
 	// Mine the real patterns, then feed them through the accumulator in
 	// two batches and check the leaderboard invariants after each.
-	all, err := fpm.FPGrowth{}.Mine(db, 1)
+	all, err := fpm.FPGrowth{}.Mine(context.Background(), db, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

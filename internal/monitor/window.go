@@ -313,7 +313,7 @@ func (w *window) remine(minCount int64) error {
 		return fmt.Errorf("monitor: building window transaction db: %w", err)
 	}
 	tracked := w.tracked[:0]
-	err = fpm.FPGrowth{}.MineVisit(db, minCount, func(p fpm.FrequentPattern) error {
+	_, err = fpm.FPGrowth{}.MineVisit(db, minCount, fpm.AnytimeBudget{}, func(p fpm.FrequentPattern) error {
 		if len(p.Items) > w.maxLen {
 			return nil
 		}
@@ -337,10 +337,7 @@ func (w *window) remine(minCount int64) error {
 		return fmt.Errorf("monitor: re-mining window: %w", err)
 	}
 	if len(tracked) > maxTracked {
-		sort.Slice(tracked, func(i, j int) bool {
-			return tracked[i].tally.Total() > tracked[j].tally.Total()
-		})
-		tracked = tracked[:maxTracked]
+		tracked = keepTopSupport(tracked, maxTracked)
 		w.capped++
 	}
 	w.tracked = tracked
@@ -351,6 +348,20 @@ func (w *window) remine(minCount int64) error {
 	w.sinceMine = 0
 	w.remines++
 	return nil
+}
+
+// keepTopSupport returns the n highest-support patterns of tracked,
+// ties by ascending key. The order is total, so the kept set and its
+// order do not depend on the order the miner emitted the patterns in.
+func keepTopSupport(tracked []trackedPattern, n int) []trackedPattern {
+	sort.Slice(tracked, func(i, j int) bool {
+		ti, tj := tracked[i].tally.Total(), tracked[j].tally.Total()
+		if ti != tj {
+			return ti > tj
+		}
+		return tracked[i].key < tracked[j].key
+	})
+	return tracked[:n]
 }
 
 // names renders an itemset as "attr=value" strings via the catalog.

@@ -241,3 +241,46 @@ func TestRemineHysteresis(t *testing.T) {
 		t.Fatalf("re-mined %d times in %d advances; conditional triggers are not suppressing re-mines", w.remines, w.advances)
 	}
 }
+
+// TestKeepTopSupportIndependentOfOrder: when a re-mine overflows the
+// cap, the kept patterns and their order depend only on the patterns,
+// not on the order the miner emitted them in — ties in support at the
+// cut are settled by key.
+func TestKeepTopSupportIndependentOfOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	mined := make([]trackedPattern, maxTracked+1000)
+	for i := range mined {
+		items := fpm.Itemset{fpm.Item(i)}
+		var tally fpm.Tally
+		tally[0] = int64(1 + rng.Intn(4)) // four support levels: ties everywhere, also at the cut
+		mined[i] = trackedPattern{items: items, key: items.Key(), tally: tally}
+	}
+	keys := func(order []int) []string {
+		in := make([]trackedPattern, len(mined))
+		for i, j := range order {
+			in[i] = mined[j]
+		}
+		kept := keepTopSupport(in, maxTracked)
+		out := make([]string, len(kept))
+		for i := range kept {
+			out[i] = kept[i].key
+			if i > 0 {
+				prev, cur := kept[i-1].tally.Total(), kept[i].tally.Total()
+				if cur > prev || (cur == prev && kept[i].key <= kept[i-1].key) {
+					t.Fatalf("kept[%d] out of order: support %d after %d", i, cur, prev)
+				}
+			}
+		}
+		return out
+	}
+	a := keys(rng.Perm(len(mined)))
+	b := keys(rng.Perm(len(mined)))
+	if len(a) != maxTracked {
+		t.Fatalf("kept %d patterns, want %d", len(a), maxTracked)
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("position %d: permutations keep %x and %x", i, a[i], b[i])
+		}
+	}
+}

@@ -72,7 +72,7 @@ func nullDB(t testing.TB, seed int64, n, attrs, card int) *fpm.TxDB {
 // mine returns the frequent itemsets of db at minCount.
 func mine(t testing.TB, db *fpm.TxDB, minCount int64) []fpm.Itemset {
 	t.Helper()
-	mined, err := fpm.MineWith(context.Background(), fpm.FPGrowth{}, db, minCount)
+	mined, err := fpm.FPGrowth{}.Mine(context.Background(), db, minCount)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,9 @@
 #                                  timing-sensitive paths
 #   6c. anytime-race tier          the anytime exploration tier twice
 #                                  more under -race: budgeted mining
-#                                  (deadline cuts vs. warm-state reuse),
+#                                  (deadline cuts vs. warm-state reuse)
+#                                  and the MineVisit stream that
+#                                  /explore and the monitor share,
 #                                  lattice-navigation cache churn and
 #                                  the /explore endpoint are the
 #                                  timing-sensitive paths, and the
@@ -120,7 +122,7 @@ go test -race -count=2 ./internal/monitor/...
 go test -race -run 'Monitor|Statsz' ./internal/server
 
 echo "==> anytime-race tier (budgeted mining + lattice navigation + /explore, -count=2)"
-go test -race -count=2 -run 'Anytime|SampleRows' ./internal/fpm ./internal/core
+go test -race -count=2 -run 'Anytime|SampleRows|MineVisit' ./internal/fpm ./internal/core
 go test -race -count=2 ./internal/lattice/...
 go test -race -count=2 -run 'Explore|ParseExploreBody' ./internal/jobs ./internal/server
 
