@@ -57,8 +57,6 @@ func main() {
 		queueDepth   = flag.Int("queue", 64, "max queued jobs before submissions get HTTP 429")
 		datasetCache = flag.Int64("dataset-cache-bytes", server.DefaultDatasetCacheBytes,
 			"dataset registry budget in bytes (0 = unlimited)")
-		registryShards = flag.Int("registry-shards", registry.DefaultShards,
-			"lock stripes in the dataset registry (1 = single-lock store)")
 		resultCache = flag.Int("result-cache", 128, "result cache capacity in entries")
 		jobTimeout  = flag.Duration("job-timeout", 5*time.Minute, "per-job deadline (0 = none)")
 		maxBody     = flag.Int64("max-body-bytes", server.DefaultMaxBodyBytes,
@@ -98,7 +96,7 @@ func main() {
 	)
 	flag.Parse()
 
-	reg := registry.NewSharded(*datasetCache, *registryShards)
+	reg := registry.New(*datasetCache)
 	if *spillDir != "" {
 		// Attach the disk tier before any traffic: in-memory eviction then
 		// spills the dataset to a checksummed file instead of dropping it,

@@ -8,7 +8,7 @@ import (
 // AtomicMix flags variables that are accessed through sync/atomic in
 // one place and read or written plainly in another. Mixed access is a
 // data race the race detector only catches when both sides execute in
-// the same run; the sharded registry's recency stamps and the
+// the same run; the job engine's lifecycle counters and the
 // degradation ladder's counters are one careless refactor away from
 // exactly this bug class, so the suite rejects it statically.
 //

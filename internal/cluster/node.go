@@ -83,15 +83,15 @@ type Stats struct {
 	Hedges          int64 `json:"hedges"`
 	ForwardFailures int64 `json:"forward_failures"`
 
-	ReplicaChunksOut   int64 `json:"replica_chunks_out"`
-	ReplicaChunksIn    int64 `json:"replica_chunks_in"`
-	ReplicaPayloadsIn  int64 `json:"replica_payloads_in"`
-	ReplicaResumes     int64 `json:"replica_resumes"`
-	ReplicaRejects     int64 `json:"replica_rejects"`
-	ReplicateFailures  int64 `json:"replicate_failures"`
-	HandoffRecords     int64 `json:"handoff_records"`
-	Adoptions          int64 `json:"adoptions"`
-	AdoptFailures      int64 `json:"adopt_failures"`
+	ReplicaChunksOut  int64 `json:"replica_chunks_out"`
+	ReplicaChunksIn   int64 `json:"replica_chunks_in"`
+	ReplicaPayloadsIn int64 `json:"replica_payloads_in"`
+	ReplicaResumes    int64 `json:"replica_resumes"`
+	ReplicaRejects    int64 `json:"replica_rejects"`
+	ReplicateFailures int64 `json:"replicate_failures"`
+	HandoffRecords    int64 `json:"handoff_records"`
+	Adoptions         int64 `json:"adoptions"`
+	AdoptFailures     int64 `json:"adopt_failures"`
 }
 
 // Node is one cluster member: placement ring + health tracker + the

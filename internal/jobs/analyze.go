@@ -34,10 +34,8 @@ func RunAnalysis(ctx context.Context, data *dataset.Dataset, spec Spec, tr *Trac
 	}
 	miner := fpm.Parallel{Progress: tr.Progress}
 	if tr != nil {
-		acc := newPartialAccum(db, spec)
-		miner.Emit = func(batch []fpm.FrequentPattern, done, total int) {
-			tr.Partial(acc.add(batch, done, total))
-		}
+		acc := newPartialAccum(db, spec, tr)
+		miner.Emit = func(batch []fpm.FrequentPattern, done, total int) { acc.add(batch, done, total) }
 	}
 	return core.ExploreContext(ctx, db, spec.Support, core.Options{Miner: miner})
 }

@@ -1,10 +1,10 @@
 package jobs
 
 import (
-	"container/list"
 	"strconv"
 	"strings"
-	"sync"
+
+	"repro/internal/lru"
 )
 
 // CacheStats is a point-in-time snapshot of one cache's counters.
@@ -16,84 +16,40 @@ type CacheStats struct {
 	Evictions int64 `json:"evictions"`
 }
 
-// lru is an entry-count-bounded LRU with string keys, safe for
-// concurrent use. Every engine cache is one: mined results, explore
-// outcomes, navigation sessions and significance outcomes. Cached values
-// are immutable once stored, so one entry can serve any number of
-// concurrent readers.
-type lru[V any] struct {
-	mu        sync.Mutex
-	capacity  int
-	ll        *list.List // front = most recently used; values are *lruItem[V]
-	entries   map[string]*list.Element
-	hits      int64
-	misses    int64
-	evictions int64
+// cache is an entry-count-bounded LRU with string keys, safe for
+// concurrent use: an lru.Cache that charges every entry 1 against a
+// budget of capacity entries. Every engine cache is one: mined results,
+// explore outcomes, navigation sessions and significance outcomes.
+// Cached values are immutable once stored, so one entry can serve any
+// number of concurrent readers.
+type cache[V any] struct{ c *lru.Cache[string, V] }
+
+func newCache[V any](capacity int) cache[V] {
+	return cache[V]{lru.New[string, V](int64(capacity))}
 }
 
-type lruItem[V any] struct {
-	key string
-	val V
-}
-
-func newLRU[V any](capacity int) *lru[V] {
-	return &lru[V]{capacity: capacity, ll: list.New(), entries: make(map[string]*list.Element)}
-}
-
-func (c *lru[V]) get(key string) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		c.misses++
-		var zero V
-		return zero, false
-	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruItem[V]).val, true
-}
+func (c cache[V]) get(key string) (V, bool) { return c.c.Get(key) }
 
 // put caches val under key and returns it. When key is already present
 // the cached value wins and is returned instead, so concurrent builders
 // of one entry all end up sharing the first one stored.
-func (c *lru[V]) put(key string, val V) V {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		return el.Value.(*lruItem[V]).val
-	}
-	c.entries[key] = c.ll.PushFront(&lruItem[V]{key: key, val: val})
-	for c.ll.Len() > c.capacity {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.entries, back.Value.(*lruItem[V]).key)
-		c.evictions++
-	}
+func (c cache[V]) put(key string, val V) V {
+	val, _ = c.c.Add(key, val, 1)
+	c.c.Trim(key)
 	return val
 }
 
 // values returns the cached values, most recently used first.
-func (c *lru[V]) values() []V {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]V, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*lruItem[V]).val)
-	}
-	return out
-}
+func (c cache[V]) values() []V { return c.c.Values() }
 
-func (c *lru[V]) stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (c cache[V]) stats() CacheStats {
+	s := c.c.Stats()
 	return CacheStats{
-		Entries:   c.ll.Len(),
-		Capacity:  c.capacity,
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
+		Entries:   s.Entries,
+		Capacity:  int(s.Budget),
+		Hits:      s.Hits,
+		Misses:    s.Misses,
+		Evictions: s.Evictions,
 	}
 }
 

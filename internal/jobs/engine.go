@@ -132,7 +132,7 @@ type Engine struct {
 	cfg     Config
 	reg     *registry.Registry
 	analyze AnalyzeFunc
-	cache   *lru[*core.Result]
+	cache   cache[*core.Result]
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -151,15 +151,15 @@ type Engine struct {
 
 	// Anytime exploration tier: outcome cache and per-dataset
 	// navigation sessions.
-	xcache   *lru[*ExploreOutcome]
-	sessions *lru[*session]
+	xcache   cache[*ExploreOutcome]
+	sessions cache[*session]
 
 	explores     atomic.Int64
 	exploreMines atomic.Int64
 	expands      atomic.Int64
 
 	// Significance tier: outcome cache and counters.
-	sigCache   *lru[*SignificanceOutcome]
+	sigCache   cache[*SignificanceOutcome]
 	sigQueries atomic.Int64
 	sigRuns    atomic.Int64
 	sigPerms   atomic.Int64
@@ -200,15 +200,15 @@ func New(cfg Config) (*Engine, error) {
 		cfg:        cfg,
 		reg:        cfg.Registry,
 		analyze:    analyze,
-		cache:      newLRU[*core.Result](positiveOr(cfg.ResultCacheEntries, 128)),
+		cache:      newCache[*core.Result](positiveOr(cfg.ResultCacheEntries, 128)),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		queue:      queue,
 		jobs:       make(map[string]*Job),
 		workers:    workers,
-		xcache:     newLRU[*ExploreOutcome](positiveOr(cfg.ExploreCacheEntries, 64)),
-		sessions:   newLRU[*session](positiveOr(cfg.ExploreSessions, 16)),
-		sigCache:   newLRU[*SignificanceOutcome](positiveOr(cfg.SignificanceCacheEntries, 64)),
+		xcache:     newCache[*ExploreOutcome](positiveOr(cfg.ExploreCacheEntries, 64)),
+		sessions:   newCache[*session](positiveOr(cfg.ExploreSessions, 16)),
+		sigCache:   newCache[*SignificanceOutcome](positiveOr(cfg.SignificanceCacheEntries, 64)),
 	}
 	if cfg.Store != nil {
 		e.store.Store(cfg.Store)

@@ -83,18 +83,26 @@ func summarize(res *core.Result, spec Spec) *ResultSummary {
 		if math.IsNaN(rate) {
 			continue
 		}
-		ms := MetricSummary{Metric: m.Name, OverallRate: rate}
-		for _, rk := range res.TopK(m, topK, core.ByAbsDivergence) {
-			ms.Top = append(ms.Top, PartialPattern{
-				Items:      itemNameList(res.DB.Catalog, rk.Items),
-				Support:    rk.Support,
-				Rate:       rk.Rate,
-				Divergence: rk.Divergence,
-			})
-		}
-		sum.Metrics = append(sum.Metrics, ms)
+		sum.Metrics = append(sum.Metrics, MetricSummary{
+			Metric:      m.Name,
+			OverallRate: rate,
+			Top:         appendPartial(nil, res.DB.Catalog, res.TopK(m, topK, core.ByAbsDivergence)),
+		})
 	}
 	return sum
+}
+
+// appendPartial renders ranked patterns with item names onto dst.
+func appendPartial(dst []PartialPattern, cat *fpm.Catalog, rs []core.Ranked) []PartialPattern {
+	for _, rk := range rs {
+		dst = append(dst, PartialPattern{
+			Items:      itemNameList(cat, rk.Items),
+			Support:    rk.Support,
+			Rate:       rk.Rate,
+			Divergence: rk.Divergence,
+		})
+	}
+	return dst
 }
 
 func itemNameList(cat *fpm.Catalog, is fpm.Itemset) []string {
@@ -162,110 +170,65 @@ func (t *Tracker) Partial(snap Snapshot) {
 }
 
 // partialAccum folds per-subproblem pattern batches into a running
-// top-K-by-|divergence| leaderboard for one metric. It is the bridge
-// between fpm.Parallel.Emit and Tracker.Partial.
+// top-K-by-|divergence| leaderboard for one metric and publishes each
+// resulting snapshot. It is the bridge between fpm.Parallel.Emit and
+// Tracker.Partial.
 type partialAccum struct {
-	metric  core.Metric
-	defined bool // false when the metric is all-⊥ on the whole dataset
-	global  float64
-	rows    float64
-	cat     *fpm.Catalog
-	topK    int
+	cat    *fpm.Catalog
+	metric string
+	tr     *Tracker // nil publishes nothing
 
 	mu       sync.Mutex
 	patterns int64
-	done     int             // largest completion count seen, so Done is monotone
-	top      []scoredPattern // descending |divergence|, len <= topK
-}
-
-type scoredPattern struct {
-	items      fpm.Itemset
-	support    float64
-	rate       float64
-	divergence float64
+	done     int               // largest completion count seen, so Done is monotone
+	top      *core.Leaderboard // nil when the metric is unknown or all-⊥ on the whole dataset
 }
 
 // newPartialAccum prepares an accumulator for the spec's first metric
 // (the leaderboard metric for partial snapshots; the full result covers
-// all metrics at completion).
-func newPartialAccum(db *fpm.TxDB, spec Spec) *partialAccum {
+// all metrics at completion) that publishes through tr. The leaderboard
+// ranks exactly as summarize does, so the snapshot published after the
+// last batch equals the first metric's summary.
+func newPartialAccum(db *fpm.TxDB, spec Spec, tr *Tracker) *partialAccum {
 	topK := spec.TopK
 	if topK <= 0 {
 		topK = 10
 	}
-	acc := &partialAccum{
-		rows: float64(db.NumRows()),
-		cat:  db.Catalog,
-		topK: topK,
-	}
+	acc := &partialAccum{cat: db.Catalog, tr: tr}
 	if len(spec.Metrics) > 0 {
 		if m, err := core.MetricByName(spec.Metrics[0]); err == nil {
-			acc.metric = m
-			kp, kn := m.Counts(db.TotalTally())
-			if kp+kn > 0 {
-				acc.defined = true
-				acc.global = float64(kp) / float64(kp+kn)
+			acc.metric = m.Name
+			if kp, kn := m.Counts(db.TotalTally()); kp+kn > 0 {
+				acc.top = core.NewLeaderboard(db, m, topK, core.ByAbsDivergence)
 			}
 		}
 	}
 	return acc
 }
 
-// add folds one emitted batch and returns the snapshot reflecting it.
+// add folds one emitted batch, publishes the snapshot reflecting it and
+// returns it. Publishing under the accumulator's lock hands snapshots
+// to the tracker in the order they were folded, so the last one
+// published has seen every batch.
 func (a *partialAccum) add(batch []fpm.FrequentPattern, done, total int) Snapshot {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.patterns += int64(len(batch))
 	a.done = max(a.done, done)
-	if a.defined {
+	var top []core.Ranked
+	if a.top != nil {
 		for _, p := range batch {
-			kp, kn := a.metric.Counts(p.Tally)
-			if kp+kn == 0 {
-				continue
-			}
-			rate := float64(kp) / float64(kp+kn)
-			a.insert(scoredPattern{
-				items:      p.Items,
-				support:    float64(p.Tally.Total()) / a.rows,
-				rate:       rate,
-				divergence: rate - a.global,
-			})
+			a.top.Offer(p.Items, p.Tally)
 		}
+		top = a.top.Top()
 	}
 	snap := Snapshot{
 		Done:     a.done,
 		Total:    total,
 		Patterns: a.patterns,
-		Metric:   a.metric.Name,
-		Top:      make([]PartialPattern, len(a.top)),
+		Metric:   a.metric,
+		Top:      appendPartial(make([]PartialPattern, 0, len(top)), a.cat, top),
 	}
-	for i, sp := range a.top {
-		snap.Top[i] = PartialPattern{
-			Items:      itemNameList(a.cat, sp.items),
-			Support:    sp.support,
-			Rate:       sp.rate,
-			Divergence: sp.divergence,
-		}
-	}
+	a.tr.Partial(snap)
 	return snap
-}
-
-// insert places sp into the descending-|divergence| leaderboard,
-// dropping the weakest entry when over capacity. K is small (the
-// request's top-k), so insertion sort beats a heap here.
-func (a *partialAccum) insert(sp scoredPattern) {
-	abs := math.Abs(sp.divergence)
-	if len(a.top) == a.topK && abs <= math.Abs(a.top[len(a.top)-1].divergence) {
-		return
-	}
-	pos := len(a.top)
-	for pos > 0 && abs > math.Abs(a.top[pos-1].divergence) {
-		pos--
-	}
-	a.top = append(a.top, scoredPattern{})
-	copy(a.top[pos+1:], a.top[pos:])
-	a.top[pos] = sp
-	if len(a.top) > a.topK {
-		a.top = a.top[:a.topK]
-	}
 }

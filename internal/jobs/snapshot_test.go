@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/fpm"
 )
@@ -143,8 +145,8 @@ func sampleTxDB(t *testing.T) *fpm.TxDB {
 func TestPartialAccumLeaderboard(t *testing.T) {
 	db := sampleTxDB(t)
 	spec := Spec{Metrics: []string{"FPR"}, TopK: 3}
-	acc := newPartialAccum(db, spec)
-	if !acc.defined {
+	acc := newPartialAccum(db, spec, nil)
+	if acc.top == nil {
 		t.Fatal("FPR undefined on sample data")
 	}
 
@@ -158,13 +160,13 @@ func TestPartialAccumLeaderboard(t *testing.T) {
 		t.Fatalf("only %d patterns mined; the test needs more", len(all))
 	}
 	mid := len(all) / 2
-	var prevPatterns int64
+	var snap Snapshot
 	for i, batch := range [][]fpm.FrequentPattern{all[:mid], all[mid:]} {
-		snap := acc.add(batch, i+1, 2)
+		prevPatterns := snap.Patterns
+		snap = acc.add(batch, i+1, 2)
 		if snap.Patterns <= prevPatterns {
 			t.Errorf("batch %d: pattern count %d not increasing from %d", i, snap.Patterns, prevPatterns)
 		}
-		prevPatterns = snap.Patterns
 		if len(snap.Top) > spec.TopK {
 			t.Errorf("batch %d: leaderboard has %d entries, cap %d", i, len(snap.Top), spec.TopK)
 		}
@@ -177,30 +179,76 @@ func TestPartialAccumLeaderboard(t *testing.T) {
 			t.Errorf("batch %d: metric = %q", i, snap.Metric)
 		}
 	}
-	if prevPatterns != int64(len(all)) {
-		t.Errorf("final pattern count %d, want %d", prevPatterns, len(all))
+	if snap.Patterns != int64(len(all)) {
+		t.Errorf("final pattern count %d, want %d", snap.Patterns, len(all))
 	}
 
-	// After all batches the leaderboard head must agree with the full
-	// result's top-1 by |divergence|.
+	// After all batches the whole leaderboard must equal the full
+	// result's summary: same patterns, same order, same statistics.
 	res, err := core.Explore(db, 0.0, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := core.MetricByName("FPR")
-	if err != nil {
-		t.Fatal(err)
+	want := summarize(res, spec).Metrics[0].Top
+	if len(want) != spec.TopK {
+		t.Fatalf("summary has %d patterns, the test needs %d", len(want), spec.TopK)
 	}
-	want := res.TopK(m, 1, core.ByAbsDivergence)
-	gotTop := acc.top
-	if len(want) == 0 || len(gotTop) == 0 {
-		t.Fatal("no top pattern on either side")
+	if !reflect.DeepEqual(snap.Top, want) {
+		t.Errorf("final leaderboard differs from the summary:\ngot  %+v\nwant %+v", snap.Top, want)
 	}
-	// lint:ignore floatcmp both sides compute the same rate difference
-	// from the same integer tallies, so exact equality is expected.
-	if math.Abs(gotTop[0].divergence) != math.Abs(want[0].Divergence) {
-		t.Errorf("leaderboard head |divergence| = %v, full result = %v",
-			gotTop[0].divergence, want[0].Divergence)
+}
+
+// labeledData appends g's truth and prediction as Boolean columns, the
+// shape RunAnalysis expects.
+func labeledData(g *datagen.Generated) *dataset.Dataset {
+	d := g.Data.Clone()
+	d.Attrs = append(d.Attrs,
+		dataset.Attribute{Name: "truth", Values: []string{"0", "1"}},
+		dataset.Attribute{Name: "pred", Values: []string{"0", "1"}})
+	code := func(v bool) int32 {
+		if v {
+			return 1
+		}
+		return 0
+	}
+	for r := range d.Rows {
+		d.Rows[r] = append(d.Rows[r], code(g.Truth[r]), code(g.Pred[r]))
+	}
+	return d
+}
+
+// TestFinalPartialMatchesSummary: the parallel miner emits batches from
+// several workers in an order that varies run to run, and patterns tie
+// on |divergence|. The snapshot published after the last batch must
+// still equal the job's own summary, pattern for pattern, so the
+// leaderboard has to break ties as Result.TopK does, not by arrival.
+func TestFinalPartialMatchesSummary(t *testing.T) {
+	for _, name := range []string{"heart", "german"} {
+		g, err := datagen.ByName(name, 2021)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := labeledData(g)
+		for _, metric := range []string{"FPR", "FNR", "ER"} {
+			for _, k := range []int{1, 10} {
+				t.Run(fmt.Sprintf("%s/%s/k=%d", name, metric, k), func(t *testing.T) {
+					spec := Spec{TruthCol: "truth", PredCol: "pred", Support: 0.1, Metrics: []string{metric}, TopK: k}
+					tr := &Tracker{job: &Job{}}
+					res, err := RunAnalysis(context.Background(), data, spec, tr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					last := tr.job.Partial()
+					if last == nil || last.Patterns != int64(res.NumPatterns()) {
+						t.Fatalf("last snapshot %+v has not seen all %d patterns", last, res.NumPatterns())
+					}
+					want := summarize(res, spec).Metrics[0].Top
+					if !reflect.DeepEqual(last.Top, want) {
+						t.Errorf("last snapshot differs from the summary:\ngot  %+v\nwant %+v", last.Top, want)
+					}
+				})
+			}
+		}
 	}
 }
 
@@ -307,7 +355,7 @@ func TestTrackerLastPersistedIsLive(t *testing.T) {
 // accumulator out of order; its snapshots' Done must never go back.
 func TestPartialAccumDoneMonotone(t *testing.T) {
 	db := sampleTxDB(t)
-	acc := newPartialAccum(db, Spec{Metrics: []string{"FPR"}})
+	acc := newPartialAccum(db, Spec{Metrics: []string{"FPR"}}, nil)
 	last := 0
 	for _, done := range []int{1, 3, 2, 4} {
 		snap := acc.add(nil, done, 4)

@@ -1,11 +1,11 @@
 package lattice
 
 import (
-	"container/list"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/fpm"
+	"repro/internal/lru"
 )
 
 // Explorer answers lattice-navigation queries — expand a pattern into
@@ -24,18 +24,11 @@ import (
 // holds no mining state at all; the mine-counter stat in the server
 // stays flat while navigation runs (tested).
 type Explorer struct {
-	db *fpm.TxDB
+	db    *fpm.TxDB
+	cache *lru.Cache[string, *coverEntry] // keyed by Itemset.Key, 1 per entry
 
-	mu      sync.Mutex
-	cap     int
-	ll      *list.List // front = most recently used
-	entries map[string]*list.Element
-
-	hits      int64
-	misses    int64
-	evictions int64
-	rows      int64 // rows scanned building tally arrays
-	expands   int64
+	rows    atomic.Int64 // rows scanned building tally arrays
+	expands atomic.Int64
 }
 
 // coverEntry memoizes one pattern's navigation state: the rows it
@@ -44,7 +37,6 @@ type Explorer struct {
 // tally of that (attribute, value) within the cover — zero unless the
 // value matches the bound one.
 type coverEntry struct {
-	key     string
 	cover   []int32
 	tallies []fpm.Tally
 }
@@ -79,12 +71,7 @@ func NewExplorer(db *fpm.TxDB, capacity int) *Explorer {
 	if capacity <= 0 {
 		capacity = DefaultExplorerCache
 	}
-	return &Explorer{
-		db:      db,
-		cap:     capacity,
-		ll:      list.New(),
-		entries: make(map[string]*list.Element),
-	}
+	return &Explorer{db: db, cache: lru.New[string, *coverEntry](int64(capacity))}
 }
 
 // Expand returns the frequent one-item refinements of pattern — every
@@ -100,9 +87,7 @@ func (e *Explorer) Expand(pattern fpm.Itemset, minCount int64) ([]Refinement, er
 	if err != nil {
 		return nil, err
 	}
-	e.mu.Lock()
-	e.expands++
-	e.mu.Unlock()
+	e.expands.Add(1)
 	c := e.db.Catalog
 	bound := make([]bool, c.NumAttrs())
 	for _, it := range pattern {
@@ -169,16 +154,15 @@ func (e *Explorer) Tally(pattern fpm.Itemset) (fpm.Tally, error) {
 
 // Stats snapshots the counters.
 func (e *Explorer) Stats() ExplorerStats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	s := e.cache.Stats()
 	return ExplorerStats{
-		Entries:     e.ll.Len(),
-		Capacity:    e.cap,
-		Hits:        e.hits,
-		Misses:      e.misses,
-		Evictions:   e.evictions,
-		RowsScanned: e.rows,
-		Expands:     e.expands,
+		Entries:     s.Entries,
+		Capacity:    int(s.Budget),
+		Hits:        s.Hits,
+		Misses:      s.Misses,
+		Evictions:   s.Evictions,
+		RowsScanned: e.rows.Load(),
+		Expands:     e.expands.Load(),
 	}
 }
 
@@ -208,16 +192,9 @@ func (e *Explorer) entry(pattern fpm.Itemset) (*coverEntry, error) {
 // build recursively materializes the entry for a (validated) pattern.
 func (e *Explorer) build(pattern fpm.Itemset) (*coverEntry, error) {
 	key := pattern.Key()
-	e.mu.Lock()
-	if el, ok := e.entries[key]; ok {
-		e.hits++
-		e.ll.MoveToFront(el)
-		ent := el.Value.(*coverEntry)
-		e.mu.Unlock()
+	if ent, ok := e.cache.Get(key); ok {
 		return ent, nil
 	}
-	e.misses++
-	e.mu.Unlock()
 
 	var cover []int32
 	if len(pattern) == 0 {
@@ -243,7 +220,6 @@ func (e *Explorer) build(pattern fpm.Itemset) (*coverEntry, error) {
 
 	c := e.db.Catalog
 	ent := &coverEntry{
-		key:     key,
 		cover:   cover,
 		tallies: make([]fpm.Tally, c.NumItems()),
 	}
@@ -258,20 +234,9 @@ func (e *Explorer) build(pattern fpm.Itemset) (*coverEntry, error) {
 		}
 	}
 
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.rows += int64(len(cover))
-	if el, ok := e.entries[key]; ok {
-		// Raced with another builder; keep the incumbent.
-		e.ll.MoveToFront(el)
-		return el.Value.(*coverEntry), nil
-	}
-	e.entries[key] = e.ll.PushFront(ent)
-	for e.ll.Len() > e.cap {
-		back := e.ll.Back()
-		e.ll.Remove(back)
-		delete(e.entries, back.Value.(*coverEntry).key)
-		e.evictions++
-	}
+	e.rows.Add(int64(len(cover)))
+	// A builder that raced another one gets the incumbent back.
+	ent, _ = e.cache.Add(key, ent, 1)
+	e.cache.Trim(key)
 	return ent, nil
 }

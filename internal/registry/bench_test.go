@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -9,49 +8,41 @@ import (
 )
 
 // BenchmarkRegistryParallelGet measures Get throughput under concurrent
-// load for the single-lock layout versus the sharded one — the number
-// that motivated lock striping. Every Get takes its shard's mutex (LRU
-// refresh is a write), so with one shard all goroutines serialize on one
-// lock while sixteen stripes let them proceed mostly independently; the
-// gap widens with core count. SetParallelism(8) keeps at least eight
+// load: every Get takes the registry's one lock (LRU refresh is a
+// write), so this is the worst case for lock contention — goroutines
+// that do nothing else. SetParallelism(8) keeps at least eight
 // goroutines contending even on small CI machines. Wired into the
-// verify.sh benchmark-smoke tier like every other benchmark, so the
-// ratio lands in the perf trajectory on each run.
+// verify.sh benchmark-smoke tier like every other benchmark.
 func BenchmarkRegistryParallelGet(b *testing.B) {
 	const entries = 64
-	for _, shards := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			r := NewSharded(0, shards)
-			hashes := make([]Hash, entries)
-			for i := range hashes {
-				e, _, err := r.Register(uniqueCSV(i), dataset.CSVOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				hashes[i] = e.Hash
-			}
-			var next atomic.Int64
-			b.SetParallelism(8)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				// Distinct starting offsets spread goroutines over the key
-				// space (and therefore over the shards).
-				i := int(next.Add(1)) * 7
-				for pb.Next() {
-					if _, ok := r.Get(hashes[i%entries]); !ok {
-						b.Error("resident entry missed")
-					}
-					i++
-				}
-			})
-		})
+	r := New(0)
+	hashes := make([]Hash, entries)
+	for i := range hashes {
+		e, _, err := r.Register(uniqueCSV(i), dataset.CSVOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		hashes[i] = e.Hash
 	}
+	var next atomic.Int64
+	b.SetParallelism(8)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		// Distinct starting offsets spread goroutines over the key space.
+		i := int(next.Add(1)) * 7
+		for pb.Next() {
+			if _, ok := r.Get(hashes[i%entries]); !ok {
+				b.Error("resident entry missed")
+			}
+			i++
+		}
+	})
 }
 
 // BenchmarkRegistryGetDiskFallthrough prices the rungs of the lookup
-// ladder: a memory hit (LRU refresh under a shard lock), versus a disk
-// fall-through (read the spill file, re-hash it for verification,
-// re-parse the CSV, promote into the shard). The gap is the budget
+// ladder: a memory hit (LRU refresh under the registry lock), versus a
+// disk fall-through (read the spill file, re-hash it for verification,
+// re-parse the CSV, promote into memory). The gap is the budget
 // question -spill-dir answers: how much slower is the second rung that
 // replaces data loss. Wired into the verify.sh benchmark-smoke tier.
 func BenchmarkRegistryGetDiskFallthrough(b *testing.B) {
@@ -60,7 +51,7 @@ func BenchmarkRegistryGetDiskFallthrough(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r := NewSharded(0, 4)
+		r := New(0)
 		r.AttachSpill(sp, dataset.CSVOptions{})
 		e, _, err := r.Register(uniqueCSV(0), dataset.CSVOptions{})
 		if err != nil {
@@ -87,8 +78,8 @@ func BenchmarkRegistryGetDiskFallthrough(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			// Evict between iterations (uncounted bookkeeping is the
-			// shard-map delete; the measured work is the verified load).
-			r.shardFor(h).remove(h)
+			// memory-tier delete; the measured work is the verified load).
+			r.mem.Remove(h)
 			if _, ok := r.Get(h); !ok {
 				b.Fatal("spilled entry missed")
 			}
@@ -97,11 +88,11 @@ func BenchmarkRegistryGetDiskFallthrough(b *testing.B) {
 }
 
 // BenchmarkRegistryRegister prices registration's two rungs: a fresh
-// dataset (canonicalize, hash, parse, shard insert) versus the dedup
-// fast path (canonicalize, hash, shard hit). The fresh arm cycles a
-// fixed pool of unique CSVs and evicts each entry right after inserting
-// it so the registry stays small at any b.N; the in-loop shard-map
-// delete is bookkeeping noise next to the measured parse+hash. Wired
+// dataset (canonicalize, hash, parse, LRU insert) versus the dedup fast
+// path (canonicalize, hash, LRU hit). The fresh arm cycles a fixed pool
+// of unique CSVs and evicts each entry right after inserting it so the
+// registry stays small at any b.N; the in-loop memory-tier delete is
+// bookkeeping noise next to the measured parse+hash. Wired
 // into the verify.sh benchmark-smoke tier and the scripts/bench.sh
 // perf-trajectory snapshot.
 func BenchmarkRegistryRegister(b *testing.B) {
@@ -111,18 +102,18 @@ func BenchmarkRegistryRegister(b *testing.B) {
 		for i := range csvs {
 			csvs[i] = uniqueCSV(i)
 		}
-		r := NewSharded(0, 16)
+		r := New(0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			e, _, err := r.Register(csvs[i%pool], dataset.CSVOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			r.shardFor(e.Hash).remove(e.Hash)
+			r.mem.Remove(e.Hash)
 		}
 	})
 	b.Run("dedup", func(b *testing.B) {
-		r := NewSharded(0, 16)
+		r := New(0)
 		csv := uniqueCSV(0)
 		if _, _, err := r.Register(csv, dataset.CSVOptions{}); err != nil {
 			b.Fatal(err)
@@ -138,39 +129,35 @@ func BenchmarkRegistryRegister(b *testing.B) {
 
 // BenchmarkRegistryParallelMixed adds registration traffic (90% Get /
 // 10% Register of an already-resident dataset) — the dedup fast path
-// also takes the shard lock, so this is the contention profile of a
+// also takes the registry lock, so this is the contention profile of a
 // server whose clients re-upload data they already pinned.
 func BenchmarkRegistryParallelMixed(b *testing.B) {
 	const entries = 64
-	for _, shards := range []int{1, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			r := NewSharded(0, shards)
-			csvs := make([][]byte, entries)
-			hashes := make([]Hash, entries)
-			for i := range hashes {
-				csvs[i] = uniqueCSV(i)
-				e, _, err := r.Register(csvs[i], dataset.CSVOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				hashes[i] = e.Hash
-			}
-			var next atomic.Int64
-			b.SetParallelism(8)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := int(next.Add(1)) * 7
-				for pb.Next() {
-					if i%10 == 0 {
-						if _, _, err := r.Register(csvs[i%entries], dataset.CSVOptions{}); err != nil {
-							b.Error(err)
-						}
-					} else {
-						r.Get(hashes[i%entries])
-					}
-					i++
-				}
-			})
-		})
+	r := New(0)
+	csvs := make([][]byte, entries)
+	hashes := make([]Hash, entries)
+	for i := range hashes {
+		csvs[i] = uniqueCSV(i)
+		e, _, err := r.Register(csvs[i], dataset.CSVOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		hashes[i] = e.Hash
 	}
+	var next atomic.Int64
+	b.SetParallelism(8)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := int(next.Add(1)) * 7
+		for pb.Next() {
+			if i%10 == 0 {
+				if _, _, err := r.Register(csvs[i%entries], dataset.CSVOptions{}); err != nil {
+					b.Error(err)
+				}
+			} else {
+				r.Get(hashes[i%entries])
+			}
+			i++
+		}
+	})
 }

@@ -5,11 +5,10 @@ import "sync"
 // keyLocks is a refcounted set of per-hash mutexes serializing the
 // registry's slow paths — disk promotion, the spill-then-evict cycle,
 // and Remove — per content address. The fast paths (memory-hit Get,
-// Register's probe and insert) never touch it, so lock striping still
-// governs steady-state throughput; what the per-hash lock buys is that
-// the multi-step tier transitions, each of which reads or writes the
-// spill file outside any shard lock, cannot interleave for the same
-// dataset. Without it, two evictors can double-spill one victim and the
+// Register's probe and insert) never touch it; what the per-hash lock
+// buys is that the multi-step tier transitions, each of which reads or
+// writes the spill file outside the memory LRU's lock, cannot
+// interleave for the same dataset. Without it, two evictors can double-spill one victim and the
 // loser — seeing the entry gone and assuming a concurrent Remove —
 // deletes the spill file the winner just wrote (silent data loss), and
 // a promotion racing a Remove can re-insert a dataset after its DELETE
@@ -28,11 +27,11 @@ type keyLock struct {
 	mu   sync.Mutex
 }
 
-// lock acquires the mutex for h, creating it on first use. It must not
-// be called while holding any shard mutex, and a goroutine must never
-// hold two key locks at once (the callers in registry.go release theirs
-// before budget enforcement can acquire another) — both rules together
-// make deadlock impossible.
+// lock acquires the mutex for h, creating it on first use. A goroutine
+// must never hold two key locks at once (the callers in registry.go
+// release theirs before budget enforcement can acquire another), and no
+// lru.Cache method calls out while holding the LRU's own lock — together
+// the two rules make deadlock impossible.
 func (k *keyLocks) lock(h Hash) {
 	k.mu.Lock()
 	if k.m == nil {

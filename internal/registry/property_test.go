@@ -3,29 +3,28 @@ package registry
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/dataset"
 )
 
-// The property suite drives seeded random Put/Get/Remove interleavings
-// against registries with different shard counts and checks three
-// invariants the sharding refactor must preserve:
+// The property suite drives seeded random Register/Get/Remove streams
+// against the registry and checks three invariants:
 //
-//	(a) observable contents (and every operation's return values) are
-//	    identical to the single-shard oracle for the same op sequence;
+//	(a) after every operation, the registry matches a reference model —
+//	    a byte-budgeted LRU kept as a plain slice — in its recency order
+//	    (and so its resident set), bytes, entries, counters and every
+//	    operation's return value;
 //	(b) total resident bytes never exceed the budget, except for the
-//	    carve-out both implementations share: a sole entry larger than
-//	    the whole budget stays resident;
+//	    carve-out both share: a sole entry larger than the whole budget
+//	    stays resident;
 //	(c) the counters reconcile — every Get and Register moves exactly
 //	    one of hits/misses, so hits+misses equals the number of lookups.
 //
-// Sequentially, eviction order is exact global LRU (recency stamps), so
-// (a) is checked after every single operation; the concurrent test
-// checks (b) and (c) at quiescence, and exists chiefly to give -race
-// real interleavings to chew on.
+// The concurrent test checks (b) and (c) at quiescence, and exists
+// chiefly to give -race real interleavings to chew on.
 
 // propCSV builds the i-th distinct dataset of the key pool, with a
 // payload size that varies by key so evictions free uneven byte counts.
@@ -37,175 +36,203 @@ func propCSV(i int) []byte {
 	return append([]byte("a,b\n"), rows...)
 }
 
-// residentHashes walks every shard and returns the resident content
-// addresses, sorted. Unlike Get it does not touch LRU state, so oracle
-// comparisons do not perturb what they observe.
-func (r *Registry) residentHashes() []string {
-	var out []string
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-		for h := range sh.entries {
-			out = append(out, string(h))
+// propPool returns the key pool's CSVs, their hashes and charged sizes.
+func propPool(t *testing.T, n int) (pool [][]byte, hashes []Hash, sizes []int64) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		csv := propCSV(i)
+		e, _, err := New(0).Register(csv, dataset.CSVOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		sh.mu.Unlock()
+		pool, hashes, sizes = append(pool, csv), append(hashes, e.Hash), append(sizes, e.Bytes)
 	}
-	sort.Strings(out)
+	return pool, hashes, sizes
+}
+
+// recency returns the resident content addresses, most recently used
+// first. Unlike Get it does not touch LRU state, so comparisons do not
+// perturb what they observe.
+func (r *Registry) recency() []Hash {
+	var out []Hash
+	for _, e := range r.mem.Values() {
+		out = append(out, e.Hash)
+	}
 	return out
 }
 
-// lookups returns hits+misses across shards.
-func lookups(s Stats) int64 { return s.Hits + s.Misses }
+// refModel is the reference LRU: pool indices in a slice, least
+// recently used first, written for obviousness rather than speed.
+type refModel struct {
+	budget                  int64
+	sizes                   []int64
+	order                   []int
+	bytes                   int64
+	hits, misses, evictions int64
+}
 
-func TestPropertyShardedMatchesSingleShardOracle(t *testing.T) {
+// lookup is the shared probe of Register and Get: a hit moves the entry
+// to the most recent end.
+func (m *refModel) lookup(i int) bool {
+	p := slices.Index(m.order, i)
+	if p < 0 {
+		m.misses++
+		return false
+	}
+	m.hits++
+	m.order = append(slices.Delete(m.order, p, p+1), i)
+	return true
+}
+
+// register inserts on a miss, then evicts the oldest entries while over
+// budget; the new entry is the newest, so it goes last, never alone.
+func (m *refModel) register(i int) (existed bool) {
+	if m.lookup(i) {
+		return true
+	}
+	m.order = append(m.order, i)
+	m.bytes += m.sizes[i]
+	for m.budget > 0 && m.bytes > m.budget && len(m.order) > 1 {
+		m.bytes -= m.sizes[m.order[0]]
+		m.order = m.order[1:]
+		m.evictions++
+	}
+	return false
+}
+
+func (m *refModel) remove(i int) bool {
+	p := slices.Index(m.order, i)
+	if p < 0 {
+		return false
+	}
+	m.bytes -= m.sizes[i]
+	m.order = slices.Delete(m.order, p, p+1)
+	return true
+}
+
+// recency returns the model's resident hashes, most recently used first.
+func (m *refModel) recency(hashes []Hash) []Hash {
+	var out []Hash
+	for p := len(m.order) - 1; p >= 0; p-- {
+		out = append(out, hashes[m.order[p]])
+	}
+	return out
+}
+
+func TestPropertyMatchesReferenceModel(t *testing.T) {
 	const (
 		poolSize = 24
 		numOps   = 600
 	)
-	pool := make([][]byte, poolSize)
-	hashes := make([]Hash, poolSize)
+	pool, hashes, sizes := propPool(t, poolSize)
 	var poolBytes int64
-	for i := range pool {
-		pool[i] = propCSV(i)
-		hashes[i] = HashBytes(pool[i])
-		d, _, err := New(0).Register(pool[i], dataset.CSVOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		poolBytes += d.Bytes
+	for _, n := range sizes {
+		poolBytes += n
 	}
 	// A budget around a third of the pool forces steady eviction traffic.
 	budget := poolBytes / 3
 
-	for _, shards := range []int{4, 16} {
-		for seed := int64(1); seed <= 4; seed++ {
-			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, seed), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(seed))
-				oracle := NewSharded(budget, 1)
-				sharded := NewSharded(budget, shards)
-				var wantLookups int64
-				for op := 0; op < numOps; op++ {
-					i := rng.Intn(poolSize)
-					switch rng.Intn(10) {
-					case 0, 1, 2, 3: // Put
-						_, e1, err1 := oracle.Register(pool[i], dataset.CSVOptions{})
-						_, e2, err2 := sharded.Register(pool[i], dataset.CSVOptions{})
-						if e1 != e2 || (err1 == nil) != (err2 == nil) {
-							t.Fatalf("op %d: Register(%d) diverged: oracle (%v,%v) vs sharded (%v,%v)",
-								op, i, e1, err1, e2, err2)
-						}
-						wantLookups++
-					case 4, 5, 6, 7: // Get
-						_, ok1 := oracle.Get(hashes[i])
-						_, ok2 := sharded.Get(hashes[i])
-						if ok1 != ok2 {
-							t.Fatalf("op %d: Get(%d) diverged: oracle %v vs sharded %v", op, i, ok1, ok2)
-						}
-						wantLookups++
-					default: // Remove
-						ok1 := oracle.Remove(hashes[i])
-						ok2 := sharded.Remove(hashes[i])
-						if ok1 != ok2 {
-							t.Fatalf("op %d: Remove(%d) diverged: oracle %v vs sharded %v", op, i, ok1, ok2)
-						}
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			r := New(budget)
+			m := &refModel{budget: budget, sizes: sizes}
+			var lookups int64
+			for op := 0; op < numOps; op++ {
+				i := rng.Intn(poolSize)
+				switch rng.Intn(10) {
+				case 0, 1, 2, 3:
+					e, existed, err := r.Register(pool[i], dataset.CSVOptions{})
+					if err != nil || e.Hash != hashes[i] {
+						t.Fatalf("op %d: Register(%d) = %v, %v", op, i, e, err)
 					}
+					if want := m.register(i); existed != want {
+						t.Fatalf("op %d: Register(%d) existed = %v, model %v", op, i, existed, want)
+					}
+					lookups++
+				case 4, 5, 6, 7:
+					e, ok := r.Get(hashes[i])
+					if want := m.lookup(i); ok != want || (ok && e.Hash != hashes[i]) {
+						t.Fatalf("op %d: Get(%d) = %v, %v; model %v", op, i, e, ok, want)
+					}
+					lookups++
+				default:
+					if got, want := r.Remove(hashes[i]), m.remove(i); got != want {
+						t.Fatalf("op %d: Remove(%d) = %v, model %v", op, i, got, want)
+					}
+				}
 
-					want, got := oracle.residentHashes(), sharded.residentHashes()
-					if fmt.Sprint(want) != fmt.Sprint(got) {
-						t.Fatalf("op %d: resident sets diverged:\noracle  %v\nsharded %v", op, want, got)
-					}
-					so, ss := oracle.Stats(), sharded.Stats()
-					if so.Bytes != ss.Bytes || so.Entries != ss.Entries {
-						t.Fatalf("op %d: stats diverged: oracle %d entries/%d B vs sharded %d entries/%d B",
-							op, so.Entries, so.Bytes, ss.Entries, ss.Bytes)
-					}
-					for _, s := range []Stats{so, ss} {
-						if s.Bytes > budget && s.Entries > 1 {
-							t.Fatalf("op %d: %d resident bytes exceed the %d budget with %d entries",
-								op, s.Bytes, budget, s.Entries)
-						}
-					}
+				if got, want := r.recency(), m.recency(hashes); !slices.Equal(got, want) {
+					t.Fatalf("op %d: recency diverged:\nregistry %v\nmodel    %v", op, got, want)
 				}
-				for name, s := range map[string]Stats{"oracle": oracle.Stats(), "sharded": sharded.Stats()} {
-					if lookups(s) != wantLookups {
-						t.Errorf("%s: hits(%d)+misses(%d) = %d, want %d lookups",
-							name, s.Hits, s.Misses, lookups(s), wantLookups)
-					}
+				s := r.Stats()
+				if s.Bytes != m.bytes || s.Entries != len(m.order) {
+					t.Fatalf("op %d: %d entries/%d B, model %d/%d", op, s.Entries, s.Bytes, len(m.order), m.bytes)
 				}
-			})
-		}
+				if s.Hits != m.hits || s.Misses != m.misses || s.Evictions != m.evictions {
+					t.Fatalf("op %d: hits/misses/evictions %d/%d/%d, model %d/%d/%d",
+						op, s.Hits, s.Misses, s.Evictions, m.hits, m.misses, m.evictions)
+				}
+				if s.Hits+s.Misses != lookups {
+					t.Fatalf("op %d: hits(%d)+misses(%d) != %d lookups", op, s.Hits, s.Misses, lookups)
+				}
+				if s.Bytes > budget && s.Entries > 1 {
+					t.Fatalf("op %d: %d resident bytes exceed the %d budget with %d entries",
+						op, s.Bytes, budget, s.Entries)
+				}
+			}
+		})
 	}
 }
 
-// TestPropertyConcurrentInvariants hammers one sharded registry from
-// several goroutines with seeded per-goroutine op streams, then checks
-// the byte-budget and counter invariants at quiescence. Run under -race
-// this doubles as the shard-layer data-race audit.
+// TestPropertyConcurrentInvariants hammers one registry from several
+// goroutines with seeded per-goroutine op streams, then checks the
+// byte-budget and counter invariants at quiescence. Run under -race this
+// doubles as the registry's data-race audit.
 func TestPropertyConcurrentInvariants(t *testing.T) {
 	const (
 		goroutines = 8
 		opsEach    = 400
 		poolSize   = 24
 	)
-	pool := make([][]byte, poolSize)
-	hashes := make([]Hash, poolSize)
+	pool, hashes, sizes := propPool(t, poolSize)
 	var poolBytes int64
-	for i := range pool {
-		pool[i] = propCSV(i)
-		hashes[i] = HashBytes(pool[i])
-		d, _, err := New(0).Register(pool[i], dataset.CSVOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		poolBytes += d.Bytes
+	for _, n := range sizes {
+		poolBytes += n
 	}
 	budget := poolBytes / 3
 
-	for _, shards := range []int{1, 4, 16} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			r := NewSharded(budget, shards)
-			var wantLookups int64 // exact: computed from the fixed op mix below
-			var wg sync.WaitGroup
-			for g := 0; g < goroutines; g++ {
-				wantLookups += opsEach
-				wg.Add(1)
-				go func(seed int64) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(seed))
-					for op := 0; op < opsEach; op++ {
-						i := rng.Intn(poolSize)
-						if rng.Intn(2) == 0 {
-							if _, _, err := r.Register(pool[i], dataset.CSVOptions{}); err != nil {
-								t.Errorf("Register(%d): %v", i, err)
-							}
-						} else {
-							r.Get(hashes[i])
-						}
+	r := New(budget)
+	var wantLookups int64 // exact: computed from the fixed op mix below
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wantLookups += opsEach
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for op := 0; op < opsEach; op++ {
+				i := rng.Intn(poolSize)
+				if rng.Intn(2) == 0 {
+					if _, _, err := r.Register(pool[i], dataset.CSVOptions{}); err != nil {
+						t.Errorf("Register(%d): %v", i, err)
 					}
-				}(int64(g + 1))
+				} else {
+					r.Get(hashes[i])
+				}
 			}
-			wg.Wait()
+		}(int64(g + 1))
+	}
+	wg.Wait()
 
-			s := r.Stats()
-			if s.Bytes > budget && s.Entries > 1 {
-				t.Errorf("%d resident bytes exceed the %d budget with %d entries", s.Bytes, budget, s.Entries)
-			}
-			if lookups(s) != wantLookups {
-				t.Errorf("hits(%d)+misses(%d) = %d, want %d lookups", s.Hits, s.Misses, lookups(s), wantLookups)
-			}
-			// Aggregates must equal the per-shard breakdown and the actual
-			// resident set.
-			var perShard ShardStats
-			for _, ss := range s.Shards {
-				perShard.Entries += ss.Entries
-				perShard.Bytes += ss.Bytes
-			}
-			if perShard.Entries != s.Entries || perShard.Bytes != s.Bytes {
-				t.Errorf("per-shard totals %d entries/%d B disagree with aggregate %d/%d",
-					perShard.Entries, perShard.Bytes, s.Entries, s.Bytes)
-			}
-			if got := len(r.residentHashes()); got != s.Entries {
-				t.Errorf("resident set has %d hashes, stats report %d entries", got, s.Entries)
-			}
-		})
+	s := r.Stats()
+	if s.Bytes > budget && s.Entries > 1 {
+		t.Errorf("%d resident bytes exceed the %d budget with %d entries", s.Bytes, budget, s.Entries)
+	}
+	if s.Hits+s.Misses != wantLookups {
+		t.Errorf("hits(%d)+misses(%d) = %d, want %d lookups", s.Hits, s.Misses, s.Hits+s.Misses, wantLookups)
+	}
+	if got := len(r.recency()); got != s.Entries {
+		t.Errorf("resident set has %d hashes, stats report %d entries", got, s.Entries)
 	}
 }

@@ -2,20 +2,12 @@
 // key of a dataset is the SHA-256 of its canonicalized CSV bytes, so the
 // same upload — regardless of line endings or a missing trailing newline
 // — always resolves to the same entry and is parsed exactly once. The
-// store is bounded by a byte budget with LRU eviction and keeps
-// hit/miss/eviction counters for /statsz.
+// store is one byte-budgeted LRU (internal/lru) under one lock, and
+// keeps hit/miss/eviction counters for /statsz.
 //
 // The registry is the "mine once, serve many" seam of the service: jobs
 // reference datasets by hash, repeated uploads of the same CSV are free,
 // and the result cache in package jobs keys on the same hash.
-//
-// Internally the store is lock-striped into shards (see shard.go): a
-// key's shard is fixed by a hash of its content address, each shard has
-// its own mutex, LRU list and counters, and the byte budget is global —
-// an insert that pushes total residency over budget evicts the globally
-// least-recently-used entries regardless of which shard holds them, so
-// the observable contents match a single-shard store exactly while
-// unrelated Get/Register traffic no longer serializes on one lock.
 //
 // With a disk-spill tier attached (AttachSpill), eviction is no longer
 // data loss: the victim's canonicalized CSV bytes are written
@@ -31,15 +23,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/dataset"
+	"repro/internal/lru"
 )
-
-// DefaultShards is the shard count used by New. Sixteen stripes keep
-// lock hold times short at high request concurrency without measurable
-// overhead at low concurrency; NewSharded overrides it.
-const DefaultShards = 16
 
 // Hash is the content address of a dataset: the lower-case hex SHA-256
 // of its canonicalized CSV bytes.
@@ -87,38 +74,26 @@ type Entry struct {
 	raw []byte
 }
 
-// ShardStats is the per-shard slice of the registry counters.
-type ShardStats struct {
-	Entries   int   `json:"entries"`
-	Bytes     int64 `json:"bytes"`
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-}
-
-// Stats is a point-in-time snapshot of the registry counters. The
-// top-level counters aggregate across shards; Shards carries the
-// per-shard breakdown for /statsz, and Spill the disk-tier counters
-// when one is attached.
+// Stats is a point-in-time snapshot of the registry counters, with the
+// disk-tier counters in Spill when one is attached.
 type Stats struct {
-	Entries   int          `json:"entries"`
-	Bytes     int64        `json:"bytes"`
-	Budget    int64        `json:"budget_bytes"`
-	Hits      int64        `json:"hits"`
-	Misses    int64        `json:"misses"`
-	Evictions int64        `json:"evictions"`
-	Shards    []ShardStats `json:"shards,omitempty"`
-	Spill     *SpillStats  `json:"spill,omitempty"`
+	Entries   int         `json:"entries"`
+	Bytes     int64       `json:"bytes"`
+	Budget    int64       `json:"budget_bytes"`
+	Hits      int64       `json:"hits"`
+	Misses    int64       `json:"misses"`
+	Evictions int64       `json:"evictions"`
+	Spill     *SpillStats `json:"spill,omitempty"`
 }
 
-// Registry is a byte-budgeted, content-addressed, lock-striped LRU store
-// of parsed datasets, optionally backed by a disk-spill tier. All
-// methods are safe for concurrent use.
+// Registry is a byte-budgeted, content-addressed LRU store of parsed
+// datasets, optionally backed by a disk-spill tier. All methods are safe
+// for concurrent use.
 type Registry struct {
-	budget int64 // <= 0 means unlimited
-	shards []*shard
-	size   atomic.Int64 // total resident bytes across shards
-	clock  atomic.Int64 // global recency stamp source (see shard.go)
+	// mem is the memory tier: entries charged their Entry.Bytes against
+	// the byte budget. Its hit, miss and eviction counters are the
+	// registry's.
+	mem *lru.Cache[Hash, *Entry]
 
 	// spill, when non-nil, is the disk tier beneath the memory LRU;
 	// spillOpts are the CSV options disk fall-through re-parses with
@@ -136,28 +111,10 @@ type Registry struct {
 	locks keyLocks
 }
 
-// New returns a registry bounded by budgetBytes (<= 0 for unlimited)
-// with DefaultShards lock stripes.
+// New returns a registry bounded by budgetBytes (<= 0 for unlimited).
 func New(budgetBytes int64) *Registry {
-	return NewSharded(budgetBytes, DefaultShards)
+	return &Registry{mem: lru.New[Hash, *Entry](budgetBytes)}
 }
-
-// NewSharded returns a registry bounded by budgetBytes (<= 0 for
-// unlimited) striped into shards locks (values < 1 are clamped to 1,
-// which reproduces the original single-lock store).
-func NewSharded(budgetBytes int64, shards int) *Registry {
-	if shards < 1 {
-		shards = 1
-	}
-	r := &Registry{budget: budgetBytes, shards: make([]*shard, shards)}
-	for i := range r.shards {
-		r.shards[i] = newShard()
-	}
-	return r
-}
-
-// NumShards returns the number of lock stripes.
-func (r *Registry) NumShards() int { return len(r.shards) }
 
 // AttachSpill wires the disk tier beneath the memory LRU: evictions
 // spill the canonicalized CSV to sp before dropping the in-memory
@@ -174,33 +131,6 @@ func (r *Registry) AttachSpill(sp *Spill, opts dataset.CSVOptions) {
 // Spill returns the attached disk tier, nil if none.
 func (r *Registry) Spill() *Spill { return r.spill }
 
-// shardFor maps a content address onto its stripe with FNV-1a, inlined
-// (hash/fnv's New32a allocates per call, which would dominate the Get
-// fast path). The key is already a SHA-256 hex string, but re-hashing
-// keeps the mapping well distributed for arbitrary Hash values too
-// (tests use short fakes).
-func (r *Registry) shardFor(h Hash) *shard {
-	if len(r.shards) == 1 {
-		return r.shards[0]
-	}
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	// 16 hex chars = 64 bits of the underlying SHA-256 — ample stripe
-	// entropy; hashing the full 64-char key would triple Get's cost.
-	n := len(h)
-	if n > 16 {
-		n = 16
-	}
-	x := uint32(offset32)
-	for i := 0; i < n; i++ {
-		x ^= uint32(h[i])
-		x *= prime32
-	}
-	return r.shards[x%uint32(len(r.shards))]
-}
-
 // Register stores the dataset parsed from csv under its content address.
 // When the hash is already present the existing entry is returned with
 // existed == true and nothing is re-parsed — that dedup is the cache hit
@@ -209,24 +139,21 @@ func (r *Registry) Register(csv []byte, opts dataset.CSVOptions) (*Entry, bool, 
 	canon := Canonicalize(csv)
 	sum := sha256.Sum256(canon)
 	h := Hash(hex.EncodeToString(sum[:]))
-	sh := r.shardFor(h)
-	if e, ok := sh.get(h, r.clock.Add(1)); ok {
+	if e, ok := r.mem.Get(h); ok {
 		return e, true, nil
 	}
 
 	// Parse outside the lock: CSV parsing dominates registration cost and
 	// must not serialize unrelated requests. A concurrent duplicate upload
-	// may parse twice; the second insert below discards its copy.
+	// may parse twice; the insert below hands the later one the first
+	// entry stored and discards its copy.
 	data, err := dataset.ReadCSV(bytes.NewReader(csv), opts)
 	if err != nil {
-		sh.miss()
 		return nil, false, fmt.Errorf("registry: parsing CSV: %w", err)
 	}
 	e := r.newEntry(h, data, canon)
-
-	e, existed := sh.put(e, r.clock.Add(1))
+	e, existed := r.mem.Add(h, e, e.Bytes)
 	if !existed {
-		r.size.Add(e.Bytes)
 		r.enforceBudget(h)
 	}
 	return e, existed, nil
@@ -248,24 +175,20 @@ func (r *Registry) newEntry(h Hash, data *dataset.Dataset, canon []byte) *Entry 
 // load: the spill file is re-hashed (a mismatch quarantines it and
 // reports a miss — corruption is never served), re-parsed, and promoted
 // back into the memory tier. Exactly one of hits/misses moves per call:
-// a disk hit charges the miss through the promotion insert, keeping the
-// hits+misses == lookups invariant intact across tiers.
+// the memory probe counts it, and a disk hit is a memory miss, keeping
+// the hits+misses == lookups invariant intact across tiers.
 func (r *Registry) Get(h Hash) (*Entry, bool) {
-	sh := r.shardFor(h)
-	if e, ok := sh.get(h, r.clock.Add(1)); ok {
+	if e, ok := r.mem.Get(h); ok {
 		return e, true
 	}
-	if e, ok := r.promoteFromSpill(sh, h); ok {
-		return e, true
-	}
-	sh.miss()
-	return nil, false
+	return r.promoteFromSpill(h)
 }
 
 // promoteFromSpill serves a memory miss from the disk tier: load and
-// verify the spilled bytes, re-parse, insert into the shard (charging
-// the miss the lookup owes), and re-enforce the memory budget — which
-// may in turn spill something else.
+// verify the spilled bytes, re-parse, insert into the memory tier, and
+// re-enforce the memory budget — which may in turn spill something
+// else. Two concurrent promotions of one hash both read the file; the
+// insert hands the second the first one's entry.
 //
 // The whole load→parse→insert sequence runs under the hash's key lock,
 // which excludes Remove for its duration: a DELETE either completes
@@ -275,17 +198,11 @@ func (r *Registry) Get(h Hash) (*Entry, bool) {
 // the insert resurrect a dataset whose deletion was already
 // acknowledged. The lock is released before budget enforcement, which
 // may acquire another hash's lock (never two at once — see keylock.go).
-func (r *Registry) promoteFromSpill(sh *shard, h Hash) (*Entry, bool) {
+func (r *Registry) promoteFromSpill(h Hash) (*Entry, bool) {
 	if r.spill == nil {
 		return nil, false
 	}
 	r.locks.lock(h)
-	// Re-probe memory under the lock: a concurrent promotion of the
-	// same hash may have landed while we waited.
-	if e, ok := sh.get(h, r.clock.Add(1)); ok {
-		r.locks.unlock(h)
-		return e, true
-	}
 	raw, err := r.spill.load(h)
 	if err != nil {
 		r.locks.unlock(h)
@@ -301,10 +218,10 @@ func (r *Registry) promoteFromSpill(sh *shard, h Hash) (*Entry, bool) {
 		r.locks.unlock(h)
 		return nil, false
 	}
-	e, existed := sh.put(r.newEntry(h, data, raw), r.clock.Add(1))
+	e := r.newEntry(h, data, raw)
+	e, existed := r.mem.Add(h, e, e.Bytes)
 	r.locks.unlock(h)
 	if !existed {
-		r.size.Add(e.Bytes)
 		r.enforceBudget(h)
 	}
 	return e, true
@@ -324,143 +241,77 @@ func (r *Registry) Remove(h Hash) bool {
 		r.locks.lock(h)
 		defer r.locks.unlock(h)
 	}
-	freed, ok := r.shardFor(h).remove(h)
-	if ok {
-		r.size.Add(-freed)
-	}
+	ok := r.mem.Remove(h)
 	if r.spill != nil && r.spill.remove(h) {
 		ok = true
 	}
 	return ok
 }
 
-// enforceBudget evicts globally least-recently-used entries until total
-// residency fits the budget, sparing justAdded (the entry whose insert
-// triggered enforcement) so a single dataset larger than the whole
-// budget is still usable — it evicts everything else instead, exactly as
-// the single-lock store did. Shard locks are only ever taken one at a
-// time, so enforcement cannot deadlock against Register/Get traffic; the
-// per-pass rescan makes cross-shard eviction an approximation of global
-// LRU under concurrent touches and exact under sequential operation.
+// enforceBudget evicts least-recently-used entries until residency fits
+// the budget, sparing justAdded (the entry whose insert triggered
+// enforcement) so a single dataset larger than the whole budget is still
+// usable — it evicts everything else instead.
+//
+// With a spill tier the protocol is spill-then-evict, one victim at a
+// time: peek the victim, take its key lock, check it is still next in
+// line, write its spill file outside the LRU's lock, then evict only if
+// it is still next in line (compare-and-evict on its position). While
+// the key lock is held the victim can stop being next only by being
+// touched — a Get, or a duplicate Register, moves it to the front —
+// because Remove, disk promotion and every rival evictor of the same
+// hash wait on that lock. Eviction never precedes a durable copy, so a
+// crash or write failure at any point leaves the dataset resident in at
+// least one tier. A permanent spill failure aborts enforcement
+// entirely: the registry stays over budget and keeps serving from
+// memory — counted, not hidden (write_errors in /statsz) — because
+// dropping the only copy to honor a byte budget would turn a disk error
+// into data loss.
 func (r *Registry) enforceBudget(justAdded Hash) {
-	if r.budget <= 0 {
+	if r.spill == nil {
+		r.mem.Trim(justAdded)
 		return
 	}
-	for r.size.Load() > r.budget {
-		if !r.evictGlobalLRU(justAdded) {
+	for {
+		h, e, ok := r.mem.Oldest(justAdded)
+		if !ok || !r.spillThenEvict(h, e, justAdded) {
 			return
 		}
 	}
 }
 
-// evictGlobalLRU removes the resident entry with the oldest recency
-// stamp, skipping spare. It reports false when nothing is evictable —
-// spare is the only entry left, or a spill tier is attached and the
-// victim cannot be spilled — which ends budget enforcement.
-//
-// With a spill tier the protocol is spill-then-evict: peek the victim,
-// take its key lock, re-confirm it is still the untouched LRU tail,
-// write its spill file outside every shard lock, then evict only if its
-// recency stamp is unchanged (compare-and-evict). Eviction never
-// precedes a durable copy, so a crash or write failure at any point
-// leaves the dataset resident in exactly one tier. The key lock held
-// across the whole cycle excludes Remove, disk promotion, and every
-// other evictor of the same hash: two concurrent over-budget inserts
-// can no longer both peek one victim and have the loser — finding the
-// entry gone — delete the spill file the winner just wrote. A permanent
-// spill failure aborts enforcement entirely: the registry stays over
-// budget and keeps serving from memory — counted, not hidden
-// (write_errors in /statsz) — because dropping the only copy to honor a
-// byte budget would turn a disk error into data loss.
-func (r *Registry) evictGlobalLRU(spare Hash) bool {
-	for {
-		victim, entries := r.oldestShard(spare)
-		if victim == nil || entries <= 1 {
+// spillThenEvict runs one spill-then-evict cycle on the peeked victim
+// under its key lock. It reports false when enforcement must stop
+// because the spill write failed; a victim that was touched meanwhile
+// is kept (its spill file stays — it is correct by content address and
+// pre-pays a future eviction) and enforcement re-peeks.
+func (r *Registry) spillThenEvict(h Hash, e *Entry, spare Hash) bool {
+	r.locks.lock(h)
+	defer r.locks.unlock(h)
+	if next, _, ok := r.mem.Oldest(spare); !ok || next != h {
+		return true // touched while we waited for the lock: re-peek
+	}
+	// Entries registered before AttachSpill carry no raw bytes and
+	// evict without spilling — they predate the disk tier.
+	if e.raw != nil {
+		if err := r.spill.store(h, e.raw); err != nil {
 			return false
 		}
-		if r.spill == nil {
-			freed, evicted := victim.evictOldest(spare)
-			if evicted {
-				r.size.Add(-freed)
-				return true
-			}
-			// The scanned tail moved (a concurrent touch or removal): rescan.
-			// Progress is guaranteed — either some pass evicts, or the store
-			// drains to a single entry and oldestShard returns nil.
-			continue
-		}
-		e, stamp, ok := victim.peekOldest(spare)
-		if !ok {
-			continue // tail moved since the scan: rescan
-		}
-		r.locks.lock(e.Hash)
-		if s, ok := victim.stampOf(e.Hash); !ok || s != stamp {
-			// Evicted, removed, or touched while we waited for the lock:
-			// it is no longer the victim we peeked. Rescan.
-			r.locks.unlock(e.Hash)
-			continue
-		}
-		// Entries registered before AttachSpill carry no raw bytes and
-		// evict without spilling — they predate the disk tier.
-		if e.raw != nil {
-			if err := r.spill.store(e.Hash, e.raw); err != nil {
-				r.locks.unlock(e.Hash)
-				return false
-			}
-		}
-		freed, status := victim.evictIfUnchanged(e.Hash, stamp)
-		switch status {
-		case evictOK:
-			r.size.Add(-freed)
-			r.locks.unlock(e.Hash)
-			return true
-		case evictGone:
-			// Unreachable while the key lock is held — Remove and
-			// promotion both serialize on it, and the stamp re-check
-			// above filtered rival evictors — but handled defensively:
-			// deletion must stay total, so drop the spill file.
-			if e.raw != nil {
-				r.spill.remove(e.Hash)
-			}
-			r.locks.unlock(e.Hash)
-		case evictTouched:
-			// A concurrent Get refreshed the entry; it is no longer the
-			// LRU victim. The spill file stays — it is correct by
-			// content address and pre-pays a future eviction.
-			r.locks.unlock(e.Hash)
-		}
 	}
+	r.mem.EvictIfOldest(h, spare)
+	return true
 }
 
-// oldestShard scans all stripes for the one whose LRU tail carries the
-// globally oldest recency stamp, ignoring spare, and counts resident
-// entries along the way. Each shard is locked only for its own scan.
-func (r *Registry) oldestShard(spare Hash) (*shard, int) {
-	var victim *shard
-	oldest := int64(0)
-	entries := 0
-	for _, sh := range r.shards {
-		n, stamp, ok := sh.oldest(spare)
-		entries += n
-		if ok && (victim == nil || stamp < oldest) {
-			victim = sh
-			oldest = stamp
-		}
-	}
-	return victim, entries
-}
-
-// Stats returns a snapshot of the counters, aggregated and per shard.
+// Stats returns a snapshot of the counters.
 func (r *Registry) Stats() Stats {
-	s := Stats{Budget: r.budget, Shards: make([]ShardStats, len(r.shards))}
-	for i, sh := range r.shards {
-		ss := sh.stats()
-		s.Shards[i] = ss
-		s.Entries += ss.Entries
-		s.Bytes += ss.Bytes
-		s.Hits += ss.Hits
-		s.Misses += ss.Misses
-		s.Evictions += ss.Evictions
+	m := r.mem.Stats()
+	s := Stats{
+		Entries:   m.Entries,
+		Bytes:     m.Cost,
+		Budget:    m.Budget,
+		Hits:      m.Hits,
+		Misses:    m.Misses,
+		Evictions: m.Evictions,
 	}
 	if r.spill != nil {
 		sp := r.spill.Stats()

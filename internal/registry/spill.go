@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -16,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/faultfs"
+	"repro/internal/lru"
 )
 
 // SpillExt is the filename extension of spilled datasets. A spill file
@@ -69,12 +69,6 @@ type SpillStats struct {
 	Evictions int64 `json:"evictions"`
 }
 
-// spillFile is one resident disk entry in the spill index.
-type spillFile struct {
-	hash Hash
-	size int64
-}
-
 // Spill is the disk tier beneath the in-memory registry: a directory of
 // canonicalized CSV files named by content address, with its own byte
 // budget and LRU eviction. Writes are crash-safe (temp file + fsync +
@@ -84,21 +78,21 @@ type spillFile struct {
 //
 // All methods are safe for concurrent use.
 type Spill struct {
-	dir    string
-	fs     faultfs.FS
-	budget int64 // <= 0 means unlimited
+	dir string
+	fs  faultfs.FS
 
+	// index holds the resident spill files, each charged its size
+	// against the disk budget (<= 0 means unlimited); front = most
+	// recently written or loaded. mu makes an index update and the file
+	// removals its budget trim triggers one step.
 	mu    sync.Mutex
-	ll    *list.List // front = most recently written/loaded
-	files map[Hash]*list.Element
-	bytes int64
+	index *lru.Cache[Hash, struct{}]
 
 	writes      atomic.Int64
 	writeErrors atomic.Int64
 	loads       atomic.Int64
 	loadErrors  atomic.Int64
 	quarantined atomic.Int64
-	evictions   atomic.Int64
 	tmpSeq      atomic.Int64
 }
 
@@ -118,13 +112,7 @@ func OpenSpill(dir string, budgetBytes int64, fsys faultfs.FS) (*Spill, error) {
 	if err := fsys.MkdirAll(filepath.Join(dir, QuarantineDir), 0o755); err != nil {
 		return nil, fmt.Errorf("registry: creating quarantine dir: %w", err)
 	}
-	s := &Spill{
-		dir:    dir,
-		fs:     fsys,
-		budget: budgetBytes,
-		ll:     list.New(),
-		files:  make(map[Hash]*list.Element),
-	}
+	s := &Spill{dir: dir, fs: fsys, index: lru.New[Hash, struct{}](budgetBytes)}
 	if err := s.scan(); err != nil {
 		return nil, err
 	}
@@ -165,9 +153,8 @@ func (s *Spill) scan() error {
 	}
 	sort.Slice(found, func(i, j int) bool { return found[i].mod.Before(found[j].mod) })
 	for _, f := range found {
-		// Oldest first: each PushFront leaves the newest at the front.
-		s.files[f.h] = s.ll.PushFront(&spillFile{hash: f.h, size: f.size})
-		s.bytes += f.size
+		// Oldest first: each Add leaves the newest at the front.
+		s.index.Add(f.h, struct{}{}, f.size)
 	}
 	return nil
 }
@@ -195,17 +182,16 @@ func (s *Spill) store(h Hash, raw []byte) error {
 	}
 	s.writes.Add(1)
 
+	// A re-spill of a resident hash (same content) only refreshes its
+	// recency. The disk budget then evicts the oldest files, sparing
+	// this one (mirroring the memory tier's carve-out: one dataset
+	// larger than the whole disk budget still spills).
 	s.mu.Lock()
-	if el, ok := s.files[h]; ok {
-		// Re-spill of a resident hash: same content, refresh recency.
-		s.ll.MoveToFront(el)
-		s.mu.Unlock()
-		return nil
+	defer s.mu.Unlock()
+	s.index.Add(h, struct{}{}, int64(len(raw)))
+	for _, old := range s.index.Trim(h) {
+		_ = s.fs.Remove(s.path(old)) // best-effort: scan reconciles at next open
 	}
-	s.files[h] = s.ll.PushFront(&spillFile{hash: h, size: int64(len(raw))})
-	s.bytes += int64(len(raw))
-	s.enforceBudgetLocked(h)
-	s.mu.Unlock()
 	return nil
 }
 
@@ -256,11 +242,7 @@ func (s *Spill) load(h Hash) ([]byte, error) {
 		s.quarantine(h)
 		return nil, fmt.Errorf("%w: %s", ErrCorrupt, h)
 	}
-	s.mu.Lock()
-	if el, ok := s.files[h]; ok {
-		s.ll.MoveToFront(el)
-	}
-	s.mu.Unlock()
+	s.index.Get(h) // refresh recency
 	s.loads.Add(1)
 	return raw, nil
 }
@@ -274,34 +256,14 @@ func (s *Spill) quarantine(h Hash) {
 	if err := s.fs.Rename(s.path(h), filepath.Join(s.dir, QuarantineDir, SpillFileName(h))); err != nil {
 		_ = s.fs.Remove(s.path(h)) // last resort: drop it
 	}
-	s.dropIndex(h)
-}
-
-// dropIndex forgets h in the in-memory index (the file itself has
-// already been moved or removed).
-func (s *Spill) dropIndex(h Hash) {
-	s.mu.Lock()
-	if el, ok := s.files[h]; ok {
-		s.bytes -= el.Value.(*spillFile).size
-		s.ll.Remove(el)
-		delete(s.files, h)
-	}
-	s.mu.Unlock()
+	s.index.Remove(h)
 }
 
 // remove deletes the spill file and any quarantined copy of h,
 // reporting whether either existed — the disk half of a total
 // DELETE /datasets/{hash}.
 func (s *Spill) remove(h Hash) bool {
-	existed := false
-	s.mu.Lock()
-	if el, ok := s.files[h]; ok {
-		s.bytes -= el.Value.(*spillFile).size
-		s.ll.Remove(el)
-		delete(s.files, h)
-		existed = true
-	}
-	s.mu.Unlock()
+	existed := s.index.Remove(h)
 	if err := s.fs.Remove(s.path(h)); err == nil {
 		existed = true
 	}
@@ -311,45 +273,18 @@ func (s *Spill) remove(h Hash) bool {
 	return existed
 }
 
-// enforceBudgetLocked evicts the least-recently-used spill files until
-// the disk tier fits its budget, sparing justAdded (mirroring the
-// memory tier's sole-entry carve-out: one dataset larger than the whole
-// disk budget still spills). Caller holds s.mu.
-func (s *Spill) enforceBudgetLocked(justAdded Hash) {
-	if s.budget <= 0 {
-		return
-	}
-	for s.bytes > s.budget && s.ll.Len() > 1 {
-		el := s.ll.Back()
-		sf := el.Value.(*spillFile)
-		if sf.hash == justAdded {
-			if el = el.Prev(); el == nil {
-				return
-			}
-			sf = el.Value.(*spillFile)
-		}
-		s.ll.Remove(el)
-		delete(s.files, sf.hash)
-		s.bytes -= sf.size
-		_ = s.fs.Remove(s.path(sf.hash)) // best-effort: scan reconciles at next open
-		s.evictions.Add(1)
-	}
-}
-
 // Stats snapshots the disk-tier counters.
 func (s *Spill) Stats() SpillStats {
-	s.mu.Lock()
-	files, bytes := s.ll.Len(), s.bytes
-	s.mu.Unlock()
+	ix := s.index.Stats()
 	return SpillStats{
-		Files:       files,
-		Bytes:       bytes,
-		Budget:      s.budget,
+		Files:       ix.Entries,
+		Bytes:       ix.Cost,
+		Budget:      ix.Budget,
 		Writes:      s.writes.Load(),
 		WriteErrors: s.writeErrors.Load(),
 		Loads:       s.loads.Load(),
 		LoadErrors:  s.loadErrors.Load(),
 		Quarantined: s.quarantined.Load(),
-		Evictions:   s.evictions.Load(),
+		Evictions:   ix.Evictions,
 	}
 }

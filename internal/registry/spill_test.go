@@ -16,7 +16,7 @@ import (
 	"repro/internal/faultfs"
 )
 
-// spilledRegistry builds a small sharded registry with a spill tier in a
+// spilledRegistry builds a small registry with a spill tier in a
 // temp dir, tight enough that registering several datasets forces
 // evictions through the disk tier.
 func spilledRegistry(t *testing.T, memBudget, diskBudget int64, fsys faultfs.FS) (*Registry, *Spill) {
@@ -25,7 +25,7 @@ func spilledRegistry(t *testing.T, memBudget, diskBudget int64, fsys faultfs.FS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewSharded(memBudget, 4)
+	r := New(memBudget)
 	r.AttachSpill(sp, dataset.CSVOptions{})
 	return r, sp
 }
@@ -102,7 +102,7 @@ func TestSpillSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewSharded(512, 2)
+	r := New(512)
 	r.AttachSpill(sp, dataset.CSVOptions{})
 	var hashes []Hash
 	for i := 0; i < 8; i++ {
@@ -121,7 +121,7 @@ func TestSpillSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2 := NewSharded(0, 2)
+	r2 := New(0)
 	r2.AttachSpill(sp2, dataset.CSVOptions{})
 	served := 0
 	for _, h := range hashes {

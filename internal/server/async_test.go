@@ -112,7 +112,9 @@ func TestJobEndToEndCacheHit(t *testing.T) {
 		t.Fatalf("POST /jobs = %d: %s", w.Code, w.Body.String())
 	}
 	j1 := decode[jobJSON](t, w)
-	if j1.State != "queued" && j1.State != "running" {
+	// The response snapshots the job after submitting it, so a worker may
+	// already have finished the small mine. Failed or canceled is wrong.
+	if j1.State != "queued" && j1.State != "running" && j1.State != "done" {
 		t.Errorf("initial state = %s", j1.State)
 	}
 	st1 := pollJob(t, h, j1.ID)

@@ -449,7 +449,9 @@ func NewFairJobQueue(capacity int, ctrl *admission.Controller) jobs.Queue {
 }
 
 // fairJobQueue adapts admission.FairQueue to the engine's Queue seam.
-type fairJobQueue struct{ q *admission.FairQueue[*jobs.Job] }
+type fairJobQueue struct {
+	q *admission.FairQueue[*jobs.Job]
+}
 
 func (f fairJobQueue) Push(j *jobs.Job) bool  { return f.q.Push(j.Spec().Tenant, j) }
 func (f fairJobQueue) Pop() (*jobs.Job, bool) { return f.q.Pop() }

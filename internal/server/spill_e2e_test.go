@@ -34,11 +34,11 @@ func spillSeed(t *testing.T) int64 {
 }
 
 // durableSpillServer wires the full -store-dir + -spill-dir stack: a
-// memory-budgeted sharded registry whose evictions spill to spillDir
-// through fsys, and a durable engine recovering the WAL in walDir.
+// memory-budgeted registry whose evictions spill to spillDir through
+// fsys, and a durable engine recovering the WAL in walDir.
 func durableSpillServer(t *testing.T, walDir, spillDir string, memBudget int64, fsys faultfs.FS) http.Handler {
 	t.Helper()
-	reg := registry.NewSharded(memBudget, 4)
+	reg := registry.New(memBudget)
 	sp, err := registry.OpenSpill(spillDir, 0, fsys)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,8 @@
 #
 # Runs, in order:
 #   1. go build ./...              compile everything
+#   1b. gofmt -l .                 formatting: fails when gofmt would
+#                                  rewrite any file
 #   2. go vet ./...                the stock vet analyzers
 #   3. go run ./cmd/divlint ./...  the project-invariant suite
 #                                  (floatcmp, errcheck, lockcopy,
@@ -14,9 +16,10 @@
 #                                  the Parallel-vs-FPGrowth stress test
 #                                  is this tier's primary target
 #   5. registry-race tier          the concurrent service subsystems
-#                                  (registry, jobs, server) twice more
-#                                  under -race: the sharded-registry
-#                                  property tests, rehydration
+#                                  (lru, registry, jobs, server) twice
+#                                  more under -race: the LRU and the
+#                                  registry's reference-model and
+#                                  concurrent property tests, rehydration
 #                                  single-flight and submit/cancel/
 #                                  shutdown interleavings are
 #                                  timing-sensitive, so extra runs buy
@@ -99,6 +102,14 @@ cd "$(dirname "$0")/.."
 echo "==> go build ./..."
 go build ./...
 
+echo "==> gofmt -l ."
+unformatted="$(gofmt -l .)"
+if [[ -n "$unformatted" ]]; then
+    echo "gofmt would rewrite these files (run gofmt -w on them):"
+    echo "$unformatted"
+    exit 1
+fi
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -108,8 +119,8 @@ go run ./cmd/divlint ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> registry-race tier (sharded registry + durable jobs, -count=2)"
-go test -race -count=2 ./internal/registry/... ./internal/jobs/... ./internal/server/...
+echo "==> registry-race tier (lru + registry + durable jobs, -count=2)"
+go test -race -count=2 ./internal/lru/... ./internal/registry/... ./internal/jobs/... ./internal/server/...
 go test -race -count=20 -run 'Tracker|RecoverReattachesPartialSnapshot|ProgressReachesTotal' ./internal/jobs ./internal/permtest
 
 echo "==> fault-injection tier (seed ${DIVEX_FAULT_SEED:-1})"
