@@ -56,7 +56,7 @@ func main() {
 	flag.StringVar(&cfg.metrics, "metric", "FPR", "comma-separated metrics (FPR,FNR,ER,ACC,...)")
 	flag.Float64Var(&cfg.support, "support", 0.05, "minimum support threshold s")
 	flag.IntVar(&cfg.topK, "topk", 10, "number of top divergent patterns to print")
-	flag.StringVar(&cfg.miner, "miner", "fpgrowth", "mining algorithm: fpgrowth, apriori or fpgrowth-parallel")
+	flag.StringVar(&cfg.miner, "miner", "fpgrowth", "mining algorithm: fpgrowth, apriori or bitset")
 	flag.Float64Var(&cfg.eps, "eps", 0, "redundancy-pruning threshold ε (0 disables)")
 	flag.StringVar(&cfg.shapley, "shapley", "", "pattern (attr=v,attr=v) to decompose; 'top' for the most divergent")
 	flag.BoolVar(&cfg.global, "global", false, "print global vs individual item divergence")

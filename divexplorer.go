@@ -61,7 +61,8 @@ func NewOutcomeExplorer(d *Data, o func(row int) Outcome) (*Explorer, error) {
 type ExploreOption func(*core.Options) error
 
 // WithMiner selects the frequent-pattern-mining algorithm: "fpgrowth"
-// (default), "apriori", or "fpgrowth-parallel".
+// (default), "apriori", or "bitset" (the serving miner: a parallel
+// depth-first search over class-sorted row bitsets).
 func WithMiner(name string) ExploreOption {
 	return func(o *core.Options) error {
 		switch name {
@@ -69,10 +70,10 @@ func WithMiner(name string) ExploreOption {
 			o.Miner = fpm.FPGrowth{}
 		case "apriori":
 			o.Miner = fpm.Apriori{}
-		case "fpgrowth-parallel", "parallel":
+		case "bitset":
 			o.Miner = fpm.Parallel{}
 		default:
-			return fmt.Errorf("divexplorer: unknown miner %q (want fpgrowth, apriori, or fpgrowth-parallel)", name)
+			return fmt.Errorf("divexplorer: unknown miner %q (want fpgrowth, apriori, or bitset)", name)
 		}
 		return nil
 	}

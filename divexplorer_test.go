@@ -109,14 +109,14 @@ func TestExploreMinerOption(t *testing.T) {
 	if ap.NumPatterns() != fg.NumPatterns() {
 		t.Errorf("miners disagree: %d vs %d", ap.NumPatterns(), fg.NumPatterns())
 	}
-	par, err := exp.Explore(0.05, WithMiner("fpgrowth-parallel"))
+	bs, err := exp.Explore(0.05, WithMiner("bitset"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if par.NumPatterns() != fg.NumPatterns() {
-		t.Error("parallel disagrees with fpgrowth")
+	if bs.NumPatterns() != fg.NumPatterns() {
+		t.Error("bitset disagrees with fpgrowth")
 	}
-	for _, name := range []string{"carpenter", "eclat"} {
+	for _, name := range []string{"carpenter", "eclat", "fpgrowth-parallel", "parallel"} {
 		if _, err := exp.Explore(0.05, WithMiner(name)); err == nil {
 			t.Errorf("unknown miner %q accepted", name)
 		}

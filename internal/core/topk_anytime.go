@@ -150,7 +150,7 @@ func ExploreTopKAnytime(db *fpm.TxDB, minSup float64, m Metric, k int, order Ran
 	// k costs nothing up front.
 	h := newBestK(k, 0, func(a, b *RankedEstimate) bool { return rankedBetter(&a.Ranked, &b.Ranked, order) })
 	var seen int64
-	info, err := fpm.FPGrowth{}.MineVisit(mdb, minCount, opts.Budget, func(p fpm.FrequentPattern) error {
+	info, err := fpm.MineVisit(mdb, minCount, opts.Budget, func(p fpm.FrequentPattern) error {
 		seen++
 		if opts.OnUpdate != nil && seen%updateEvery == 0 {
 			opts.OnUpdate(h.snapshot(), seen)

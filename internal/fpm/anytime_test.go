@@ -12,7 +12,7 @@ import (
 func collectAnytime(t *testing.T, db *TxDB, minCount int64, budget AnytimeBudget) ([]FrequentPattern, AnytimeInfo) {
 	t.Helper()
 	var out []FrequentPattern
-	info, err := FPGrowth{}.MineVisit(db, minCount, budget, func(p FrequentPattern) error {
+	info, err := MineVisit(db, minCount, budget, func(p FrequentPattern) error {
 		out = append(out, FrequentPattern{Items: p.Items.Clone(), Tally: p.Tally})
 		return nil
 	})
@@ -136,10 +136,10 @@ func TestAnytimeWarmStateReusable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newMineState(db.Catalog.NumItems(), db.Catalog.NumAttrs())
+	s := newKernel(db.Catalog)
 	count := func(b AnytimeBudget) (int64, []FrequentPattern) {
 		var out []FrequentPattern
-		info, err := mineAnytime(s, db, minCount, b, func(p FrequentPattern) error {
+		info, err := s.visitAll(db, minCount, b, func(p FrequentPattern) error {
 			out = append(out, FrequentPattern{Items: p.Items.Clone(), Tally: p.Tally})
 			return nil
 		})
@@ -207,7 +207,7 @@ func TestSampleRows(t *testing.T) {
 }
 
 // TestAnytimeSteadyStateAllocFree extends the zero-allocation contract
-// to the streaming path: a warm state driving an anytimeSink emits every
+// to the streaming path: a warm kernel streaming to a visitor emits every
 // pattern without allocating, both on a complete (zero-budget) stream
 // and with budget checks and deadline polls active.
 func TestAnytimeSteadyStateAllocFree(t *testing.T) {
@@ -216,12 +216,12 @@ func TestAnytimeSteadyStateAllocFree(t *testing.T) {
 		{},
 		{Deadline: time.Now().Add(time.Hour), MaxPatterns: 1 << 40},
 	} {
-		s := newMineState(db.Catalog.NumItems(), db.Catalog.NumAttrs())
+		s := newKernel(db.Catalog)
 		var n int64
 		visit := func(FrequentPattern) error { n++; return nil }
 		runOnce := func() {
 			n = 0
-			info, err := mineAnytime(s, db, 1, budget, visit)
+			info, err := s.visitAll(db, 1, budget, visit)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -250,7 +250,7 @@ func TestMineVisitAbortsOnError(t *testing.T) {
 	db := smallTxDB(t)
 	sentinel := errors.New("stop")
 	count := 0
-	_, err := FPGrowth{}.MineVisit(db, 1, AnytimeBudget{}, func(FrequentPattern) error {
+	_, err := MineVisit(db, 1, AnytimeBudget{}, func(FrequentPattern) error {
 		count++
 		if count == 3 {
 			return sentinel
@@ -267,10 +267,10 @@ func TestMineVisitAbortsOnError(t *testing.T) {
 
 func TestMineVisitValidation(t *testing.T) {
 	db := smallTxDB(t)
-	if _, err := (FPGrowth{}).MineVisit(db, 0, AnytimeBudget{}, func(FrequentPattern) error { return nil }); err == nil {
+	if _, err := MineVisit(db, 0, AnytimeBudget{}, func(FrequentPattern) error { return nil }); err == nil {
 		t.Error("minCount=0 accepted")
 	}
-	if _, err := (FPGrowth{}).MineVisit(db, 1, AnytimeBudget{}, nil); err == nil {
+	if _, err := MineVisit(db, 1, AnytimeBudget{}, nil); err == nil {
 		t.Error("nil visitor accepted")
 	}
 }
@@ -280,7 +280,7 @@ func TestMineVisitValidation(t *testing.T) {
 func TestMineVisitEmpty(t *testing.T) {
 	db := smallTxDB(t)
 	visited := 0
-	info, err := FPGrowth{}.MineVisit(db, int64(db.NumRows()+1), AnytimeBudget{}, func(FrequentPattern) error {
+	info, err := MineVisit(db, int64(db.NumRows()+1), AnytimeBudget{}, func(FrequentPattern) error {
 		visited++
 		return nil
 	})

@@ -3,7 +3,7 @@ package fpm
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // BruteForce enumerates frequent itemsets by depth-first search over
@@ -60,6 +60,6 @@ func (BruteForce) Mine(ctx context.Context, db *TxDB, minCount int64) ([]Frequen
 	}
 	walk(nil, all, 0)
 
-	sort.Slice(out, func(i, j int) bool { return lessItemsets(out[i].Items, out[j].Items) })
+	slices.SortFunc(out, comparePatterns)
 	return out, nil
 }

@@ -12,7 +12,8 @@ import (
 // every miner must produce the identical itemset→tally map on randomized
 // datasets spanning skewed domains, unbalanced labels and a range of
 // support thresholds. BruteForce is the oracle on shapes small enough to
-// afford it; on larger shapes the three real miners check each other.
+// afford it; on larger shapes Apriori, FP-growth and the bitset kernel
+// check each other.
 
 // diffShape is one randomized dataset configuration.
 type diffShape struct {

@@ -1,8 +1,10 @@
 package fpm
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 )
 
 // FPGrowth mines frequent itemsets with the FP-growth algorithm (Han,
@@ -153,8 +155,8 @@ func (f *mineFrame) insert(s *mineState, items []Item, w Tally) {
 // mineState owns every reusable buffer of one mine: the node arena, the
 // per-depth frames, the global rank table, the suffix stack, and the
 // append-only arena backing emitted pattern item slices. A state serves
-// one mine (or one parallel worker) at a time; reusing a warm state
-// makes the whole mine allocation-free.
+// one mine at a time; reusing a warm state makes the whole mine
+// allocation-free.
 type mineState struct {
 	numItems int
 	order    []int32 // item -> global insertion rank; -1 when infrequent
@@ -162,13 +164,11 @@ type mineState struct {
 	frames   []*mineFrame
 	suffix   []Item // fixed-capacity pattern stack (max depth = NumAttrs+1)
 	sufLen   int
-	patArena []Item      // append-only backing for emitted pattern slices
-	anySink  anytimeSink // reusable budgeted sink; its scratch amortizes like the arenas
+	patArena []Item            // append-only backing for emitted pattern slices
+	out      []FrequentPattern // the mined patterns
 }
 
 // newMineState sizes a state for a catalog.
-//
-// lint:ignore hotalloc state construction is per-mine (or per-worker) setup, amortized over the whole mine
 func newMineState(numItems, numAttrs int) *mineState {
 	return &mineState{
 		numItems: numItems,
@@ -187,30 +187,17 @@ func (s *mineState) frameAt(depth int) *mineFrame {
 	return s.frames[depth]
 }
 
-// patternSink consumes one frequent pattern per call during a mine. The
-// items slice aliases the miner's reused suffix stack and is valid only
-// for the duration of the call: implementations copy what they retain.
-// Returning an error aborts the mine.
-type patternSink interface {
-	emit(items Itemset, t Tally) error
-}
-
-// arenaCollector materializes patterns for the batch API: item slices
-// are carved out of the state's append-only pattern arena, so a whole
-// mine costs a handful of buffer growths instead of one allocation per
+// collect records the suffix stack as a mined pattern with tally t. Its
+// items are carved out of the append-only pattern arena, so a whole mine
+// costs a handful of buffer growths instead of one allocation per
 // pattern.
-type arenaCollector struct {
-	s   *mineState
-	out []FrequentPattern
-}
-
-// emit implements patternSink.
-func (c *arenaCollector) emit(items Itemset, t Tally) error {
-	start := len(c.s.patArena)
-	c.s.patArena = append(c.s.patArena, items...)
-	end := len(c.s.patArena)
-	c.out = append(c.out, FrequentPattern{Items: Itemset(c.s.patArena[start:end:end]), Tally: t})
-	return nil
+//
+// lint:ignore hotalloc the arena and output grow to one mine's size; a warm state re-mines into the same capacity
+func (s *mineState) collect(t Tally) {
+	start := len(s.patArena)
+	s.patArena = append(s.patArena, s.suffix[:s.sufLen]...)
+	end := len(s.patArena)
+	s.out = append(s.out, FrequentPattern{Items: s.patArena[start:end:end], Tally: t})
 }
 
 // mineCanceled reports a mine aborted by context cancellation. It is a
@@ -232,18 +219,17 @@ func (FPGrowth) Mine(ctx context.Context, db *TxDB, minCount int64) ([]FrequentP
 	}
 	s := newMineState(db.Catalog.NumItems(), db.Catalog.NumAttrs())
 	root := s.buildRoot(db, minCount)
-	col := arenaCollector{s: s}
-	if err := s.mineAll(ctx, root, 1, minCount, &col); err != nil {
+	if err := s.mineAll(ctx, root, 1, minCount); err != nil {
 		return nil, err
 	}
 
 	// Canonicalize: sort items within each pattern, then sort the output
 	// for deterministic downstream consumption.
-	out := col.out
+	out := s.out
 	for i := range out {
-		sortItems(out[i].Items)
+		slices.Sort(out[i].Items)
 	}
-	sortPatterns(out)
+	slices.SortFunc(out, comparePatterns)
 	return out, nil
 }
 
@@ -257,7 +243,7 @@ func (s *mineState) buildRoot(db *TxDB, minCount int64) *mineFrame {
 	f.clear()
 	f.root = fpNode{}
 	s.arena.reset()
-	s.patArena = s.patArena[:0]
+	s.patArena, s.out = s.patArena[:0], s.out[:0]
 	s.sufLen = 0
 	for i := range s.order {
 		s.order[i] = -1
@@ -289,7 +275,7 @@ func (s *mineState) buildRoot(db *TxDB, minCount int64) *mineFrame {
 	for r, it := range f.items {
 		s.order[it] = int32(r)
 	}
-	sortItems(f.items) // ascending iteration order for mining
+	slices.Sort(f.items) // ascending iteration order for mining
 
 	// Second pass: insert each row's frequent items in rank order,
 	// weighted by a unit tally of the row's class.
@@ -313,48 +299,40 @@ func (s *mineState) buildRoot(db *TxDB, minCount int64) *mineFrame {
 }
 
 // mineAll mines every frequent item of root as an independent
-// subproblem, in root.items order: ascending item id as buildRoot
-// leaves it, support-descending when MineVisit re-sorts it.
-func (s *mineState) mineAll(ctx context.Context, root *mineFrame, frameIdx int, minCount int64, sink patternSink) error {
+// subproblem, in ascending item id as buildRoot leaves root.items.
+func (s *mineState) mineAll(ctx context.Context, root *mineFrame, frameIdx int, minCount int64) error {
 	for _, it := range root.items {
-		if err := s.mineSub(ctx, root, frameIdx, it, minCount, sink); err != nil {
+		if err := s.mineSub(ctx, root, frameIdx, it, minCount); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// mineSub mines one subproblem: emit the pattern suffix+it with its
-// tally in parent, build it's conditional tree in the frameIdx-th frame,
+// mineSub mines one subproblem: collect the pattern suffix+it with its
+// tally in parent, build its conditional tree in the frameIdx-th frame,
 // and recurse over the conditional tree's frequent items. The context
 // is checked once per subproblem — i.e. at every conditional-tree
 // boundary — so cancellation latency is bounded by one tree build, not
 // a whole mine.
-func (s *mineState) mineSub(ctx context.Context, parent *mineFrame, frameIdx int, it Item, minCount int64, sink patternSink) error {
+func (s *mineState) mineSub(ctx context.Context, parent *mineFrame, frameIdx int, it Item, minCount int64) error {
 	if err := ctx.Err(); err != nil {
 		return mineCanceled{err}
 	}
 	s.suffix[s.sufLen] = it
 	s.sufLen++
-	if err := sink.emit(s.suffix[:s.sufLen], parent.totals[it]); err != nil {
-		s.sufLen--
-		return err
-	}
+	s.collect(parent.totals[it])
 	child := s.frameAt(frameIdx)
 	m := s.arena.mark()
 	child.buildFrom(s, parent, it, minCount)
-	for _, ci := range child.items {
-		if err := s.mineSub(ctx, child, frameIdx+1, ci, minCount, sink); err != nil {
-			child.clear()
-			s.arena.release(m)
-			s.sufLen--
-			return err
-		}
+	var err error
+	for i := 0; err == nil && i < len(child.items); i++ {
+		err = s.mineSub(ctx, child, frameIdx+1, child.items[i], minCount)
 	}
 	child.clear()
 	s.arena.release(m)
 	s.sufLen--
-	return nil
+	return err
 }
 
 // buildFrom fills f with the conditional tree of item it within parent:
@@ -391,7 +369,7 @@ func (f *mineFrame) buildFrom(s *mineState, parent *mineFrame, it Item, minCount
 			f.items = append(f.items, ti)
 		}
 	}
-	sortItems(f.items)
+	slices.Sort(f.items)
 
 	// Insert the filtered, rank-ordered paths.
 	for _, tx := range f.base {
@@ -409,95 +387,26 @@ func (f *mineFrame) buildFrom(s *mineState, parent *mineFrame, it Item, minCount
 	}
 }
 
-// lessItemsets is the canonical output order: lexicographic by item,
-// shorter itemsets first on shared prefixes.
-func lessItemsets(a, b Itemset) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}
+// The sorts below run on the mining hot path, so they use the generic
+// slices sorts: unlike sort.Slice, they neither box the slice into an
+// interface nor need an escaping closure. Every order is total (item ids
+// and patterns are distinct, ranks are unique), so the result does not
+// depend on the sorting algorithm.
 
-// The sorts below are hand-rolled so the hot path never allocates:
-// sort.Slice takes a closure and boxes the slice into an interface,
-// both of which are per-call heap traffic.
-
-// sortItems heapsorts items ascending by id. Item ids are distinct
-// within every list sorted here, so the order is total and the unstable
-// sort is deterministic.
-func sortItems(a []Item) {
-	n := len(a)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftItems(a, i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		a[0], a[i] = a[i], a[0]
-		siftItems(a, 0, i)
-	}
-}
-
-func siftItems(a []Item, i, n int) {
-	for {
-		c := 2*i + 1
-		if c >= n {
-			return
-		}
-		if c+1 < n && a[c+1] > a[c] {
-			c++
-		}
-		if a[i] >= a[c] {
-			return
-		}
-		a[i], a[c] = a[c], a[i]
-		i = c
-	}
-}
-
-// sortItemsByCount heapsorts items by descending total tally, ties by
-// ascending id — the global insertion-rank order.
+// sortItemsByCount sorts items by descending total tally, ties by
+// ascending id: the global insertion-rank order.
 func sortItemsByCount(a []Item, totals []Tally) {
-	n := len(a)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftItemsByCount(a, i, n, totals)
-	}
-	for i := n - 1; i > 0; i-- {
-		a[0], a[i] = a[i], a[0]
-		siftItemsByCount(a, 0, i, totals)
-	}
-}
-
-// siftItemsByCount sifts under the max-heap order of lessByCount.
-func siftItemsByCount(a []Item, i, n int, totals []Tally) {
-	for {
-		c := 2*i + 1
-		if c >= n {
-			return
+	slices.SortFunc(a, func(x, y Item) int {
+		if cx, cy := totals[x].Total(), totals[y].Total(); cx != cy {
+			return cmp.Compare(cy, cx)
 		}
-		if c+1 < n && lessByCount(a[c], a[c+1], totals) {
-			c++
-		}
-		if !lessByCount(a[i], a[c], totals) {
-			return
-		}
-		a[i], a[c] = a[c], a[i]
-		i = c
-	}
-}
-
-// lessByCount orders by descending support count, ties by ascending id.
-func lessByCount(x, y Item, totals []Tally) bool {
-	cx, cy := totals[x].Total(), totals[y].Total()
-	if cx != cy {
-		return cx > cy
-	}
-	return x < y
+		return cmp.Compare(x, y)
+	})
 }
 
 // sortByOrder insertion-sorts one transaction's items by their global
 // rank. Transactions hold at most one item per attribute, so the input
-// is short and insertion sort beats heapsort's constant factor.
+// is short and insertion sort beats a general sort's constant factor.
 func sortByOrder(a []Item, order []int32) {
 	for i := 1; i < len(a); i++ {
 		for j := i; j > 0 && order[a[j]] < order[a[j-1]]; j-- {
@@ -506,32 +415,6 @@ func sortByOrder(a []Item, order []int32) {
 	}
 }
 
-// sortPatterns heapsorts the mined output into the canonical
-// lessItemsets order. Patterns are distinct, so the order is total.
-func sortPatterns(ps []FrequentPattern) {
-	n := len(ps)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftPatterns(ps, i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		ps[0], ps[i] = ps[i], ps[0]
-		siftPatterns(ps, 0, i)
-	}
-}
-
-func siftPatterns(ps []FrequentPattern, i, n int) {
-	for {
-		c := 2*i + 1
-		if c >= n {
-			return
-		}
-		if c+1 < n && lessItemsets(ps[c].Items, ps[c+1].Items) {
-			c++
-		}
-		if !lessItemsets(ps[i].Items, ps[c].Items) {
-			return
-		}
-		ps[i], ps[c] = ps[c], ps[i]
-		i = c
-	}
-}
+// comparePatterns is the canonical output order: lexicographic by item,
+// shorter itemsets first on shared prefixes.
+func comparePatterns(a, b FrequentPattern) int { return slices.Compare(a.Items, b.Items) }

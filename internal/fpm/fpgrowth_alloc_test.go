@@ -13,13 +13,10 @@ import (
 func TestMineSteadyStateAllocFree(t *testing.T) {
 	db := smallTxDB(t)
 	s := newMineState(db.Catalog.NumItems(), db.Catalog.NumAttrs())
-	var col arenaCollector
-	col.s = s
 	ctx := context.Background()
 	runOnce := func() {
-		col.out = col.out[:0]
 		root := s.buildRoot(db, 1)
-		if err := s.mineAll(ctx, root, 1, 1, &col); err != nil {
+		if err := s.mineAll(ctx, root, 1, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -27,13 +24,13 @@ func TestMineSteadyStateAllocFree(t *testing.T) {
 	// Warm runs: grow every pool to its high-water mark and pin the
 	// expected output size.
 	runOnce()
-	want := len(col.out)
+	want := len(s.out)
 	if want == 0 {
 		t.Fatal("warm-up mine produced no patterns; fixture db is unusable")
 	}
 	runOnce()
-	if len(col.out) != want {
-		t.Fatalf("re-mine produced %d patterns, want %d", len(col.out), want)
+	if len(s.out) != want {
+		t.Fatalf("re-mine produced %d patterns, want %d", len(s.out), want)
 	}
 
 	if allocs := testing.AllocsPerRun(10, runOnce); allocs != 0 {

@@ -1,10 +1,11 @@
 // Package fpm implements the frequent pattern mining substrate of the
 // paper's Algorithm 1. It provides an item catalog mapping
 // attribute=value pairs to dense item identifiers, itemset utilities, a
-// transaction database carrying a per-row outcome class, and three
-// miners: Apriori over vertical bitsets, FP-growth with outcome-tally
-// counters, and a brute-force reference used to test soundness and
-// completeness (Theorem 5.1).
+// transaction database carrying a per-row outcome class, and the miners:
+// the paper's two Algorithm 1 variants (Apriori over vertical bitsets,
+// FP-growth with outcome-tally counters), the bitset kernel that serves
+// every request path (Parallel and MineVisit), and a brute-force
+// reference used to test soundness and completeness (Theorem 5.1).
 //
 // The crucial deviation from textbook mining is the Tally: instead of a
 // single support counter, every itemset accumulates a small vector of

@@ -118,7 +118,7 @@ func minersUnderTest() []Miner {
 	return []Miner{BruteForce{}, Apriori{}, FPGrowth{}, Parallel{}}
 }
 
-// All three miners agree exactly on the small fixture at every threshold.
+// Every miner agrees exactly on the small fixture at every threshold.
 func TestMinersAgreeOnFixture(t *testing.T) {
 	db := smallTxDB(t)
 	for minCount := int64(1); minCount <= 4; minCount++ {
@@ -234,8 +234,8 @@ func randomTxDB(t testing.TB, seed int64, rows, attrs, card, k int) *TxDB {
 	return db
 }
 
-// Theorem 5.1 as a property: on random databases, Apriori and FP-growth
-// produce byte-for-byte the same pattern→tally map as brute force —
+// Theorem 5.1 as a property: on random databases, Apriori, FP-growth and
+// the bitset kernel produce the same pattern→tally map as brute force —
 // sound (nothing extra, tallies exact) and complete (nothing missing).
 func TestTheorem51SoundCompleteProperty(t *testing.T) {
 	f := func(seedRaw uint32, rowsRaw, attrsRaw, cardRaw, minRaw uint8) bool {

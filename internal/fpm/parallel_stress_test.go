@@ -8,15 +8,17 @@ import (
 
 // TestParallelStressDeterminism is the primary target of the -race
 // verification tier (scripts/verify.sh runs `go test -race ./...`): it
-// hammers Parallel.Mine with many worker counts, a small minCount (a
-// deep, itemset-heavy search), and repeated runs, asserting the output
-// is byte-identical to the sequential FPGrowth miner every single time.
+// hammers the bitset kernel's Parallel.Mine with many worker counts, a
+// small minCount (a deep, itemset-heavy search), and repeated runs,
+// asserting the output is byte-identical, order included, to the
+// sequential FPGrowth miner every single time.
 //
 // This is the mechanical check behind the Thm. 5.1 ordering contract:
-// the per-item subproblems are fanned out over goroutines, so any data
-// race in the shared initial tree or any order-dependence in how results
-// are gathered would show up here as a diff (or under -race as a report)
-// long before it silently corrupted divergence rankings downstream.
+// the top-level subtrees are fanned out over goroutines, so any data
+// race in the shared top-level layout or any order-dependence in how
+// results are gathered would show up here as a diff (or under -race as
+// a report) long before it silently corrupted divergence rankings
+// downstream.
 func TestParallelStressDeterminism(t *testing.T) {
 	shapes := []struct {
 		seed        int64

@@ -141,7 +141,8 @@ type Miner interface {
 	Name() string
 	// Mine returns all frequent patterns with support count >= minCount.
 	// minCount must be at least 1. Once ctx is canceled the mine stops
-	// and returns an error wrapping ctx.Err(): FP-growth checks at every
+	// and returns an error wrapping ctx.Err(): the bitset kernel
+	// (Parallel) checks at every search node, FP-growth at every
 	// conditional tree, Apriori at every level, BruteForce (the oracle,
 	// for small inputs only) at entry. The async job engine and the HTTP
 	// server rely on this so a canceled job or a disconnected client

@@ -19,11 +19,11 @@ type AnalyzeFunc func(ctx context.Context, data *dataset.Dataset, spec Spec, tr 
 
 // RunAnalysis is the built-in DivExplorer pipeline: extract the Boolean
 // truth/prediction columns, derive confusion classes, and mine the full
-// lattice with the parallel FP-growth miner under ctx. While mining,
-// each completed subproblem's patterns are folded into a running top-K
-// leaderboard and published through the tracker as a partial-result
-// snapshot. Input-shaped failures wrap ErrBadInput so the HTTP layer can
-// distinguish a bad request from an internal fault.
+// lattice with the parallel bitset miner (fpm.Parallel) under ctx. While
+// mining, each completed subproblem's patterns are folded into a running
+// top-K leaderboard and published through the tracker as a
+// partial-result snapshot. Input-shaped failures wrap ErrBadInput so the
+// HTTP layer can distinguish a bad request from an internal fault.
 func RunAnalysis(ctx context.Context, data *dataset.Dataset, spec Spec, tr *Tracker) (*core.Result, error) {
 	db, err := confusionDB(data, spec.TruthCol, spec.PredCol)
 	if err != nil {

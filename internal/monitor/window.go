@@ -313,7 +313,7 @@ func (w *window) remine(minCount int64) error {
 		return fmt.Errorf("monitor: building window transaction db: %w", err)
 	}
 	tracked := w.tracked[:0]
-	_, err = fpm.FPGrowth{}.MineVisit(db, minCount, fpm.AnytimeBudget{}, func(p fpm.FrequentPattern) error {
+	_, err = fpm.MineVisit(db, minCount, fpm.AnytimeBudget{}, func(p fpm.FrequentPattern) error {
 		if len(p.Items) > w.maxLen {
 			return nil
 		}

@@ -83,8 +83,9 @@ type Spill struct {
 
 	// index holds the resident spill files, each charged its size
 	// against the disk budget (<= 0 means unlimited); front = most
-	// recently written or loaded. mu makes an index update and the file
-	// removals its budget trim triggers one step.
+	// recently written or loaded. mu makes publishing a file (its
+	// rename), its index update and the file removals its budget trim
+	// triggers one step.
 	mu    sync.Mutex
 	index *lru.Cache[Hash, struct{}]
 
@@ -181,21 +182,15 @@ func (s *Spill) store(h Hash, raw []byte) error {
 		return err
 	}
 	s.writes.Add(1)
-
-	// A re-spill of a resident hash (same content) only refreshes its
-	// recency. The disk budget then evicts the oldest files, sparing
-	// this one (mirroring the memory tier's carve-out: one dataset
-	// larger than the whole disk budget still spills).
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.index.Add(h, struct{}{}, int64(len(raw)))
-	for _, old := range s.index.Trim(h) {
-		_ = s.fs.Remove(s.path(old)) // best-effort: scan reconciles at next open
-	}
 	return nil
 }
 
-// writeOnce is one attempt of the temp + fsync + rename protocol.
+// writeOnce is one attempt of the temp + fsync + rename protocol. The
+// temp write and fsync run unlocked; publishing the file and indexing it
+// are one step under s.mu. Otherwise another hash's budget trim could
+// run in between, pick this hash's older index entry as its victim and
+// delete the file just renamed into place, leaving the index listing a
+// file that is gone.
 func (s *Spill) writeOnce(h Hash, raw []byte) error {
 	tmp := filepath.Join(s.dir, fmt.Sprintf(".tmp-%s-%d", h, s.tmpSeq.Add(1)))
 	f, err := s.fs.OpenFile(tmp, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
@@ -217,9 +212,19 @@ func (s *Spill) writeOnce(h Hash, raw []byte) error {
 		cleanup()
 		return fmt.Errorf("registry: closing spill file: %w", err)
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := s.fs.Rename(tmp, s.path(h)); err != nil {
 		cleanup()
 		return fmt.Errorf("registry: publishing spill file: %w", err)
+	}
+	// A re-spill of a resident hash (same content) only refreshes its
+	// recency. The disk budget then evicts the oldest files, sparing
+	// this one (mirroring the memory tier's carve-out: one dataset
+	// larger than the whole disk budget still spills).
+	s.index.Add(h, struct{}{}, int64(len(raw)))
+	for _, old := range s.index.Trim(h) {
+		_ = s.fs.Remove(s.path(old)) // best-effort: scan reconciles at next open
 	}
 	return nil
 }

@@ -333,6 +333,91 @@ func TestSpillDiskBudget(t *testing.T) {
 	}
 }
 
+// renameHookFS runs hook once, right after the real rename that
+// publishes target: the window in which another store could interleave
+// with the store publishing target.
+type renameHookFS struct {
+	faultfs.FS
+	target string
+	hook   func()
+}
+
+func (f *renameHookFS) Rename(oldpath, newpath string) error {
+	err := f.FS.Rename(oldpath, newpath)
+	if hook := f.hook; err == nil && newpath == f.target && hook != nil {
+		f.hook = nil
+		hook()
+	}
+	return err
+}
+
+// TestSpillRespillSurvivesConcurrentTrim: a re-spill of h publishes its
+// file while h's older index entry is the oldest on disk. A store of
+// another hash whose budget trim runs right after that rename, whenever
+// the spill lock is free, must not delete the file just published: every
+// indexed hash keeps its file. The interleaving is forced by the rename
+// hook, with no sleeps.
+func TestSpillRespillSurvivesConcurrentTrim(t *testing.T) {
+	raws := make([][]byte, 3)
+	hashes := make([]Hash, 3)
+	var total int64
+	for i := range raws {
+		raws[i] = Canonicalize(uniqueCSV(i))
+		hashes[i] = HashBytes(raws[i])
+		total += int64(len(raws[i]))
+	}
+	h, x, b := hashes[0], hashes[1], hashes[2]
+	// Any two files fit the budget; all three do not.
+	fsys := &renameHookFS{FS: faultfs.OS()}
+	sp, err := OpenSpill(t.TempDir(), total-1, fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 1} {
+		if err := sp.store(hashes[i], raws[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	deferred := false
+	fsys.target = sp.path(h)
+	fsys.hook = func() {
+		if !sp.mu.TryLock() {
+			deferred = true // the lock is held: the trim must wait its turn
+			return
+		}
+		sp.mu.Unlock()
+		if err := sp.store(b, raws[2]); err != nil {
+			t.Error(err)
+		}
+	}
+	if err := sp.store(h, raws[0]); err != nil {
+		t.Fatal(err)
+	}
+	if deferred {
+		if err := sp.store(b, raws[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	indexed := 0
+	for _, k := range []Hash{h, x, b} {
+		if _, ok := sp.index.Get(k); !ok {
+			continue
+		}
+		indexed++
+		if _, err := os.Stat(sp.path(k)); err != nil {
+			t.Errorf("index lists %s but its spill file is gone: %v", k, err)
+		}
+	}
+	if indexed != 2 {
+		t.Errorf("%d hashes indexed, want 2 under a two-file budget", indexed)
+	}
+	if _, err := sp.load(h); err != nil {
+		t.Errorf("re-spilled dataset not loadable: %v", err)
+	}
+}
+
 // TestOpenSpillSweepsTempFiles: temp files left by a crash mid-spill
 // are garbage by construction and are swept at open.
 func TestOpenSpillSweepsTempFiles(t *testing.T) {

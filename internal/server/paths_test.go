@@ -7,11 +7,13 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/jobs"
 	"repro/internal/registry"
 )
 
@@ -104,6 +106,60 @@ func TestCrossPathIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// rankedRow is the part of a ranked pattern that /analyze and /explore
+// both report.
+type rankedRow struct {
+	Itemset                      []string
+	Support, Rate, Divergence, T float64
+}
+
+// TestUnbudgetedExploreMatchesAnalyze is the equivalence oracle between
+// the two ranking paths: on TestCrossPathIdentical's table, an
+// unbudgeted, unsampled /explore visits exactly the frequent itemsets
+// /analyze mines, reports its overall rate as the global rate, and ranks
+// the same top patterns with the same statistics.
+func TestUnbudgetedExploreMatchesAnalyze(t *testing.T) {
+	csv := datagenCSV(t, 41, 600, 5, 3)
+	env := newExploreEnv(t)
+	hash := env.register(t, csv)
+	for _, topk := range []int{1, 7} {
+		w := env.do(t, http.MethodPost, fmt.Sprintf("/analyze?support=0.05&metric=FPR,FNR&topk=%d", topk), csv)
+		if w.Code != http.StatusOK {
+			t.Fatalf("/analyze topk=%d = %d: %s", topk, w.Code, w.Body.String())
+		}
+		an := decode[responseJSON](t, w)
+		if len(an.Metrics) != 2 {
+			t.Fatalf("/analyze reported %d metrics, want 2", len(an.Metrics))
+		}
+		for _, m := range an.Metrics {
+			w := env.do(t, http.MethodPost, "/explore",
+				fmt.Sprintf(`{"dataset":%q,"support":0.05,"metric":%q,"topk":%d}`, hash, m.Metric, topk))
+			if w.Code != http.StatusOK {
+				t.Fatalf("/explore %s topk=%d = %d: %s", m.Metric, topk, w.Code, w.Body.String())
+			}
+			ex := decode[jobs.ExploreOutcome](t, w)
+			if ex.Partial || ex.Visited != int64(an.Patterns) {
+				t.Errorf("%s topk=%d: explore visited %d patterns (partial %v), analyze mined %d",
+					m.Metric, topk, ex.Visited, ex.Partial, an.Patterns)
+			}
+			if ex.GlobalRate != m.OverallRate {
+				t.Errorf("%s topk=%d: global_rate %v, overall_rate %v", m.Metric, topk, ex.GlobalRate, m.OverallRate)
+			}
+			var want, got []rankedRow
+			for _, p := range m.Top {
+				want = append(want, rankedRow{p.Itemset, p.Support, p.Rate, p.Divergence, p.T})
+			}
+			for _, p := range ex.Top {
+				got = append(got, rankedRow{p.Items, p.Support, p.Rate, p.Divergence, p.T})
+			}
+			if len(want) == 0 || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s topk=%d: explore top differs from analyze top_divergent:\nexplore: %+v\nanalyze: %+v",
+					m.Metric, topk, got, want)
+			}
+		}
 	}
 }
 

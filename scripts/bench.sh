@@ -1,10 +1,15 @@
 #!/usr/bin/env bash
 # bench.sh — regenerate the committed perf-trajectory snapshot.
 #
-# Runs the perf-critical benchmark families with -benchmem —
+# Runs the perf-critical benchmark families with -benchmem and -cpu=1
+# (so per-worker state does not vary with the core count, and the
+# allocation gate in verify.sh compares like with like) —
 #
 #   BenchmarkMineFPGrowthCompas          the sequential conditional-tree
 #                                        mine (the hotalloc-guarded path)
+#   BenchmarkMineBitsetCompas            the serving miner: the bitset
+#                                        kernel behind /analyze on the
+#                                        same exploration
 #   BenchmarkRegistryRegister            fresh vs dedup registration
 #   BenchmarkRegistryGetDiskFallthrough  memory hit vs spill reload
 #   BenchmarkMonitorIngest               streaming ingest end to end
@@ -38,9 +43,10 @@
 #
 # — and writes them as BENCH_<date>.json (schema divex-bench/v1, see
 # internal/benchfmt) in the repository root. Committing the file after a
-# perf-relevant change extends the trajectory README.md plots; an
-# unchanged workload regenerates byte-identical JSON apart from the
-# measured numbers.
+# perf-relevant change extends the trajectory README.md plots and moves
+# the baseline of verify.sh's allocation gate (cmd/benchfmt -compare),
+# which reads the newest snapshot; an unchanged workload regenerates
+# byte-identical JSON apart from the measured numbers.
 #
 # Environment:
 #   BENCH_DATE    override the snapshot date (YYYY-MM-DD; default today)
@@ -55,21 +61,21 @@ date="${BENCH_DATE:-$(date +%F)}"
 benchtime="${BENCH_TIME:-1s}"
 out="BENCH_${date}.json"
 
-echo "==> benchmarks (-benchtime ${benchtime}, -benchmem)"
+echo "==> benchmarks (-benchtime ${benchtime}, -benchmem, -cpu=1)"
 {
-    go test -run=NONE -benchmem -benchtime="${benchtime}" \
-        -bench '^BenchmarkMineFPGrowthCompas$' .
-    go test -run=NONE -benchmem -benchtime="${benchtime}" \
+    go test -run=NONE -benchmem -cpu=1 -benchtime="${benchtime}" \
+        -bench '^(BenchmarkMineFPGrowthCompas|BenchmarkMineBitsetCompas)$' .
+    go test -run=NONE -benchmem -cpu=1 -benchtime="${benchtime}" \
         -bench '^(BenchmarkRegistryRegister|BenchmarkRegistryGetDiskFallthrough)$' ./internal/registry
-    go test -run=NONE -benchmem -benchtime="${benchtime}" \
+    go test -run=NONE -benchmem -cpu=1 -benchtime="${benchtime}" \
         -bench '^(BenchmarkMonitorIngest|BenchmarkWindowAdvance)$' ./internal/monitor
-    go test -run=NONE -benchmem -benchtime="${benchtime}" \
+    go test -run=NONE -benchmem -cpu=1 -benchtime="${benchtime}" \
         -bench '^(BenchmarkAnytimeTopK|BenchmarkRankAnalyze)$' ./internal/core
-    go test -run=NONE -benchmem -benchtime="${benchtime}" \
+    go test -run=NONE -benchmem -cpu=1 -benchtime="${benchtime}" \
         -bench '^BenchmarkLatticeExpand$' ./internal/lattice
-    go test -run=NONE -benchmem -benchtime="${benchtime}" \
+    go test -run=NONE -benchmem -cpu=1 -benchtime="${benchtime}" \
         -bench '^(BenchmarkPermutationPass|BenchmarkWYAdjust)$' ./internal/permtest
-    go test -run=NONE -benchmem -benchtime="${benchtime}" \
+    go test -run=NONE -benchmem -cpu=1 -benchtime="${benchtime}" \
         -bench '^(BenchmarkRingLookup|BenchmarkForwardJob)$' ./internal/cluster
 } | tee /dev/stderr | go run ./cmd/benchfmt -date "${date}" -out "${out}"
 

@@ -13,8 +13,11 @@
 #                                  the stale-suppression audit; see
 #                                  DESIGN.md §8)
 #   4. go test -race ./...         all tests under the race detector;
-#                                  the Parallel-vs-FPGrowth stress test
-#                                  is this tier's primary target
+#                                  the stress test of the serving miner
+#                                  (fpm.Parallel, the bitset kernel, at
+#                                  1-32 workers, byte for byte against
+#                                  FPGrowth) is this tier's primary
+#                                  target
 #   5. registry-race tier          the concurrent service subsystems
 #                                  (lru, registry, jobs, server) twice
 #                                  more under -race: the LRU and the
@@ -44,8 +47,9 @@
 #   6c. anytime-race tier          the anytime exploration tier twice
 #                                  more under -race: budgeted mining
 #                                  (deadline cuts vs. warm-state reuse)
-#                                  and the MineVisit stream that
-#                                  /explore and the monitor share,
+#                                  and the bitset kernel's MineVisit
+#                                  stream that /explore and the monitor
+#                                  share,
 #                                  lattice-navigation cache churn and
 #                                  the /explore endpoint are the
 #                                  timing-sensitive paths, and the
@@ -73,7 +77,8 @@
 #                                  fresh input generation on top of the
 #                                  checked-in seed corpus (one target
 #                                  per package per run, as go test
-#                                  requires)
+#                                  requires), FuzzMinersAgree (bitset
+#                                  kernel vs. BruteForce) included
 #   8. coverage summary            per-package statement coverage for
 #                                  the durability layer (internal/jobs)
 #                                  and the miners the differential
@@ -82,6 +87,16 @@
 #   9. benchmark smoke             every benchmark once, so a bench that
 #                                  panics or no longer compiles fails
 #                                  the gate, not the next perf session
+#   9a. allocation gate            the hot benchmarks whose allocs/op
+#                                  repeat exactly (both COMPAS mines,
+#                                  anytime top-K, ranking, permutation
+#                                  and WY passes, window advance,
+#                                  registry, ring lookup) at -cpu=1,
+#                                  compared by cmd/benchfmt -compare
+#                                  with the newest BENCH_*.json: any
+#                                  allocs/op rise fails; ns/op deltas
+#                                  are printed, not gated (the snapshot
+#                                  and this run are different hosts)
 #   9b. bench-module tier          vet and test the end-to-end benchmark
 #                                  (bench/, a nested module that the
 #                                  root ./... never reaches): its stats,
@@ -156,12 +171,29 @@ go test -run=NONE -fuzz='^FuzzDiscretize$' -fuzztime=10s ./internal/discretize
 go test -run=NONE -fuzz='^FuzzParseEvent$' -fuzztime=10s ./internal/monitor
 go test -run=NONE -fuzz='^FuzzExploreRequest$' -fuzztime=10s ./internal/server
 go test -run=NONE -fuzz='^FuzzSignificanceRequest$' -fuzztime=10s ./internal/server
+go test -run=NONE -fuzz='^FuzzMinersAgree$' -fuzztime=10s ./internal/fpm
 
 echo "==> coverage summary (jobs, fpm)"
 go test -cover ./internal/jobs ./internal/fpm | awk '{print "    " $0}'
 
 echo "==> benchmark smoke (one iteration each)"
 go test -run=NONE -bench=. -benchtime=1x ./...
+
+echo "==> allocation gate (hot benchmarks at -cpu=1 against the newest BENCH_*.json)"
+{
+    go test -run=NONE -benchmem -cpu=1 -benchtime=200x \
+        -bench '^(BenchmarkMineFPGrowthCompas|BenchmarkMineBitsetCompas)$' .
+    go test -run=NONE -benchmem -cpu=1 -benchtime=200x \
+        -bench '^(BenchmarkAnytimeTopK|BenchmarkRankAnalyze)$' ./internal/core
+    go test -run=NONE -benchmem -cpu=1 -benchtime=200x \
+        -bench '^(BenchmarkPermutationPass|BenchmarkWYAdjust)$' ./internal/permtest
+    go test -run=NONE -benchmem -cpu=1 -benchtime=200x \
+        -bench '^BenchmarkWindowAdvance$' ./internal/monitor
+    go test -run=NONE -benchmem -cpu=1 -benchtime=200x \
+        -bench '^(BenchmarkRegistryRegister|BenchmarkRegistryGetDiskFallthrough)$' ./internal/registry
+    go test -run=NONE -benchmem -cpu=1 -benchtime=200x \
+        -bench '^BenchmarkRingLookup$' ./internal/cluster
+} | go run ./cmd/benchfmt -compare
 
 echo "==> bench-module tier (end-to-end benchmark module: vet + tests)"
 (cd bench && go vet ./... && go test ./...)
