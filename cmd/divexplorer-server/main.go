@@ -78,7 +78,7 @@ func main() {
 		sigCache = flag.Int("sig-cache", 64,
 			"significance outcome cache capacity in entries (POST /significance)")
 		maxPermutations = flag.Int("max-permutations", 100000,
-			"max label permutations a significance request may ask for")
+			"max label permutations a significance request may run (n! in exhaustive mode)")
 		monitorQueue = flag.Int("monitor-queue", 64,
 			"per-monitor ingest buffer in batches before ingest gets HTTP 429")
 		maxMonitors = flag.Int("max-monitors", 32,

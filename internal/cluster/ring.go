@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -185,8 +187,10 @@ func (r *Ring) Owners(key string, n int) []NodeID {
 			run = append(run, q.node)
 		}
 		if len(run) > 1 {
-			sort.Slice(run, func(a, b int) bool {
-				return rendezvous(key, run[a]) > rendezvous(key, run[b])
+			// Highest rendezvous score first. slices.SortFunc keeps run on
+			// the stack, where sort.Slice would move it to the heap.
+			slices.SortFunc(run, func(a, b NodeID) int {
+				return cmp.Compare(rendezvous(key, b), rendezvous(key, a))
 			})
 		}
 		for _, id := range run {

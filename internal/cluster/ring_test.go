@@ -121,6 +121,19 @@ func TestRingRendezvousTiebreakIsPerKey(t *testing.T) {
 	}
 }
 
+// TestRingOwnersAllocatesOnlyResult pins the lookup every clustered
+// submit pays to one allocation: the returned owner list.
+func TestRingOwnersAllocatesOnlyResult(t *testing.T) {
+	r := NewRing(DefaultVirtualNodes)
+	for i := 0; i < 8; i++ {
+		r.Add(NodeID(fmt.Sprintf("node-%d", i)))
+	}
+	key := fmt.Sprintf("dataset-hash-%064d", 7)
+	if got := testing.AllocsPerRun(100, func() { r.Owners(key, 2) }); got != 1 {
+		t.Errorf("Owners allocates %v per lookup, want 1", got)
+	}
+}
+
 func BenchmarkRingLookup(b *testing.B) {
 	r := NewRing(DefaultVirtualNodes)
 	for i := 0; i < 8; i++ {

@@ -203,3 +203,38 @@ func TestMaxEntBaselineProperties(t *testing.T) {
 		t.Error("non-frequent itemset accepted")
 	}
 }
+
+// BenchmarkSignificanceWY is the significance-wy query in process: a
+// Westfall–Young test of every pattern of synthetic heart data (296
+// rows) under ER, 1,000 permutations on one worker. The support is the
+// 250th-largest pattern count, as the end-to-end workload calibrates its
+// heart tables, so the run tests about 250 hypotheses. Each op builds
+// the engine (the cover index and the observed statistics) and runs
+// every permutation.
+func BenchmarkSignificanceWY(b *testing.B) {
+	g := datagen.Heart(1)
+	classes, err := ConfusionClasses(g.Truth, g.Pred)
+	if err != nil {
+		b.Fatal(err)
+	}
+	db, err := fpm.NewTxDB(g.Data, classes, NumConfusionClasses)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := explore(b, db, 61.0/296)
+	ctx := context.Background()
+	cfg := permtest.Config{Permutations: 1000, Seed: 1, Workers: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sig, err := r.SignificantPatternsWY(ctx, ErrorRate, 0.05, ByAbsDivergence, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		significanceSink += len(sig)
+	}
+	b.ReportMetric(float64(r.NumDefined(ErrorRate)), "hypotheses")
+}
+
+// significanceSink keeps BenchmarkSignificanceWY's results live.
+var significanceSink int

@@ -1,106 +1,193 @@
 package fpm
 
+import (
+	"encoding/binary"
+	"math/bits"
+)
+
 // The tally re-fold seam for permutation testing (DESIGN.md §15).
 //
 // Itemset covers — which rows an itemset matches — depend only on the
-// attribute values, never on the outcome labels. A label permutation
-// therefore leaves every cover (and so every support) untouched, and
-// re-tallying an itemset under permuted labels is a single fold over its
-// precomputed cover instead of a re-mine. CoverIndex materializes the
-// covers of a fixed itemset list as one flat int32 arena so the
-// permutation engine's inner loop is a pure sequential scan: no pointer
-// chasing, no per-itemset allocation, no re-scanning the dataset.
+// attribute values, never on the outcome labels, so re-counting an
+// itemset under permuted labels is a fold over its stored cover instead
+// of a re-mine. Each cover is stored in the smaller of two forms: a row
+// bitset of W = ⌈n/64⌉ words, or an ascending int32 row list. A cover
+// of at least 2W rows is a bitset, since a row list that long takes at
+// least the bitset's bytes. Only this file knows either form.
 
 // CoverIndex holds the support sets of a fixed list of itemsets over one
-// transaction database, packed into a single flat row-index arena.
-// Cover i occupies rows[offs[i]:offs[i+1]]; row indexes within a cover
-// are ascending. The index is immutable after construction and safe for
-// concurrent readers.
+// transaction database. The index is immutable after construction and
+// safe for concurrent readers.
 type CoverIndex struct {
-	offs    []int32
-	rows    []int32
+	covers  []cover  // one per itemset, in input order
+	words   []uint64 // bitset covers, w words each
+	rows    []int32  // row-list covers, each ascending
+	w       int      // words per bitset: ⌈numRows/64⌉
 	numRows int
 }
 
-// BuildCoverIndex computes the cover of every itemset by intersecting
-// from each itemset's rarest item's posting list. Construction is a cold
-// path: it scans the dataset once to build per-item postings, then
-// filters the shortest posting per itemset with direct row-value checks.
+// cover locates one itemset's cover: count rows, stored at off in words
+// when the count is at least 2w and at off in rows otherwise.
+type cover struct {
+	off, count int
+}
+
+// isBitset reports the form of a cover of count rows.
+func (c *CoverIndex) isBitset(count int) bool { return count >= 2*c.w }
+
+// BuildCoverIndex computes the cover of every itemset as the AND of its
+// items' row bitsets, then stores it in the smaller form, extracting a
+// row list from the bitset when that is the smaller. Construction is a
+// cold path: one scan of the dataset sets the bitsets of the items the
+// itemsets use, then each itemset costs one AND per item and word.
 func BuildCoverIndex(db *TxDB, itemsets []Itemset) *CoverIndex {
 	n := db.NumRows()
-	k := db.Catalog.NumItems()
+	c := &CoverIndex{covers: make([]cover, len(itemsets)), w: (n + 63) / 64, numRows: n}
 
-	// Posting lists, flat: postRows[postOffs[it]:postOffs[it+1]] are the
-	// rows containing item it, ascending.
-	postLen := make([]int32, k)
-	for _, row := range db.Data.Rows {
-		for a, v := range row {
-			postLen[db.Catalog.ItemFor(a, v)]++
+	// slot[it] is 1 + the position of item it's bitset in itemBits, or
+	// 0 when no itemset uses item it.
+	slot := make([]int32, db.Catalog.NumItems())
+	used := 0
+	for _, is := range itemsets {
+		for _, it := range is {
+			if slot[it] == 0 {
+				used++
+				slot[it] = int32(used)
+			}
 		}
 	}
-	postOffs := make([]int32, k+1)
-	for it := 0; it < k; it++ {
-		postOffs[it+1] = postOffs[it] + postLen[it]
-	}
-	cursor := make([]int32, k)
-	copy(cursor, postOffs[:k])
-	postRows := make([]int32, postOffs[k])
+	itemBits := make([]uint64, used*c.w)
 	for r, row := range db.Data.Rows {
 		for a, v := range row {
-			it := db.Catalog.ItemFor(a, v)
-			postRows[cursor[it]] = int32(r)
-			cursor[it]++
+			if s := slot[db.Catalog.ItemFor(a, v)]; s > 0 {
+				itemBits[int(s-1)*c.w+r/64] |= 1 << (uint(r) % 64)
+			}
 		}
+	}
+	bitsOf := func(it Item) bitset {
+		off := int(slot[it]-1) * c.w
+		return bitset(itemBits[off : off+c.w])
 	}
 
-	c := &CoverIndex{
-		offs:    make([]int32, 1, len(itemsets)+1),
-		numRows: n,
+	all := newBitset(n) // every row: the empty itemset's cover
+	for r := 0; r < n; r++ {
+		all.set(r)
 	}
-	for _, is := range itemsets {
-		if len(is) == 0 {
-			// The empty itemset covers everything.
-			for r := 0; r < n; r++ {
-				c.rows = append(c.rows, int32(r))
-			}
-			c.offs = append(c.offs, int32(len(c.rows)))
+	acc := newBitset(n)
+	for i, is := range itemsets {
+		copy(acc, all)
+		for _, it := range is {
+			intersect(acc, acc, bitsOf(it))
+		}
+		count := int(acc.count())
+		if c.isBitset(count) {
+			c.covers[i] = cover{off: len(c.words), count: count}
+			c.words = append(c.words, acc...)
 			continue
 		}
-		rarest := is[0]
-		for _, it := range is[1:] {
-			if postLen[it] < postLen[rarest] {
-				rarest = it
+		c.covers[i] = cover{off: len(c.rows), count: count}
+		for j, x := range acc {
+			for ; x != 0; x &= x - 1 {
+				c.rows = append(c.rows, int32(64*j+bits.TrailingZeros64(x)))
 			}
 		}
-		for _, r := range postRows[postOffs[rarest]:postOffs[rarest+1]] {
-			if db.Covers(int(r), is) {
-				c.rows = append(c.rows, r)
-			}
-		}
-		c.offs = append(c.offs, int32(len(c.rows)))
 	}
 	return c
 }
 
 // Len returns the number of indexed itemsets.
-func (c *CoverIndex) Len() int { return len(c.offs) - 1 }
+func (c *CoverIndex) Len() int { return len(c.covers) }
 
-// NumRows returns the row count of the underlying database.
-func (c *CoverIndex) NumRows() int { return c.numRows }
-
-// Cover returns the row indexes covered by itemset i, ascending. The
-// slice aliases the shared arena: callers must not modify it.
-func (c *CoverIndex) Cover(i int) []int32 {
-	return c.rows[c.offs[i]:c.offs[i+1]]
-}
-
-// Refold recomputes the tally of itemset i under an arbitrary per-row
-// class labelling — the permutation-testing primitive. With the
-// database's own Classes slice it reproduces TallyOf exactly.
-func (c *CoverIndex) Refold(i int, classes []uint8) Tally {
-	var t Tally
-	for _, r := range c.Cover(i) {
-		t[classes[r]]++
+// Fold returns how many of itemset i's covered rows lie in the split's
+// positive row set and how many in its negative one — the two counts a
+// metric's rate needs. A bitset cover is two AND-and-popcount passes
+// over W words, a row list one code byte per covered row. Under a split
+// of the database's own classes the counts equal TallyOf masked by the
+// split's class masks.
+//
+// lint:hot
+func (c *CoverIndex) Fold(i int, s *Split) (pos, neg int64) {
+	cv := c.covers[i]
+	if c.isBitset(cv.count) {
+		words := c.words[cv.off : cv.off+c.w]
+		p, q := s.pos[:len(words)], s.neg[:len(words)]
+		for j, x := range words {
+			pos += int64(bits.OnesCount64(x & p[j]))
+			neg += int64(bits.OnesCount64(x & q[j]))
+		}
+		return pos, neg
 	}
-	return t
+	// A row list sums its rows' codes, 1 for a positive row and 2 for a
+	// negative one, to pos + 2·neg, and counts the odd codes for pos;
+	// four rows a step keep the gathers independent of each other.
+	var sum, odd int64
+	code, rows := s.code, c.rows[cv.off:cv.off+cv.count]
+	for ; len(rows) >= 4; rows = rows[4:] {
+		a, b, x, y := int64(code[rows[0]]), int64(code[rows[1]]), int64(code[rows[2]]), int64(code[rows[3]])
+		sum += a + b + x + y
+		odd += a&1 + b&1 + x&1 + y&1
+	}
+	for _, r := range rows {
+		x := int64(code[r])
+		sum += x
+		odd += x & 1
+	}
+	return odd, (sum - odd) >> 1
 }
+
+// Split is a labelling of an index's rows into two disjoint sets — a
+// metric's positive rows and its negative rows — held in both forms
+// Fold reads: one row bitset per set, for bitset covers, and one code
+// byte per row, for row lists (bit 0 set when the row is positive, bit
+// 1 when it is negative). A Split is written in place by Fill, so one
+// split serves any number of labellings without allocating.
+type Split struct {
+	pos, neg bitset
+	code     []uint8
+}
+
+// NewSplit returns a split sized for the index's rows, with both sets
+// empty until Fill writes it. The code bytes run to the end of the last
+// bitset word; Fill never writes the padding, so it stays zero.
+func (c *CoverIndex) NewSplit() *Split {
+	return &Split{
+		pos:  newBitset(c.numRows),
+		neg:  newBitset(c.numRows),
+		code: make([]uint8, 64*c.w),
+	}
+}
+
+// Fill writes the split of one per-row class labelling under two
+// disjoint class masks: row r is positive when bit classes[r] of pos is
+// set and negative when that bit of neg is. classes must hold one class
+// in [0, MaxClasses) per row of the index.
+//
+// lint:hot
+func (s *Split) Fill(classes []uint8, pos, neg uint16) {
+	var codeOf [MaxClasses]uint8
+	for c := range codeOf {
+		codeOf[c] = uint8(pos>>c&1 | (neg>>c&1)<<1)
+	}
+	for r, c := range classes {
+		s.code[r] = codeOf[c&(MaxClasses-1)] // the mask only drops the bounds check
+	}
+	// Word j of each bitset packs one code bit of rows 64j..64j+63,
+	// eight rows a step.
+	for j := range s.pos {
+		var p, q uint64
+		for k := 0; k < 64; k += 8 {
+			x := binary.LittleEndian.Uint64(s.code[64*j+k:])
+			p |= packBytes(x&lowBits) << k
+			q |= packBytes(x>>1&lowBits) << k
+		}
+		s.pos[j], s.neg[j] = p, q
+	}
+}
+
+// lowBits selects bit 0 of each byte of a word.
+const lowBits = 0x0101010101010101
+
+// packBytes gathers eight bytes that are each 0 or 1 into one byte, byte
+// i of x becoming bit i: the multiply adds byte i's bit at bit 56+i and
+// every other product below bit 56 or above bit 63, with no carries.
+func packBytes(x uint64) uint64 { return x * 0x0102040810204080 >> 56 }

@@ -42,15 +42,15 @@ func TestKernelSteadyStateAllocFree(t *testing.T) {
 }
 
 // fuzzTxDB decodes fuzz bytes into a small transaction database. The
-// header is the attribute count (1–5), the class count K (1–8), one
+// header is the attribute count (1–5), the class count K (1–maxK), one
 // cardinality (1–4) per attribute and a threshold byte; every later
 // group of attrs+1 bytes is one row's values and class, up to 200 rows,
 // so a class can cross a word boundary and some classes stay empty.
-func fuzzTxDB(data []byte) (*TxDB, int64, bool) {
+func fuzzTxDB(data []byte, maxK int) (*TxDB, int64, bool) {
 	if len(data) < 3 {
 		return nil, 0, false
 	}
-	attrs, k := 1+int(data[0])%5, 1+int(data[1])%MaxClasses
+	attrs, k := 1+int(data[0])%5, 1+int(data[1])%maxK
 	if len(data) < 3+attrs {
 		return nil, 0, false
 	}
@@ -112,7 +112,7 @@ func FuzzMinersAgree(f *testing.F) {
 	f.Add(fuzzSeed(5, 8, 0, 0, 65, 0, 0, 64, 0, 0, 63))
 	f.Add(fuzzSeed(2, 1, 1, 10))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		db, minCount, ok := fuzzTxDB(data)
+		db, minCount, ok := fuzzTxDB(data, MaxClasses)
 		if !ok {
 			return
 		}

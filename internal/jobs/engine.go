@@ -51,8 +51,8 @@ type Config struct {
 	// SignificanceCacheEntries bounds the significance-outcome LRU; 64
 	// when <= 0.
 	SignificanceCacheEntries int
-	// MaxPermutations caps the permutation count a significance spec may
-	// request; 100000 when <= 0.
+	// MaxPermutations caps the label permutations one significance query
+	// may run — B sampled, or n! in exhaustive mode; 100000 when <= 0.
 	MaxPermutations int
 	// Queue replaces the default FIFO channel queue — the seam the
 	// serving layer uses to install weighted fair queueing. When nil a

@@ -155,11 +155,11 @@ func (e *Engine) validateSignificance(s *SignificanceSpec) (core.Metric, error) 
 		s.Permutations, s.Seed, s.Exhaustive = 0, 0, false
 	case MethodWY, MethodPermFDR:
 		if s.Exhaustive {
-			s.Permutations = 0 // the schedule is n!, not B
+			s.Permutations = 0 // the schedule is n!, not B; significance checks it
 		} else if s.Permutations == 0 {
 			s.Permutations = permtest.DefaultPermutations
 		}
-		if limit := positiveOr(e.cfg.MaxPermutations, 100000); s.Permutations > limit {
+		if limit := e.maxPermutations(); s.Permutations > limit {
 			return core.Metric{}, fmt.Errorf("%w: %d permutations over the limit %d", ErrBadInput, s.Permutations, limit)
 		}
 	default:
@@ -167,6 +167,10 @@ func (e *Engine) validateSignificance(s *SignificanceSpec) (core.Metric, error) 
 	}
 	return resolveMetric(&s.Metric)
 }
+
+// maxPermutations is the most label permutations one significance
+// query may run (Config.MaxPermutations).
+func (e *Engine) maxPermutations() int { return positiveOr(e.cfg.MaxPermutations, 100000) }
 
 // Significance answers one significance query synchronously, consulting
 // the outcome cache first.
@@ -205,6 +209,21 @@ func (e *Engine) significance(ctx context.Context, spec SignificanceSpec, tr *Tr
 	}
 	e.sigRuns.Add(1)
 
+	// The permutation schedule: B sampled, or all n! orderings, which
+	// only the mined table's row count fixes, so exhaustive mode meets
+	// the cap here. The product stops as soon as it passes the cap.
+	perms := spec.Permutations
+	if spec.Exhaustive {
+		limit := e.maxPermutations()
+		perms = 1
+		for i := 2; i <= res.DB.NumRows() && perms <= limit; i++ {
+			perms *= i
+		}
+		if perms > limit {
+			return nil, fmt.Errorf("%w: exhaustive enumeration of %d rows is over the limit of %d permutations", ErrBadInput, res.DB.NumRows(), limit)
+		}
+	}
+
 	out := &SignificanceOutcome{
 		Metric:     m.Name,
 		Method:     spec.Method,
@@ -236,14 +255,8 @@ func (e *Engine) significance(ctx context.Context, spec SignificanceSpec, tr *Tr
 			return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
 		}
 		out.Exhaustive = spec.Exhaustive
-		out.Permutations = spec.Permutations
-		if spec.Exhaustive {
-			out.Permutations = 1
-			for i := 2; i <= res.DB.NumRows(); i++ {
-				out.Permutations *= i
-			}
-		}
-		e.sigPerms.Add(int64(out.Permutations))
+		out.Permutations = perms
+		e.sigPerms.Add(int64(perms))
 	}
 
 	out.Rejected = len(sig)

@@ -3,8 +3,10 @@ package jobs
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/registry"
 )
 
@@ -58,14 +60,46 @@ func TestSignificanceSync(t *testing.T) {
 }
 
 func TestSignificanceExhaustiveTinyDataset(t *testing.T) {
-	// sampleCSV has 14 rows — over the exhaustive cap, so exhaustive mode
-	// must be rejected as bad input, not crash.
+	// sampleCSV has 14 rows — over the exhaustive row cap, and 14! is
+	// over the permutation cap, so exhaustive mode must be rejected as
+	// bad input, not crash.
 	e, h := testEngine(t, Config{Workers: 1})
 	spec := sigSpec(h)
 	spec.Exhaustive = true
 	spec.Permutations = 0
 	if _, err := e.Significance(context.Background(), spec); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("exhaustive over the row cap: %v, want ErrBadInput", err)
+	}
+}
+
+// TestSignificanceExhaustiveRespectsPermutationCap: an exhaustive query
+// runs n! permutations, so the cap applies to n!. Under a cap of 500 a
+// 5-row table (120 orderings) runs and a 6-row one (720) is refused as
+// bad input before any permutation runs.
+func TestSignificanceExhaustiveRespectsPermutationCap(t *testing.T) {
+	e, _ := testEngine(t, Config{Workers: 1, MaxPermutations: 500})
+	rows := []string{"A,0,1", "A,1,1", "B,0,0", "B,1,0", "A,0,0", "B,1,1"}
+	for _, c := range []struct {
+		rows int
+		ok   bool
+	}{{5, true}, {6, false}} {
+		csv := "group,truth,pred\n" + strings.Join(rows[:c.rows], "\n") + "\n"
+		entry, _, err := e.cfg.Registry.Register([]byte(csv), dataset.CSVOptions{TrimSpace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := SignificanceSpec{Dataset: entry.Hash, TruthCol: "truth", PredCol: "pred", Exhaustive: true}
+		out, err := e.Significance(context.Background(), spec)
+		if c.ok {
+			if err != nil || out.Permutations != 120 {
+				t.Fatalf("%d rows: outcome %+v, err %v; want 120 permutations", c.rows, out, err)
+			}
+		} else if !errors.Is(err, ErrBadInput) {
+			t.Fatalf("%d rows: err %v, want ErrBadInput", c.rows, err)
+		}
+	}
+	if got := e.SignificanceStatsSnapshot().Permutations; got != 120 {
+		t.Errorf("%d permutations run, want the 5-row table's 120 alone", got)
 	}
 }
 

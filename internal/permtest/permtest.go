@@ -3,15 +3,18 @@
 //
 // The engine permutes outcome labels only. Itemset covers and supports
 // depend on attribute values alone, so a label permutation changes no
-// cover: every permutation is one tally re-fold through the flat
-// fpm.CoverIndex arena — no re-mining, no allocation on the warm path.
-// Per permutation the engine computes every hypothesis's Welch statistic
-// under the permuted labels and folds the successive maxima (over the
-// hypotheses ranked by observed statistic, weakest to strongest) into
-// step-down exceedance counts; those counts become monotone
-// family-wise-error-controlling adjusted p-values. Per-hypothesis raw
-// exceedance counts are tracked in the same sweep for the
-// permutation-FDR variant.
+// cover: each pass writes the permuted labelling once as an fpm.Split,
+// and every hypothesis is then one fpm.CoverIndex fold — two
+// AND-and-popcount passes for a bitset cover, one code byte per covered
+// row for a row list — with no re-mining and no allocation on the warm
+// path. The folded counts are integers, so every statistic is
+// bit-identical to a per-row tally. Per permutation the engine computes
+// every hypothesis's Welch statistic under the permuted labels and folds
+// the successive maxima (over the hypotheses ranked by observed
+// statistic, weakest to strongest) into step-down exceedance counts;
+// those counts become monotone family-wise-error-controlling adjusted
+// p-values. Per-hypothesis raw exceedance counts are tracked in the same
+// sweep for the permutation-FDR variant.
 //
 // Determinism: permutation b always draws the same label shuffle,
 // seeded from (Config.Seed, b), regardless of which worker claims it,
@@ -80,14 +83,13 @@ type Result struct {
 	AdjP []float64
 }
 
-// Engine is an immutable prepared permutation test: the cover arena,
+// Engine is an immutable prepared permutation test: the cover index,
 // the observed statistics and the step-down ranking. Build once with
 // New, run any number of times with Run.
 type Engine struct {
 	covers     *fpm.CoverIndex
 	base       []uint8 // observed labels (private copy)
-	posOf      [fpm.MaxClasses]int64
-	negOf      [fpm.MaxClasses]int64
+	pos, neg   uint16  // the metric's class masks
 	globalPost stats.PosteriorRate
 	obsT       []float64 // observed statistics, input order
 	order      []int32   // hypothesis indexes, descending obsT
@@ -115,21 +117,17 @@ func New(db *fpm.TxDB, itemsets []fpm.Itemset, pos, neg uint16) (*Engine, error)
 	e := &Engine{
 		covers:     fpm.BuildCoverIndex(db, itemsets),
 		base:       append([]uint8(nil), db.Classes...),
+		pos:        pos,
+		neg:        neg,
 		globalPost: stats.NewPosteriorRate(float64(gp), float64(gn)),
 		n:          db.NumRows(),
 		m:          len(itemsets),
 	}
-	for c := 0; c < fpm.MaxClasses; c++ {
-		if pos&(1<<c) != 0 {
-			e.posOf[c] = 1
-		}
-		if neg&(1<<c) != 0 {
-			e.negOf[c] = 1
-		}
-	}
+	observed := e.covers.NewSplit()
+	observed.Fill(e.base, pos, neg)
 	e.obsT = make([]float64, e.m)
 	for i := range e.obsT {
-		e.obsT[i] = e.statOf(i, e.base)
+		e.obsT[i] = e.statOf(i, observed)
 	}
 	e.order = make([]int32, e.m)
 	for i := range e.order {
@@ -152,20 +150,17 @@ func (e *Engine) Hypotheses() int { return e.m }
 // ObservedT returns the observed Welch statistic of hypothesis i.
 func (e *Engine) ObservedT(i int) float64 { return e.obsT[i] }
 
-// statOf computes the Welch statistic of hypothesis i under the given
-// labels: one sequential fold over the flat cover arena, then the
-// posterior comparison against the (permutation-invariant) global rate.
-// This is the exact computation core.Result.TStat performs, so observed
-// statistics and permuted ones are bit-for-bit comparable.
+// statOf computes the Welch statistic of hypothesis i under the
+// labelling s: the cover index folds the hypothesis's positive and
+// negative counts, then the posterior is compared against the
+// (permutation-invariant) global rate. This is the exact computation
+// core.Result.TStat performs, and New scores the observed labels
+// through the same fold, so observed statistics and permuted ones are
+// bit-for-bit comparable.
 //
 // lint:hot
-func (e *Engine) statOf(i int, labels []uint8) float64 {
-	var kp, kn int64
-	for _, r := range e.covers.Cover(i) {
-		c := labels[r]
-		kp += e.posOf[c]
-		kn += e.negOf[c]
-	}
+func (e *Engine) statOf(i int, s *fpm.Split) float64 {
+	kp, kn := e.covers.Fold(i, s)
 	return stats.WelchTPosterior(stats.NewPosteriorRate(float64(kp), float64(kn)), e.globalPost)
 }
 

@@ -3,21 +3,25 @@ package permtest
 import (
 	"math"
 	"sync"
+
+	"repro/internal/fpm"
 )
 
-// permWorker is one pool worker: a private label buffer, decode
-// scratch, and exceedance-count accumulators, all allocated once at
-// construction and reused for every claimed permutation so the warm
-// per-permutation pass allocates nothing.
+// permWorker is one pool worker: a private label buffer, the permuted
+// labelling in the forms the cover fold reads, decode scratch, and
+// exceedance-count accumulators, all allocated once at construction and
+// reused for every claimed permutation so the warm per-permutation pass
+// allocates nothing.
 type permWorker struct {
 	e    *Engine
 	seed int64
 	fact []uint64 // non-nil selects exhaustive Lehmer decoding
 
-	labels   []uint8 // permuted labels, len n
-	idxBuf   []int32 // Lehmer decode scratch, len n
-	wyCount  []int64 // step-down exceedances, indexed by rank
-	rawCount []int64 // raw exceedances, indexed by hypothesis
+	labels   []uint8    // permuted labels, len n
+	split    *fpm.Split // labels as positive/negative row sets
+	idxBuf   []int32    // Lehmer decode scratch, len n
+	wyCount  []int64    // step-down exceedances, indexed by rank
+	rawCount []int64    // raw exceedances, indexed by hypothesis
 }
 
 func newPermWorker(e *Engine, seed int64, fact []uint64) *permWorker {
@@ -26,6 +30,7 @@ func newPermWorker(e *Engine, seed int64, fact []uint64) *permWorker {
 		seed:     seed,
 		fact:     fact,
 		labels:   make([]uint8, e.n),
+		split:    e.covers.NewSplit(),
 		idxBuf:   make([]int32, e.n),
 		wyCount:  make([]int64, e.m),
 		rawCount: make([]int64, e.m),
@@ -52,7 +57,8 @@ func (w *permWorker) run(r *permRun, wg *sync.WaitGroup) {
 	}
 }
 
-// pass runs one full permutation: relabel, then a single sweep over the
+// pass runs one full permutation: relabel, write the labelling as
+// positive and negative row sets once, then a single sweep over the
 // hypotheses from weakest to strongest observed statistic, maintaining
 // the running successive maximum u_j = max over ranks >= j of the
 // permuted statistic. u_j >= T_obs at rank j is one step-down (WY)
@@ -67,10 +73,11 @@ func (w *permWorker) pass(b int) {
 		w.shuffle(b)
 	}
 	e := w.e
+	w.split.Fill(w.labels, e.pos, e.neg)
 	u := math.Inf(-1)
 	for j := e.m - 1; j >= 0; j-- {
 		i := e.order[j]
-		stat := e.statOf(int(i), w.labels)
+		stat := e.statOf(int(i), w.split)
 		if stat > u {
 			u = stat
 		}

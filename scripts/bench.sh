@@ -28,9 +28,19 @@
 #                                        (narrowed scan) vs. warm
 #                                        (conditional-tally cache hit)
 #   BenchmarkPermutationPass             one label permutation: seeded
-#                                        shuffle plus the full max-T
-#                                        statistic sweep over the cover
-#                                        index (0 allocs/op is the bar)
+#                                        shuffle, the permuted labels'
+#                                        split, and the full max-T sweep
+#                                        over bitset covers (two
+#                                        AND-and-popcounts a hypothesis;
+#                                        0 allocs/op is the bar)
+#   BenchmarkPermutationPassSparse       the same pass over a 20,000-row
+#                                        table at s = 0.005, whose covers
+#                                        are mostly row lists (one code
+#                                        byte a covered row; 0 allocs/op)
+#   BenchmarkSignificanceWY              the significance-wy query in
+#                                        process: Westfall-Young over
+#                                        ~250 heart patterns, 1,000
+#                                        permutations on one worker
 #   BenchmarkWYAdjust                    the step-down adjustment fold,
 #                                        counts to monotone p-values
 #   BenchmarkRingLookup                  one consistent-hash owner lookup
@@ -70,11 +80,11 @@ echo "==> benchmarks (-benchtime ${benchtime}, -benchmem, -cpu=1)"
     go test -run=NONE -benchmem -cpu=1 -benchtime="${benchtime}" \
         -bench '^(BenchmarkMonitorIngest|BenchmarkWindowAdvance)$' ./internal/monitor
     go test -run=NONE -benchmem -cpu=1 -benchtime="${benchtime}" \
-        -bench '^(BenchmarkAnytimeTopK|BenchmarkRankAnalyze)$' ./internal/core
+        -bench '^(BenchmarkAnytimeTopK|BenchmarkRankAnalyze|BenchmarkSignificanceWY)$' ./internal/core
     go test -run=NONE -benchmem -cpu=1 -benchtime="${benchtime}" \
         -bench '^BenchmarkLatticeExpand$' ./internal/lattice
     go test -run=NONE -benchmem -cpu=1 -benchtime="${benchtime}" \
-        -bench '^(BenchmarkPermutationPass|BenchmarkWYAdjust)$' ./internal/permtest
+        -bench '^(BenchmarkPermutationPass|BenchmarkPermutationPassSparse|BenchmarkWYAdjust)$' ./internal/permtest
     go test -run=NONE -benchmem -cpu=1 -benchtime="${benchtime}" \
         -bench '^(BenchmarkRingLookup|BenchmarkForwardJob)$' ./internal/cluster
 } | tee /dev/stderr | go run ./cmd/benchfmt -date "${date}" -out "${out}"

@@ -78,7 +78,9 @@
 #                                  checked-in seed corpus (one target
 #                                  per package per run, as go test
 #                                  requires), FuzzMinersAgree (bitset
-#                                  kernel vs. BruteForce) included
+#                                  kernel vs. BruteForce) and
+#                                  FuzzCoverFold (both cover forms vs.
+#                                  TallyOf under relabelings) included
 #   8. coverage summary            per-package statement coverage for
 #                                  the durability layer (internal/jobs)
 #                                  and the miners the differential
@@ -89,8 +91,10 @@
 #                                  the gate, not the next perf session
 #   9a. allocation gate            the hot benchmarks whose allocs/op
 #                                  repeat exactly (both COMPAS mines,
-#                                  anytime top-K, ranking, permutation
-#                                  and WY passes, window advance,
+#                                  anytime top-K, ranking, the in-process
+#                                  significance-wy query, permutation
+#                                  passes over bitset and row-list
+#                                  covers, WY adjust, window advance,
 #                                  registry, ring lookup) at -cpu=1,
 #                                  compared by cmd/benchfmt -compare
 #                                  with the newest BENCH_*.json: any
@@ -172,6 +176,7 @@ go test -run=NONE -fuzz='^FuzzParseEvent$' -fuzztime=10s ./internal/monitor
 go test -run=NONE -fuzz='^FuzzExploreRequest$' -fuzztime=10s ./internal/server
 go test -run=NONE -fuzz='^FuzzSignificanceRequest$' -fuzztime=10s ./internal/server
 go test -run=NONE -fuzz='^FuzzMinersAgree$' -fuzztime=10s ./internal/fpm
+go test -run=NONE -fuzz='^FuzzCoverFold$' -fuzztime=10s ./internal/fpm
 
 echo "==> coverage summary (jobs, fpm)"
 go test -cover ./internal/jobs ./internal/fpm | awk '{print "    " $0}'
@@ -184,9 +189,9 @@ echo "==> allocation gate (hot benchmarks at -cpu=1 against the newest BENCH_*.j
     go test -run=NONE -benchmem -cpu=1 -benchtime=200x \
         -bench '^(BenchmarkMineFPGrowthCompas|BenchmarkMineBitsetCompas)$' .
     go test -run=NONE -benchmem -cpu=1 -benchtime=200x \
-        -bench '^(BenchmarkAnytimeTopK|BenchmarkRankAnalyze)$' ./internal/core
+        -bench '^(BenchmarkAnytimeTopK|BenchmarkRankAnalyze|BenchmarkSignificanceWY)$' ./internal/core
     go test -run=NONE -benchmem -cpu=1 -benchtime=200x \
-        -bench '^(BenchmarkPermutationPass|BenchmarkWYAdjust)$' ./internal/permtest
+        -bench '^(BenchmarkPermutationPass|BenchmarkPermutationPassSparse|BenchmarkWYAdjust)$' ./internal/permtest
     go test -run=NONE -benchmem -cpu=1 -benchtime=200x \
         -bench '^BenchmarkWindowAdvance$' ./internal/monitor
     go test -run=NONE -benchmem -cpu=1 -benchtime=200x \
