@@ -33,7 +33,7 @@ func TestFactsHotClosure(t *testing.T) {
 	hot := facts.HotFuncNames()
 	wantHot := []string{
 		"(*fixture/hotalloc.ring[T]).push",
-		"fixture/hotalloc.Mine", "fixture/hotalloc.MineGeneric", "fixture/hotalloc.MineReused",
+		"fixture/hotalloc.Mine", "fixture/hotalloc.MineGeneric", "fixture/hotalloc.MineLookup", "fixture/hotalloc.MineReused",
 		"fixture/hotalloc.grow", "fixture/hotalloc.guarded", "fixture/hotalloc.helper",
 	}
 	if strings.Join(hot, ",") != strings.Join(wantHot, ",") {

@@ -20,12 +20,14 @@ import (
 // into provably reused or capacity-preallocated buffers are exempt —
 // a `make` with an explicit capacity or a `buf = buf[:0]` reset in the
 // same function), string concatenation, string<->[]byte/[]rune
-// conversions, fmt.* calls (interface boxing), and function literals
-// (closure capture). Allocations that only feed a panic call are exempt:
-// a death path runs at most once per process, so formatting the panic
-// message is not a steady-state allocation. The zero-allocation contract
-// these checks enforce is locked in by the testing.AllocsPerRun guards
-// in internal/fpm.
+// conversions (except string(b) of a []byte as a comparison operand or
+// a map lookup key, which the compiler performs without a copy), fmt.*
+// calls (interface boxing), and function literals (closure capture).
+// Allocations that only feed a panic call are exempt: a death path
+// runs at most once per process, so formatting the panic message is not
+// a steady-state allocation. The zero-allocation contract these checks
+// enforce is locked in by the testing.AllocsPerRun guards in
+// internal/fpm.
 type HotAlloc struct{}
 
 // Name implements Analyzer.
@@ -69,6 +71,7 @@ func (h HotAlloc) checkFunc(pass *Pass, fd *ast.FuncDecl, wholeBody bool) {
 	loops := loopRanges(fd.Body)
 	death := panicArgRanges(pass, fd.Body)
 	reused := reusedBuffers(pass, fd)
+	inPlace := inPlaceConversions(pass, fd.Body)
 	name := fd.Name.Name
 	consumed := make(map[*ast.CompositeLit]bool)
 
@@ -82,7 +85,9 @@ func (h HotAlloc) checkFunc(pass *Pass, fd *ast.FuncDecl, wholeBody bool) {
 		}
 		switch x := n.(type) {
 		case *ast.CallExpr:
-			h.checkCall(pass, x, name, reused)
+			if !inPlace[x] {
+				h.checkCall(pass, x, name, reused)
+			}
 		case *ast.UnaryExpr:
 			if x.Op == token.AND {
 				if lit, ok := ast.Unparen(x.X).(*ast.CompositeLit); ok {
@@ -146,6 +151,50 @@ func (h HotAlloc) checkCall(pass *Pass, call *ast.CallExpr, fname string, reused
 	if pkg, fn, ok := pkgLevelCallee(pass, call); ok && pkg == "fmt" {
 		pass.Reportf(call.Pos(), "hot-loop allocation in %s: fmt.%s boxes its arguments; hot paths must not format per iteration", fname, fn)
 	}
+}
+
+// inPlaceConversions collects the string(b) conversions of a []byte
+// that the compiler performs without copying: an operand of a
+// comparison, and the key of a map read (not of a store, which keeps
+// the key). A []rune has no such form: string(runes) always encodes
+// into a new buffer.
+func inPlaceConversions(pass *Pass, body ast.Node) map[*ast.CallExpr]bool {
+	out := make(map[*ast.CallExpr]bool)
+	stores := make(map[ast.Expr]bool)
+	mark := func(e ast.Expr) {
+		call, ok := ast.Unparen(e).(*ast.CallExpr)
+		if !ok || len(call.Args) != 1 {
+			return
+		}
+		if tv, ok := pass.Info.Types[call.Fun]; ok && tv.IsType() &&
+			isString(tv.Type) && isByteSlice(pass.TypeOf(call.Args[0])) {
+			out[call] = true
+		}
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.AssignStmt:
+			for _, l := range x.Lhs {
+				stores[ast.Unparen(l)] = true
+			}
+		case *ast.IncDecStmt:
+			stores[ast.Unparen(x.X)] = true
+		case *ast.BinaryExpr:
+			switch x.Op {
+			case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
+				mark(x.X)
+				mark(x.Y)
+			}
+		case *ast.IndexExpr:
+			if t := pass.TypeOf(x.X); t != nil && !stores[x] {
+				if _, ok := t.Underlying().(*types.Map); ok {
+					mark(x.Index)
+				}
+			}
+		}
+		return true
+	})
+	return out
 }
 
 // panicArgRanges collects the extents of every argument to the panic
@@ -286,6 +335,19 @@ func isByteOrRuneSlice(t types.Type) bool {
 	}
 	b, ok := s.Elem().Underlying().(*types.Basic)
 	return ok && (b.Kind() == types.Byte || b.Kind() == types.Rune || b.Kind() == types.Uint8 || b.Kind() == types.Int32)
+}
+
+// isByteSlice reports whether t is a slice of bytes.
+func isByteSlice(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	s, ok := t.Underlying().(*types.Slice)
+	if !ok {
+		return false
+	}
+	b, ok := s.Elem().Underlying().(*types.Basic)
+	return ok && b.Kind() == types.Byte
 }
 
 // kindOf renders a short, deterministic description of a type for

@@ -90,6 +90,28 @@ func MineReused(rows [][]int) []int {
 	return out
 }
 
+// MineLookup compares and looks up byte-slice keys through string(b),
+// which the compiler does without a copy; only the store's key, which
+// the map keeps, allocates. A rune slice has no such form: comparing
+// string(runes) still encodes a new string.
+// lint:hot
+func MineLookup(cells [][]byte, runes []rune, seen map[string]int, known string) int {
+	n := 0
+	for _, c := range cells {
+		if string(c) == known || known < string(c) {
+			n++
+		}
+		if string(runes) == known {
+			n--
+		}
+		if k, ok := seen[string(c)]; ok {
+			n += k
+		}
+		seen[string(c)] = n
+	}
+	return n
+}
+
 // Cold is Mine without the annotation and outside the hot closure: the
 // same allocations produce no findings.
 func Cold(rows [][]int) []int {

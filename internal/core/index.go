@@ -49,7 +49,6 @@ func newResult(db *fpm.TxDB, minSup float64, minCount int64, miner string, patte
 				continue
 			}
 			buf = appendKey(appendKey(buf[:0], p.Items[:j]), p.Items[j+1:])
-			// lint:ignore hotalloc a map index with a string(bytes) key compiles to a non-allocating lookup
 			q, ok := r.index[string(buf)]
 			if !ok {
 				q = int(missingParent)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/fpm"
@@ -37,34 +38,53 @@ type PermutationOutcome struct {
 // defined (the same hypothesis set RankAll scores). The context cancels
 // the permutation schedule within one permutation per worker.
 func (r *Result) PermutationTest(ctx context.Context, m Metric, cfg permtest.Config) (*PermutationOutcome, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	itemsets := make([]fpm.Itemset, 0, len(r.Patterns))
-	ranked := make([]Ranked, 0, len(r.Patterns))
-	for _, p := range r.Patterns {
-		if rk, ok := r.ranked(p, m); ok {
-			itemsets = append(itemsets, p.Items)
-			ranked = append(ranked, rk)
-		}
-	}
-	eng, err := permtest.New(r.DB, itemsets, m.Pos, m.Neg)
-	if err != nil {
-		return nil, fmt.Errorf("core: permutation test: %w", err)
-	}
-	pr, err := eng.Run(ctx, cfg)
+	tested, pr, err := r.permute(ctx, m, cfg)
 	if err != nil {
 		return nil, err
 	}
 	out := &PermutationOutcome{
-		Tested:       make([]Significant, len(ranked)),
+		Tested:       make([]Significant, len(tested)),
 		Permutations: pr.Permutations,
 		Exhaustive:   pr.Exhaustive,
 	}
-	for i, rk := range ranked {
-		out.Tested[i] = Significant{Ranked: rk, P: pr.RawP[i], AdjP: pr.AdjP[i]}
+	for i, pi := range tested {
+		out.Tested[i] = r.significant(pi, m, pr.RawP[i], pr.AdjP[i])
 	}
 	return out, nil
+}
+
+// permute runs the permutation engine over the patterns on which m is
+// defined. It returns their positions in r.Patterns (mining order),
+// aligned with the engine's per-hypothesis p-values; callers annotate
+// only the hypotheses they keep.
+func (r *Result) permute(ctx context.Context, m Metric, cfg permtest.Config) ([]int32, *permtest.Result, error) {
+	if err := m.Validate(); err != nil {
+		return nil, nil, err
+	}
+	tested := make([]int32, 0, len(r.Patterns))
+	itemsets := make([]fpm.Itemset, 0, len(r.Patterns))
+	for i, p := range r.Patterns {
+		if !math.IsNaN(r.Rate(p.Tally, m)) {
+			tested = append(tested, int32(i))
+			itemsets = append(itemsets, p.Items)
+		}
+	}
+	eng, err := permtest.New(r.DB, itemsets, m.Pos, m.Neg)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: permutation test: %w", err)
+	}
+	pr, err := eng.Run(ctx, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return tested, pr, nil
+}
+
+// significant annotates pattern pi, one on which m is defined, with its
+// p-values.
+func (r *Result) significant(pi int32, m Metric, p, adjP float64) Significant {
+	rk, _ := r.ranked(r.Patterns[pi], m)
+	return Significant{Ranked: rk, P: p, AdjP: adjP}
 }
 
 // SignificantPatternsWY returns the patterns surviving Westfall–Young
@@ -73,14 +93,20 @@ func (r *Result) PermutationTest(ctx context.Context, m Metric, cfg permtest.Con
 // AdjP is the step-down max-T adjusted p-value, valid under the
 // dependence between overlapping itemsets.
 func (r *Result) SignificantPatternsWY(ctx context.Context, m Metric, alpha float64, order RankOrder, cfg permtest.Config) ([]Significant, error) {
-	po, err := r.PermutationTest(ctx, m, cfg)
+	tested, pr, err := r.permute(ctx, m, cfg)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Significant, 0, len(po.Tested))
-	for _, s := range po.Tested {
-		if s.AdjP <= alpha {
-			out = append(out, s)
+	n := 0
+	for _, adj := range pr.AdjP {
+		if adj <= alpha {
+			n++
+		}
+	}
+	out := make([]Significant, 0, n)
+	for i, pi := range tested {
+		if pr.AdjP[i] <= alpha {
+			out = append(out, r.significant(pi, m, pr.RawP[i], pr.AdjP[i]))
 		}
 	}
 	sortSignificant(out, order)
@@ -93,20 +119,21 @@ func (r *Result) SignificantPatternsWY(ctx context.Context, m Metric, alpha floa
 // p-values come from resampling, only the multiplicity correction is
 // BH. AdjP carries the BH-adjusted permutation p-value.
 func (r *Result) SignificantPatternsPermFDR(ctx context.Context, m Metric, q float64, order RankOrder, cfg permtest.Config) ([]Significant, error) {
-	po, err := r.PermutationTest(ctx, m, cfg)
+	tested, pr, err := r.permute(ctx, m, cfg)
 	if err != nil {
 		return nil, err
 	}
-	pvals := make([]float64, len(po.Tested))
-	for i, s := range po.Tested {
-		pvals[i] = s.P
+	reject, adjusted := stats.BenjaminiHochberg(pr.RawP, q)
+	n := 0
+	for _, ok := range reject {
+		if ok {
+			n++
+		}
 	}
-	reject, adjusted := stats.BenjaminiHochberg(pvals, q)
-	out := make([]Significant, 0, len(po.Tested))
-	for i, s := range po.Tested {
+	out := make([]Significant, 0, n)
+	for i, pi := range tested {
 		if reject[i] {
-			s.AdjP = adjusted[i]
-			out = append(out, s)
+			out = append(out, r.significant(pi, m, pr.RawP[i], adjusted[i]))
 		}
 	}
 	sortSignificant(out, order)

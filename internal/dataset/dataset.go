@@ -142,7 +142,9 @@ func (d *Dataset) Subset(rows []int) *Dataset {
 }
 
 // DropAttrs returns a new dataset without the named attributes. Unknown
-// names are reported as an error so callers notice schema drift.
+// names are reported as an error so callers notice schema drift. The
+// kept codes are copied into one arena, each row a capacity-bounded
+// window of it.
 func (d *Dataset) DropAttrs(names ...string) (*Dataset, error) {
 	drop := make(map[int]bool, len(names))
 	for _, n := range names {
@@ -162,8 +164,10 @@ func (d *Dataset) DropAttrs(names ...string) (*Dataset, error) {
 	for i, j := range keep {
 		out.Attrs[i] = d.Attrs[j]
 	}
+	nk := len(keep)
+	arena := make([]int32, len(d.Rows)*nk)
 	for r, row := range d.Rows {
-		nr := make([]int32, len(keep))
+		nr := arena[r*nk : (r+1)*nk : (r+1)*nk]
 		for i, j := range keep {
 			nr[i] = row[j]
 		}
@@ -247,20 +251,46 @@ func (b *Builder) Add(values ...string) error {
 // remaps all stored rows accordingly. Useful for deterministic output
 // independent of record order.
 func (b *Builder) SortDomains() {
+	sortDomains(&Dataset{Attrs: b.attrs, Rows: b.rows})
 	for j := range b.attrs {
-		old := b.attrs[j].Values
-		sorted := append([]string(nil), old...)
-		sort.Strings(sorted)
-		remap := make([]int32, len(old))
-		for newCode, v := range sorted {
-			remap[b.lookup[j][v]] = int32(newCode)
+		for k, v := range b.attrs[j].Values {
+			b.lookup[j][v] = int32(k)
 		}
-		b.attrs[j].Values = sorted
-		for v, c := range b.lookup[j] {
-			b.lookup[j][v] = remap[c]
+	}
+}
+
+// sortDomains sorts every domain lexicographically and rewrites the
+// codes to match, in one pass over the rows for all columns whose
+// first-seen order was not already sorted.
+func sortDomains(d *Dataset) {
+	remaps := make([][]int32, len(d.Attrs))
+	var moved []int
+	for j := range d.Attrs {
+		vals := d.Attrs[j].Values
+		if sort.StringsAreSorted(vals) {
+			continue
 		}
-		for _, row := range b.rows {
-			row[j] = remap[row[j]]
+		order := make([]int32, len(vals))
+		for k := range order {
+			order[k] = int32(k)
+		}
+		sort.Slice(order, func(a, b int) bool { return vals[order[a]] < vals[order[b]] })
+		sorted := make([]string, len(vals))
+		remap := make([]int32, len(vals))
+		for k, old := range order {
+			sorted[k] = vals[old]
+			remap[old] = int32(k)
+		}
+		d.Attrs[j].Values = sorted
+		remaps[j] = remap
+		moved = append(moved, j)
+	}
+	if len(moved) == 0 {
+		return
+	}
+	for _, row := range d.Rows {
+		for _, j := range moved {
+			row[j] = remaps[j][row[j]]
 		}
 	}
 }

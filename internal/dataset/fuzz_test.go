@@ -2,6 +2,7 @@ package dataset_test
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,8 +14,11 @@ import (
 // the pipeline invariants the server relies on:
 //
 //   - parsing never panics, on raw or canonicalized input;
-//   - registry.Canonicalize is idempotent, and content hashes are
+//   - dataset.Canonicalize is idempotent, and content hashes are
 //     line-ending independent (the content-addressing contract);
+//   - raw bytes parse exactly as their canonical form does — accepted
+//     or rejected alike, to the same dataset — so bytes that share a
+//     content address share a dataset;
 //   - every accepted dataset validates;
 //   - parse → write → parse is a fixpoint: the written form re-parses to
 //     the same shape and re-writes byte-identically, so a stored dataset
@@ -30,17 +34,18 @@ func FuzzParseCSV(f *testing.F) {
 	f.Add("col\n\"embedded\nnewline\"\n")
 	f.Add("a,b\n x , 1 \n")
 	f.Fuzz(func(t *testing.T, input string) {
-		canon := registry.Canonicalize([]byte(input))
-		if again := registry.Canonicalize(canon); !bytes.Equal(again, canon) {
+		canon := dataset.Canonicalize([]byte(input))
+		if again := dataset.Canonicalize(canon); !bytes.Equal(again, canon) {
 			t.Fatalf("Canonicalize not idempotent:\n%q\n%q", canon, again)
 		}
 		if registry.HashBytes([]byte(input)) != registry.HashBytes(canon) {
 			t.Fatal("content hash differs between raw and canonical bytes")
 		}
-		// The raw input must never panic, accepted or not.
-		_, _ = dataset.ReadCSV(strings.NewReader(input), dataset.CSVOptions{TrimSpace: true})
-
+		raw, rawErr := dataset.ReadCSV(strings.NewReader(input), dataset.CSVOptions{TrimSpace: true})
 		d, err := dataset.ReadCSV(bytes.NewReader(canon), dataset.CSVOptions{TrimSpace: true})
+		if (rawErr == nil) != (err == nil) || (err == nil && !reflect.DeepEqual(raw, d)) {
+			t.Fatalf("raw and canonical bytes parse differently:\nraw:   %v, %v\ncanon: %v, %v", raw, rawErr, d, err)
+		}
 		if err != nil {
 			return // rejection is fine; panics are not
 		}

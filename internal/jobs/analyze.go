@@ -73,24 +73,35 @@ func confusionDB(data *dataset.Dataset, truthCol, predCol string) (*fpm.TxDB, er
 }
 
 // extractLabels pulls and removes the Boolean label columns. The input
-// dataset is not modified; mining runs on the returned copy.
+// dataset is not modified; mining runs on the returned copy. Each
+// label column's few domain values are classified once, and rows are
+// read by code.
 func extractLabels(d *dataset.Dataset, truthCol, predCol string) (truth, pred []bool, out *dataset.Dataset, err error) {
 	parse := func(col string) ([]bool, error) {
 		idx := d.AttrIndex(col)
 		if idx < 0 {
 			return nil, fmt.Errorf("unknown column %q", col)
 		}
-		vals := make([]bool, d.NumRows())
-		for r := range d.Rows {
-			switch strings.ToLower(d.Value(r, idx)) {
+		values := d.Attrs[idx].Values
+		class := make([]int8, len(values)) // 1 true, 0 false, -1 not Boolean
+		for k, v := range values {
+			switch strings.ToLower(v) {
 			case "1", "true", "t", "yes", "y":
-				vals[r] = true
+				class[k] = 1
 			case "0", "false", "f", "no", "n":
-				vals[r] = false
+				class[k] = 0
 			default:
-				return nil, fmt.Errorf("row %d: column %q value %q is not Boolean",
-					r, col, d.Value(r, idx))
+				class[k] = -1
 			}
+		}
+		vals := make([]bool, d.NumRows())
+		for r, row := range d.Rows {
+			c := class[row[idx]]
+			if c < 0 {
+				return nil, fmt.Errorf("row %d: column %q value %q is not Boolean",
+					r, col, values[row[idx]])
+			}
+			vals[r] = c == 1
 		}
 		return vals, nil
 	}

@@ -1,9 +1,12 @@
 package registry
 
 import (
+	"bytes"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/dataset"
 )
 
@@ -59,7 +62,7 @@ func BenchmarkRegistryGetDiskFallthrough(b *testing.B) {
 		}
 		// Pre-spill so the fall-through arm has a file to load without
 		// waiting for a budget eviction.
-		if err := sp.store(e.Hash, Canonicalize(uniqueCSV(0))); err != nil {
+		if err := sp.store(e.Hash, dataset.Canonicalize(uniqueCSV(0))); err != nil {
 			b.Fatal(err)
 		}
 		return r, e.Hash
@@ -87,30 +90,50 @@ func BenchmarkRegistryGetDiskFallthrough(b *testing.B) {
 	})
 }
 
-// BenchmarkRegistryRegister prices registration's two rungs: a fresh
-// dataset (canonicalize, hash, parse, LRU insert) versus the dedup fast
-// path (canonicalize, hash, LRU hit). The fresh arm cycles a fixed pool
-// of unique CSVs and evicts each entry right after inserting it so the
-// registry stays small at any b.N; the in-loop memory-tier delete is
-// bookkeeping noise next to the measured parse+hash. Wired
-// into the verify.sh benchmark-smoke tier and the scripts/bench.sh
-// perf-trajectory snapshot.
+// BenchmarkRegistryRegister prices registration's rungs: a fresh
+// dataset (canonicalize, hash, decode, LRU insert) versus the dedup
+// fast path (canonicalize, hash, LRU hit). The fresh arms cycle a fixed
+// pool of distinct CSVs and evict each entry right after inserting it
+// so the registry stays small at any b.N; the in-loop memory-tier
+// delete is bookkeeping noise next to the measured decode+hash.
+// "fresh" registers a two-row table, so it prices the fixed cost;
+// "audit-random" and "audit-compas" register the audit-cold shapes —
+// a 5,000×10 random table of cardinality 4 and a re-seeded COMPAS,
+// whose "[1,3]" cells are quoted, both with truth and pred columns —
+// so the decoder's per-cell cost shows. Each pool copy differs only in
+// a fixed-width header suffix, so every call misses and allocates
+// alike. Wired into the verify.sh benchmark-smoke tier and allocation
+// gate and the scripts/bench.sh perf-trajectory snapshot.
 func BenchmarkRegistryRegister(b *testing.B) {
 	const pool = 512
-	b.Run("fresh", func(b *testing.B) {
-		csvs := make([][]byte, pool)
-		for i := range csvs {
-			csvs[i] = uniqueCSV(i)
-		}
+	fresh := func(b *testing.B, csvs [][]byte) {
 		r := New(0)
+		b.SetBytes(int64(len(csvs[0])))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e, _, err := r.Register(csvs[i%pool], dataset.CSVOptions{})
+			e, _, err := r.Register(csvs[i%len(csvs)], dataset.CSVOptions{TrimSpace: true})
 			if err != nil {
 				b.Fatal(err)
 			}
 			r.mem.Remove(e.Hash)
 		}
+	}
+	b.Run("fresh", func(b *testing.B) {
+		csvs := make([][]byte, pool)
+		for i := range csvs {
+			csvs[i] = uniqueCSV(i)
+		}
+		fresh(b, csvs)
+	})
+	b.Run("audit-random", func(b *testing.B) {
+		g, err := datagen.Random(1, datagen.RandomConfig{Rows: 5000, Attrs: 10, MaxCard: 4})
+		if err != nil {
+			b.Fatal(err)
+		}
+		fresh(b, labelledCopies(b, g, 8))
+	})
+	b.Run("audit-compas", func(b *testing.B) {
+		fresh(b, labelledCopies(b, datagen.COMPAS(7), 8))
 	})
 	b.Run("dedup", func(b *testing.B) {
 		r := New(0)
@@ -125,6 +148,37 @@ func BenchmarkRegistryRegister(b *testing.B) {
 			}
 		}
 	})
+}
+
+// labelledCopies writes n distinct CSV copies of g with its truth and
+// pred columns appended, as an audit upload carries them. Copy k
+// renames the first column with the fixed-width suffix _k, so the
+// copies hash apart but decode with the same allocations.
+func labelledCopies(b *testing.B, g *datagen.Generated, n int) [][]byte {
+	b.Helper()
+	d := g.Data.Clone()
+	bit := []string{"0", "1"}
+	d.Attrs = append(d.Attrs, dataset.Attribute{Name: "truth", Values: bit}, dataset.Attribute{Name: "pred", Values: bit})
+	code := func(v bool) int32 {
+		if v {
+			return 1
+		}
+		return 0
+	}
+	for r := range d.Rows {
+		d.Rows[r] = append(d.Rows[r], code(g.Truth[r]), code(g.Pred[r]))
+	}
+	name := d.Attrs[0].Name
+	out := make([][]byte, n)
+	for k := range out {
+		d.Attrs[0].Name = fmt.Sprintf("%s_%02d", name, k)
+		var buf bytes.Buffer
+		if err := dataset.WriteCSV(&buf, d); err != nil {
+			b.Fatal(err)
+		}
+		out[k] = buf.Bytes()
+	}
+	return out
 }
 
 // BenchmarkRegistryParallelMixed adds registration traffic (90% Get /

@@ -19,7 +19,6 @@
 package registry
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -32,32 +31,16 @@ import (
 // of its canonicalized CSV bytes.
 type Hash string
 
-// HashBytes computes the content address of raw CSV bytes.
-func HashBytes(csv []byte) Hash {
-	sum := sha256.Sum256(Canonicalize(csv))
-	return Hash(hex.EncodeToString(sum[:]))
-}
+// HashBytes computes the content address of raw CSV bytes: the hash
+// of their canonical form, computed in place when they are already
+// canonical.
+func HashBytes(csv []byte) Hash { return hashCanonical(dataset.Canonicalize(csv)) }
 
-// Canonicalize normalizes CSV bytes before hashing: CRLF and lone CR
-// line endings become LF, and a missing final newline is added. Parsing
-// is unaffected (encoding/csv already accepts all three), so two uploads
-// that parse identically hash identically.
-func Canonicalize(csv []byte) []byte {
-	out := make([]byte, 0, len(csv)+1)
-	for i := 0; i < len(csv); i++ {
-		c := csv[i]
-		if c == '\r' {
-			if i+1 < len(csv) && csv[i+1] == '\n' {
-				i++
-			}
-			c = '\n'
-		}
-		out = append(out, c)
-	}
-	if len(out) > 0 && out[len(out)-1] != '\n' {
-		out = append(out, '\n')
-	}
-	return out
+// hashCanonical is the content address of bytes already in canonical
+// form.
+func hashCanonical(canon []byte) Hash {
+	sum := sha256.Sum256(canon)
+	return Hash(hex.EncodeToString(sum[:]))
 }
 
 // Entry is one registered dataset. Entries are immutable once created:
@@ -69,8 +52,10 @@ type Entry struct {
 	Bytes int64 // estimated resident size, charged against the budget
 
 	// raw holds the canonicalized CSV bytes when a spill tier is
-	// attached — the payload a byte-budget eviction writes to disk.
-	// Registries without a spill tier leave it nil (no memory overhead).
+	// attached — the payload a byte-budget eviction writes to disk. It
+	// may alias the uploaded buffer (canonical uploads are not copied),
+	// which no caller writes to after registering it. Registries
+	// without a spill tier leave it nil (no memory overhead).
 	raw []byte
 }
 
@@ -131,23 +116,25 @@ func (r *Registry) AttachSpill(sp *Spill, opts dataset.CSVOptions) {
 // Spill returns the attached disk tier, nil if none.
 func (r *Registry) Spill() *Spill { return r.spill }
 
-// Register stores the dataset parsed from csv under its content address.
+// Register stores the dataset decoded from csv under its content
+// address. The upload is canonicalized once (in place when it already
+// is canonical), hashed, and — on a miss — those same canonical bytes
+// are decoded, so the dataset is always the one its address names.
 // When the hash is already present the existing entry is returned with
-// existed == true and nothing is re-parsed — that dedup is the cache hit
+// existed == true and nothing is decoded — that dedup is the cache hit
 // the counters record. A parse failure stores nothing.
 func (r *Registry) Register(csv []byte, opts dataset.CSVOptions) (*Entry, bool, error) {
-	canon := Canonicalize(csv)
-	sum := sha256.Sum256(canon)
-	h := Hash(hex.EncodeToString(sum[:]))
+	canon := dataset.Canonicalize(csv)
+	h := hashCanonical(canon)
 	if e, ok := r.mem.Get(h); ok {
 		return e, true, nil
 	}
 
-	// Parse outside the lock: CSV parsing dominates registration cost and
+	// Decode outside the lock: decoding dominates registration cost and
 	// must not serialize unrelated requests. A concurrent duplicate upload
-	// may parse twice; the insert below hands the later one the first
+	// may decode twice; the insert below hands the later one the first
 	// entry stored and discards its copy.
-	data, err := dataset.ReadCSV(bytes.NewReader(csv), opts)
+	data, err := dataset.Decode(canon, opts)
 	if err != nil {
 		return nil, false, fmt.Errorf("registry: parsing CSV: %w", err)
 	}
@@ -208,7 +195,7 @@ func (r *Registry) promoteFromSpill(h Hash) (*Entry, bool) {
 		r.locks.unlock(h)
 		return nil, false // missing, unreadable, or quarantined: a plain miss
 	}
-	data, err := dataset.ReadCSV(bytes.NewReader(raw), r.spillOpts)
+	data, err := dataset.Decode(raw, r.spillOpts)
 	if err != nil {
 		// The bytes hash correctly, so they are exactly what was once
 		// parsed successfully; a parse failure here means the options

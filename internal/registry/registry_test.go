@@ -2,6 +2,7 @@ package registry
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -140,5 +141,57 @@ func TestConcurrentRegister(t *testing.T) {
 	}
 	if s := r.Stats(); s.Entries != 1 {
 		t.Errorf("concurrent identical registers left %d entries", s.Entries)
+	}
+}
+
+// TestRegisterParsesWhatItHashes pins the content-address contract: an
+// upload is decoded from the canonical bytes its address hashes, so a
+// lone CR is a line break whichever form arrives first, and a raw
+// upload, its canonical form and a copy promoted back from the spill
+// tier are one dataset. An upload whose canonical form is malformed is
+// rejected in every form, rather than stored under an address whose
+// spill file could never be promoted.
+func TestRegisterParsesWhatItHashes(t *testing.T) {
+	opts := dataset.CSVOptions{TrimSpace: true}
+	raw := []byte("a\nx\ry\nz\n")
+	canon := dataset.Canonicalize(raw)
+
+	fresh, _, err := New(0).Register(canon, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Data.NumRows() != 3 {
+		t.Fatalf("canonical form decodes to %d rows, want 3", fresh.Data.NumRows())
+	}
+
+	r, _ := spilledRegistry(t, 1, 0, nil)
+	first, _, err := r.Register(raw, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, existed, err := r.Register(canon, opts)
+	if err != nil || !existed || again != first {
+		t.Fatalf("canonical re-upload: existed=%v same=%v err=%v", existed, again == first, err)
+	}
+	// A second dataset over the 1-byte budget spills the first; Get
+	// promotes it from disk.
+	if _, _, err := r.Register([]byte(csvA), opts); err != nil {
+		t.Fatal(err)
+	}
+	promoted, ok := r.Get(first.Hash)
+	if !ok || promoted == first {
+		t.Fatalf("spilled dataset not promoted from disk (found=%v, still resident=%v)", ok, promoted == first)
+	}
+	for name, e := range map[string]*Entry{"raw upload": first, "promoted": promoted} {
+		if !reflect.DeepEqual(e.Data, fresh.Data) {
+			t.Errorf("%s decodes to %v, canonical form to %v", name, e.Data, fresh.Data)
+		}
+	}
+
+	ragged := []byte("c,t,p\nx,1,0\ny\r,0,1\n")
+	_, _, rawErr := New(0).Register(ragged, opts)
+	_, _, canonErr := New(0).Register(dataset.Canonicalize(ragged), opts)
+	if rawErr == nil || canonErr == nil || rawErr.Error() != canonErr.Error() {
+		t.Errorf("ragged upload: raw err %v, canonical err %v; want the same rejection", rawErr, canonErr)
 	}
 }

@@ -1,8 +1,6 @@
 package registry
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -242,8 +240,7 @@ func (s *Spill) load(h Hash) ([]byte, error) {
 		s.loadErrors.Add(1)
 		return nil, fmt.Errorf("registry: reading spill file: %w", err)
 	}
-	sum := sha256.Sum256(raw)
-	if Hash(hex.EncodeToString(sum[:])) != h {
+	if hashCanonical(raw) != h {
 		s.quarantine(h)
 		return nil, fmt.Errorf("%w: %s", ErrCorrupt, h)
 	}

@@ -307,7 +307,7 @@ func TestSpillDiskBudget(t *testing.T) {
 	}
 	var hashes []Hash
 	for i := 0; i < 6; i++ {
-		raw := Canonicalize(uniqueCSV(i))
+		raw := dataset.Canonicalize(uniqueCSV(i))
 		h := HashBytes(raw)
 		if err := sp.store(h, raw); err != nil {
 			t.Fatal(err)
@@ -362,7 +362,7 @@ func TestSpillRespillSurvivesConcurrentTrim(t *testing.T) {
 	hashes := make([]Hash, 3)
 	var total int64
 	for i := range raws {
-		raws[i] = Canonicalize(uniqueCSV(i))
+		raws[i] = dataset.Canonicalize(uniqueCSV(i))
 		hashes[i] = HashBytes(raws[i])
 		total += int64(len(raws[i]))
 	}
@@ -426,7 +426,7 @@ func TestOpenSpillSweepsTempFiles(t *testing.T) {
 	if err := os.WriteFile(stale, []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	raw := Canonicalize(uniqueCSV(0))
+	raw := dataset.Canonicalize(uniqueCSV(0))
 	if err := os.WriteFile(filepath.Join(dir, SpillFileName(HashBytes(raw))), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -576,7 +576,7 @@ func TestNoSpillBehaviorUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(e2.raw, Canonicalize([]byte(csvA))) {
+	if !bytes.Equal(e2.raw, dataset.Canonicalize([]byte(csvA))) {
 		t.Error("spill-attached entry must retain the canonical bytes")
 	}
 	if want := datasetBytes(e2.Data) + int64(len(e2.raw)); e2.Bytes != want {

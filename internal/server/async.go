@@ -104,7 +104,7 @@ func (s *Server) handleDatasetRegister(w http.ResponseWriter, r *http.Request) {
 	if !existed {
 		// Replicate the dataset to the other owners of its hash, so a
 		// forwarded or failed-over job finds it resident there.
-		s.replicateSpill(entry.Hash, registry.Canonicalize(body))
+		s.replicateSpill(entry.Hash, dataset.Canonicalize(body))
 	}
 	writeJSON(w, http.StatusOK, datasetJSON{
 		Hash:       string(entry.Hash),
@@ -189,7 +189,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		hash = entry.Hash
 		bytes = entry.Bytes
 		if s.cluster != nil {
-			csv = registry.Canonicalize(body)
+			csv = dataset.Canonicalize(body)
 		}
 	}
 	spec := req.spec(hash)

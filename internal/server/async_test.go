@@ -333,6 +333,61 @@ func TestOversizedBody413(t *testing.T) {
 	}
 }
 
+// TestReadBodySizing checks the body read against the Content-Length
+// a client declares: a truthful length under the limit is read into one
+// buffer of exactly that size, while a missing, understated or
+// over-limit claim reads the same bytes without a buffer sized from the
+// header, and a body past the limit is still refused. Under it,
+// readSized reads a stream of known length in one allocation.
+func TestReadBodySizing(t *testing.T) {
+	const limit = 1 << 10
+	s := newTestServer(t, Options{MaxBodyBytes: limit})
+	body := strings.Repeat("x", 100)
+	for _, c := range []struct {
+		name     string
+		declared int64
+	}{
+		{"truthful", 100}, {"unknown", -1}, {"understated", 10}, {"over limit", 1 << 40},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/datasets", strings.NewReader(body))
+		req.ContentLength = c.declared
+		got, ok := s.readBody(httptest.NewRecorder(), req)
+		if !ok || string(got) != body {
+			t.Errorf("%s: read %d bytes, ok=%v", c.name, len(got), ok)
+			continue
+		}
+		if c.name == "truthful" && cap(got) != len(body)+1 {
+			t.Errorf("truthful: cap %d, want one buffer of %d", cap(got), len(body)+1)
+		}
+		if cap(got) > limit {
+			t.Errorf("%s: cap %d exceeds the %d-byte limit", c.name, cap(got), limit)
+		}
+	}
+	req := httptest.NewRequest(http.MethodPost, "/datasets", strings.NewReader(strings.Repeat("x", limit+1)))
+	req.ContentLength = 10
+	w := httptest.NewRecorder()
+	if _, ok := s.readBody(w, req); ok || w.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("body past the limit under a small claim: ok=%v status %d, want 413", ok, w.Code)
+	}
+
+	// readSized itself: a size one past the stream's length reads it in
+	// a single allocation, and a short size still reads everything.
+	data := []byte(strings.Repeat("a,b\n", 1000))
+	rd := bytes.NewReader(data)
+	allocs := testing.AllocsPerRun(10, func() {
+		rd.Reset(data)
+		if got, err := readSized(rd, len(data)+1); err != nil || len(got) != len(data) {
+			t.Fatalf("read %d bytes, err %v", len(got), err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("readSized sized from the length allocates %.0f times, want 1", allocs)
+	}
+	if got, err := readSized(bytes.NewReader(data), 0); err != nil || !bytes.Equal(got, data) {
+		t.Errorf("unsized read: %d bytes, err %v", len(got), err)
+	}
+}
+
 func TestJobSubmitErrorPaths(t *testing.T) {
 	h := newTestServer(t, Options{}).Handler()
 	cases := []struct {

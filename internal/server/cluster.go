@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/cluster"
+	"repro/internal/dataset"
 	"repro/internal/jobs"
 	"repro/internal/registry"
 )
@@ -91,7 +92,7 @@ func (cl clusterLocal) RunJob(ctx context.Context, req cluster.JobRequest) (clus
 		if !existed {
 			// Push the bytes to the hash's other owners now, so a
 			// replica that later adopts this job can actually re-mine it.
-			s.replicateSpill(entry.Hash, registry.Canonicalize(req.CSV))
+			s.replicateSpill(entry.Hash, dataset.Canonicalize(req.CSV))
 		}
 		bytes = entry.Bytes
 	} else if entry, ok := s.reg.Get(spec.Dataset); ok {

@@ -302,9 +302,19 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // readBody reads the request body under the configured size limit,
-// answering 413 (with a JSON error body) when it is exceeded.
+// answering 413 (with a JSON error body) when it is exceeded. A body
+// whose Content-Length is under the limit is read into one allocation
+// of that size; without one, or when it claims more than the limit, the
+// buffer grows as io.ReadAll's does, so a client's header never makes
+// the server allocate past the limit. Nothing writes to the returned
+// buffer afterwards: the registry may keep it as an entry's canonical
+// bytes.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
+	size := 512
+	if n := r.ContentLength; n > 0 && n < s.maxBody {
+		size = int(n) + 1 // the spare byte takes the read that meets EOF
+	}
+	body, err := readSized(http.MaxBytesReader(w, r.Body, s.maxBody), size)
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -316,6 +326,26 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 		return nil, false
 	}
 	return body, true
+}
+
+// readSized reads r to EOF into a buffer of initial capacity size and
+// grows it, as io.ReadAll does, only when the stream outruns that. A
+// size one byte past the stream's length reads it in one allocation.
+func readSized(r io.Reader, size int) ([]byte, error) {
+	b := make([]byte, 0, max(size, 1))
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
 }
 
 // analysisRequest carries the parsed query parameters.

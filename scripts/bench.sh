@@ -10,7 +10,13 @@
 #   BenchmarkMineBitsetCompas            the serving miner: the bitset
 #                                        kernel behind /analyze on the
 #                                        same exploration
-#   BenchmarkRegistryRegister            fresh vs dedup registration
+#   BenchmarkRegistryRegister            fresh vs dedup registration:
+#                                        a two-row table (fixed cost),
+#                                        the audit-cold shapes (a
+#                                        5,000x10 random table and a
+#                                        quoted-cell COMPAS, where the
+#                                        decoder's per-cell cost shows)
+#                                        and the dedup hit
 #   BenchmarkRegistryGetDiskFallthrough  memory hit vs spill reload
 #   BenchmarkMonitorIngest               streaming ingest end to end
 #                                        (parse, queue, window fold)

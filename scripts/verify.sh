@@ -78,9 +78,13 @@
 #                                  checked-in seed corpus (one target
 #                                  per package per run, as go test
 #                                  requires), FuzzMinersAgree (bitset
-#                                  kernel vs. BruteForce) and
+#                                  kernel vs. BruteForce),
 #                                  FuzzCoverFold (both cover forms vs.
-#                                  TallyOf under relabelings) included
+#                                  TallyOf under relabelings) and
+#                                  FuzzDecodeCSV (the upload decoder
+#                                  vs. the encoding/csv record loop it
+#                                  replaced, options drawn from the
+#                                  input) included
 #   8. coverage summary            per-package statement coverage for
 #                                  the durability layer (internal/jobs)
 #                                  and the miners the differential
@@ -95,7 +99,10 @@
 #                                  significance-wy query, permutation
 #                                  passes over bitset and row-list
 #                                  covers, WY adjust, window advance,
-#                                  registry, ring lookup) at -cpu=1,
+#                                  registry registration — the two-row
+#                                  and the audit-shaped decode arms —
+#                                  and disk fall-through, ring lookup)
+#                                  at -cpu=1,
 #                                  compared by cmd/benchfmt -compare
 #                                  with the newest BENCH_*.json: any
 #                                  allocs/op rise fails; ns/op deltas
@@ -171,6 +178,7 @@ go test -race -run 'Admission|FairQueue' ./internal/server
 
 echo "==> fuzz smoke (10s per target)"
 go test -run=NONE -fuzz='^FuzzParseCSV$' -fuzztime=10s ./internal/dataset
+go test -run=NONE -fuzz='^FuzzDecodeCSV$' -fuzztime=10s ./internal/dataset
 go test -run=NONE -fuzz='^FuzzDiscretize$' -fuzztime=10s ./internal/discretize
 go test -run=NONE -fuzz='^FuzzParseEvent$' -fuzztime=10s ./internal/monitor
 go test -run=NONE -fuzz='^FuzzExploreRequest$' -fuzztime=10s ./internal/server
