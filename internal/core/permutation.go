@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/fpm"
 	"repro/internal/permtest"
@@ -143,9 +143,7 @@ func (r *Result) SignificantPatternsPermFDR(ctx context.Context, m Metric, q flo
 // sortSignificant orders significant patterns with the RankAll
 // comparator, so every significance API reports in ranking order.
 func sortSignificant(out []Significant, order RankOrder) {
-	sort.Slice(out, func(i, j int) bool {
-		return rankedBetter(&out[i].Ranked, &out[j].Ranked, order)
-	})
+	slices.SortFunc(out, func(a, b Significant) int { return rankedCmp(&a.Ranked, &b.Ranked, order) })
 }
 
 // MaxEntBaseline is the independence-model significance baseline of a

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/fpm"
@@ -268,9 +269,7 @@ func (r *Result) RankAll(m Metric, order RankOrder) []Ranked {
 			rs = append(rs, rk)
 		}
 	}
-	sort.Slice(rs, func(i, j int) bool {
-		return rankedBetter(&rs[i], &rs[j], order)
-	})
+	slices.SortFunc(rs, func(a, b Ranked) int { return rankedCmp(&a, &b, order) })
 	return rs
 }
 
@@ -327,6 +326,15 @@ func rankedBetter(a, b *Ranked, order RankOrder) bool {
 		return a.Support > b.Support
 	}
 	return lessItemsets(a.Items, b.Items)
+}
+
+// rankedCmp is rankedBetter as a slices.SortFunc comparison. The order
+// is total over distinct itemsets, so no two patterns compare equal.
+func rankedCmp(a, b *Ranked, order RankOrder) int {
+	if rankedBetter(a, b, order) {
+		return -1
+	}
+	return 1
 }
 
 func lessItemsets(a, b fpm.Itemset) bool {

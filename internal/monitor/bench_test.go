@@ -42,6 +42,31 @@ func BenchmarkMonitorIngest(b *testing.B) {
 	awaitDrained(b, m)
 }
 
+// BenchmarkParseBatch measures the ingest decoder alone: ParseBatch on
+// one 100-event Drift body, with no queue and no worker, so its
+// allocs/op repeat exactly — the []Event and the code arena, and
+// nothing per event.
+func BenchmarkParseBatch(b *testing.B) {
+	body := driftBody(b)
+	spec, err := driftSpec().Validate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := NewParser(spec)
+	b.SetBytes(int64(len(body)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batchSink = p.ParseBatch(body)
+	}
+	b.StopTimer()
+	if len(batchSink.Events) != 100 || batchSink.Invalid != 0 {
+		b.Fatalf("decoded %d events, %d invalid; want 100, 0", len(batchSink.Events), batchSink.Invalid)
+	}
+}
+
+// batchSink keeps BenchmarkParseBatch's result live.
+var batchSink Batch
+
 func awaitDrained(b *testing.B, m *Monitor) {
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {

@@ -325,15 +325,6 @@ func (s Spec) schema() []dataset.Attribute {
 	return attrs
 }
 
-// attrIndexes returns a name → position map for event validation.
-func (s Spec) attrIndexes() map[string]int {
-	idx := make(map[string]int, len(s.Attributes))
-	for i := range s.Attributes {
-		idx[s.Attributes[i].Name] = i
-	}
-	return idx
-}
-
 // sortedAttrNames lists the schema's attribute names in sorted order
 // (diagnostics only).
 func (s Spec) sortedAttrNames() []string {

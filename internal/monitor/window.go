@@ -295,18 +295,20 @@ func (w *window) needRemine(minCount int64) bool {
 // over the window, so the aggregate is rebuilt in the same pass. Cost is
 // O(window); the conditional triggers keep it off the steady-state path.
 func (w *window) remine(minCount int64) error {
-	rows := make([][]int32, 0, w.rowsIn)
+	// The window's codes widen into one int32 arena, each row a
+	// capacity-bounded window of it.
+	arena := make([]int32, 0, w.rowsIn*w.nAttrs)
 	classes := make([]uint8, 0, w.rowsIn)
 	for i := range w.buckets {
 		b := &w.buckets[i]
-		for r := 0; r < len(b.classes); r++ {
-			row := make([]int32, w.nAttrs)
-			for a := 0; a < w.nAttrs; a++ {
-				row[a] = int32(b.rows[r*w.nAttrs+a])
-			}
-			rows = append(rows, row)
-			classes = append(classes, b.classes[r])
+		for _, c := range b.rows {
+			arena = append(arena, int32(c))
 		}
+		classes = append(classes, b.classes...)
+	}
+	rows := make([][]int32, len(classes))
+	for r := range rows {
+		rows[r] = arena[r*w.nAttrs : (r+1)*w.nAttrs : (r+1)*w.nAttrs]
 	}
 	db, err := fpm.NewTxDB(&dataset.Dataset{Attrs: w.attrs, Rows: rows}, classes, fpm.MaxClasses)
 	if err != nil {

@@ -1,6 +1,10 @@
 package stats
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
 // Special functions needed for exact tail probabilities: the regularized
 // incomplete beta function (hence Beta and Student-t CDFs) implemented
@@ -187,12 +191,9 @@ func BenjaminiHochberg(pvals []float64, q float64) (reject []bool, adjusted []fl
 	for i := range idx {
 		idx[i] = i
 	}
-	// Sort indexes by ascending p-value.
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && pvals[idx[j]] < pvals[idx[j-1]]; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
+	// Sort indexes by ascending p-value, in O(n log n); the sort is
+	// stable, so tied p-values keep their input order.
+	slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(pvals[a], pvals[b]) })
 	// Adjusted p-values: p_(i) * n / i, enforced monotone from the top.
 	prev := 1.0
 	for i := n - 1; i >= 0; i-- {

@@ -234,3 +234,70 @@ func TestBenjaminiHochbergMonotoneInQ(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// benjaminiHochbergInsertion is BenjaminiHochberg as it was before the
+// stable sort replaced its insertion sort: the reference for the tie
+// order.
+func benjaminiHochbergInsertion(pvals []float64, q float64) (reject []bool, adjusted []float64) {
+	n := len(pvals)
+	reject = make([]bool, n)
+	adjusted = make([]float64, n)
+	if n == 0 {
+		return reject, adjusted
+	}
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && pvals[idx[j]] < pvals[idx[j-1]]; j-- {
+			idx[j], idx[j-1] = idx[j-1], idx[j]
+		}
+	}
+	prev := 1.0
+	for i := n - 1; i >= 0; i-- {
+		adj := pvals[idx[i]] * float64(n) / float64(i+1)
+		if adj > prev {
+			adj = prev
+		}
+		prev = adj
+		adjusted[idx[i]] = adj
+	}
+	cut := -1
+	for i := 0; i < n; i++ {
+		if pvals[idx[i]] <= q*float64(i+1)/float64(n) {
+			cut = i
+		}
+	}
+	for i := 0; i <= cut; i++ {
+		reject[idx[i]] = true
+	}
+	return reject, adjusted
+}
+
+// TestBenjaminiHochbergMatchesInsertionSort checks the stable index sort
+// against the insertion sort it replaced, bit for bit, on random
+// p-values drawn from a few levels so that ties are common (tie order
+// decides which adjusted value each tied hypothesis gets).
+func TestBenjaminiHochbergMatchesInsertionSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		n := rng.Intn(300)
+		levels := 1 + rng.Intn(20)
+		pvals := make([]float64, n)
+		for i := range pvals {
+			pvals[i] = float64(rng.Intn(levels)) / float64(levels) * rng.Float64()
+			if rng.Intn(3) == 0 {
+				pvals[i] = float64(rng.Intn(levels)) / float64(levels)
+			}
+		}
+		q := []float64{0.01, 0.05, 0.2, 1}[rng.Intn(4)]
+		gotR, gotA := BenjaminiHochberg(pvals, q)
+		wantR, wantA := benjaminiHochbergInsertion(pvals, q)
+		for i := range pvals {
+			if gotR[i] != wantR[i] || math.Float64bits(gotA[i]) != math.Float64bits(wantA[i]) {
+				t.Fatalf("trial %d, hypothesis %d of %d: got (%v, %v), want (%v, %v)", trial, i, n, gotR[i], gotA[i], wantR[i], wantA[i])
+			}
+		}
+	}
+}

@@ -20,6 +20,9 @@
 #   BenchmarkRegistryGetDiskFallthrough  memory hit vs spill reload
 #   BenchmarkMonitorIngest               streaming ingest end to end
 #                                        (parse, queue, window fold)
+#   BenchmarkParseBatch                  the event decoder alone: one
+#                                        100-event batch, no worker
+#                                        (two allocations a batch)
 #   BenchmarkWindowAdvance               the O(bucket) advance across
 #                                        window lengths — flat ns/op is
 #                                        the design's acceptance bar
@@ -84,7 +87,7 @@ echo "==> benchmarks (-benchtime ${benchtime}, -benchmem, -cpu=1)"
     go test -run=NONE -benchmem -cpu=1 -benchtime="${benchtime}" \
         -bench '^(BenchmarkRegistryRegister|BenchmarkRegistryGetDiskFallthrough)$' ./internal/registry
     go test -run=NONE -benchmem -cpu=1 -benchtime="${benchtime}" \
-        -bench '^(BenchmarkMonitorIngest|BenchmarkWindowAdvance)$' ./internal/monitor
+        -bench '^(BenchmarkMonitorIngest|BenchmarkParseBatch|BenchmarkWindowAdvance)$' ./internal/monitor
     go test -run=NONE -benchmem -cpu=1 -benchtime="${benchtime}" \
         -bench '^(BenchmarkAnytimeTopK|BenchmarkRankAnalyze|BenchmarkSignificanceWY)$' ./internal/core
     go test -run=NONE -benchmem -cpu=1 -benchtime="${benchtime}" \

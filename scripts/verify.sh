@@ -80,11 +80,16 @@
 #                                  requires), FuzzMinersAgree (bitset
 #                                  kernel vs. BruteForce),
 #                                  FuzzCoverFold (both cover forms vs.
-#                                  TallyOf under relabelings) and
+#                                  TallyOf under relabelings),
 #                                  FuzzDecodeCSV (the upload decoder
 #                                  vs. the encoding/csv record loop it
 #                                  replaced, options drawn from the
-#                                  input) included
+#                                  input), FuzzParseEvent (the monitor's
+#                                  one-pass event decoder vs. the
+#                                  encoding/json parser it replaced)
+#                                  and FuzzParseSpec (the monitor-spec
+#                                  decoder: no panic, accepted specs
+#                                  round-trip) included
 #   8. coverage summary            per-package statement coverage for
 #                                  the durability layer (internal/jobs)
 #                                  and the miners the differential
@@ -99,7 +104,9 @@
 #                                  significance-wy query, permutation
 #                                  passes over bitset and row-list
 #                                  covers, WY adjust, window advance,
-#                                  registry registration — the two-row
+#                                  the monitor's event-batch decode
+#                                  (two allocations a batch, none an
+#                                  event), registry registration — the two-row
 #                                  and the audit-shaped decode arms —
 #                                  and disk fall-through, ring lookup)
 #                                  at -cpu=1,
@@ -181,6 +188,7 @@ go test -run=NONE -fuzz='^FuzzParseCSV$' -fuzztime=10s ./internal/dataset
 go test -run=NONE -fuzz='^FuzzDecodeCSV$' -fuzztime=10s ./internal/dataset
 go test -run=NONE -fuzz='^FuzzDiscretize$' -fuzztime=10s ./internal/discretize
 go test -run=NONE -fuzz='^FuzzParseEvent$' -fuzztime=10s ./internal/monitor
+go test -run=NONE -fuzz='^FuzzParseSpec$' -fuzztime=10s ./internal/monitor
 go test -run=NONE -fuzz='^FuzzExploreRequest$' -fuzztime=10s ./internal/server
 go test -run=NONE -fuzz='^FuzzSignificanceRequest$' -fuzztime=10s ./internal/server
 go test -run=NONE -fuzz='^FuzzMinersAgree$' -fuzztime=10s ./internal/fpm
@@ -201,7 +209,7 @@ echo "==> allocation gate (hot benchmarks at -cpu=1 against the newest BENCH_*.j
     go test -run=NONE -benchmem -cpu=1 -benchtime=200x \
         -bench '^(BenchmarkPermutationPass|BenchmarkPermutationPassSparse|BenchmarkWYAdjust)$' ./internal/permtest
     go test -run=NONE -benchmem -cpu=1 -benchtime=200x \
-        -bench '^BenchmarkWindowAdvance$' ./internal/monitor
+        -bench '^(BenchmarkWindowAdvance|BenchmarkParseBatch)$' ./internal/monitor
     go test -run=NONE -benchmem -cpu=1 -benchtime=200x \
         -bench '^(BenchmarkRegistryRegister|BenchmarkRegistryGetDiskFallthrough)$' ./internal/registry
     go test -run=NONE -benchmem -cpu=1 -benchtime=200x \
