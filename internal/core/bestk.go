@@ -18,8 +18,8 @@ type bestK[T any] struct {
 // newBestK returns an empty selection of the k best values. The heap is
 // allocated once with capacity capHint (at most k), so a caller that knows
 // how many candidates it has never sees the heap grow.
-func newBestK[T any](k, capHint int, better func(a, b *T) bool) *bestK[T] {
-	return &bestK[T]{items: make([]T, 0, min(k, capHint)), k: k, better: better}
+func newBestK[T any](k, capHint int, better func(a, b *T) bool) bestK[T] {
+	return bestK[T]{items: make([]T, 0, min(k, capHint)), k: k, better: better}
 }
 
 // weakest returns the weakest kept value once k are kept, and nil while

@@ -42,15 +42,15 @@ func Compare(a, b *Result, m Metric) ([]PatternShift, error) {
 	if err := sameSchema(a, b); err != nil {
 		return nil, err
 	}
-	globalShift := b.safeRate(b.total, m) - a.safeRate(a.total, m)
+	globalShift := m.safeRate(b.total) - m.safeRate(a.total)
 	var out []PatternShift
 	for _, pa := range a.Patterns {
 		pb, ok := b.Lookup(pa.Items)
 		if !ok {
 			continue
 		}
-		rateA := a.Rate(pa.Tally, m)
-		rateB := b.Rate(pb.Tally, m)
+		rateA := m.Rate(pa.Tally)
+		rateB := m.Rate(pb.Tally)
 		if math.IsNaN(rateA) || math.IsNaN(rateB) {
 			continue
 		}

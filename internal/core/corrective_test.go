@@ -91,14 +91,14 @@ func TestCorrectiveItemsExhaustive(t *testing.T) {
 	}
 	count := 0
 	for _, p := range r.Patterns {
-		if len(p.Items) < 2 || math.IsNaN(r.Rate(p.Tally, ErrorRate)) {
+		if len(p.Items) < 2 || math.IsNaN(ErrorRate.Rate(p.Tally)) {
 			continue
 		}
 		extDiv := r.DivergenceOfTally(p.Tally, ErrorRate)
 		for _, alpha := range p.Items {
 			base := p.Items.Without(alpha)
 			bp, ok := r.Lookup(base)
-			if !ok || math.IsNaN(r.Rate(bp.Tally, ErrorRate)) {
+			if !ok || math.IsNaN(ErrorRate.Rate(bp.Tally)) {
 				continue
 			}
 			baseDiv := r.DivergenceOfTally(bp.Tally, ErrorRate)

@@ -75,12 +75,12 @@ func (r *Result) Fairness(attrName string) (FairnessReport, error) {
 			Item:     it,
 			Value:    r.DB.Data.Attrs[attr].Values[v],
 			Support:  float64(t.Total()) / float64(r.DB.NumRows()),
-			Positive: r.Rate(t, PredictedPositiveRate),
-			FPR:      r.Rate(t, FPR),
-			FNR:      r.Rate(t, FNR),
-			TPR:      r.Rate(t, TPR),
-			PPV:      r.Rate(t, PPV),
-			Accuracy: r.Rate(t, Accuracy),
+			Positive: PredictedPositiveRate.Rate(t),
+			FPR:      FPR.Rate(t),
+			FNR:      FNR.Rate(t),
+			TPR:      TPR.Rate(t),
+			PPV:      PPV.Rate(t),
+			Accuracy: Accuracy.Rate(t),
 		}
 		rep.Groups = append(rep.Groups, g)
 	}

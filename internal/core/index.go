@@ -1,10 +1,6 @@
 package core
 
-import (
-	"encoding/binary"
-
-	"repro/internal/fpm"
-)
+import "repro/internal/fpm"
 
 // Sentinels of the parent index for subsets that are not a position in
 // Patterns.
@@ -36,7 +32,7 @@ func newResult(db *fpm.TxDB, minSup float64, minCount int64, miner string, patte
 	var buf []byte
 	n := 0
 	for i, p := range patterns {
-		buf = appendKey(buf[:0], p.Items)
+		buf = p.Items.AppendKey(buf[:0])
 		// lint:ignore hotalloc the map retains one key string per pattern; that is the index's storage
 		r.index[string(buf)] = i
 		n += len(p.Items)
@@ -48,7 +44,7 @@ func newResult(db *fpm.TxDB, minSup float64, minCount int64, miner string, patte
 				r.parents = append(r.parents, emptyParent)
 				continue
 			}
-			buf = appendKey(appendKey(buf[:0], p.Items[:j]), p.Items[j+1:])
+			buf = p.Items[j+1:].AppendKey(p.Items[:j].AppendKey(buf[:0]))
 			q, ok := r.index[string(buf)]
 			if !ok {
 				q = int(missingParent)
@@ -72,23 +68,14 @@ func parentDivergence(q int32, divs []float64) (float64, bool) {
 	return divs[q], true
 }
 
-// appendKey appends the index key of is to buf, in the encoding of
-// fpm.Itemset.Key.
-func appendKey(buf []byte, is fpm.Itemset) []byte {
-	for _, it := range is {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(it))
-	}
-	return buf
-}
-
 // divergences returns Δ_f of every pattern, in pattern order, each
 // computed by DivergenceOfTally's expression (with the dataset term
 // hoisted) so sums over them match the per-tally path bit for bit.
 func (r *Result) divergences(m Metric) []float64 {
 	out := make([]float64, len(r.Patterns))
-	global := r.safeRate(r.total, m)
+	global := m.safeRate(r.total)
 	for i := range r.Patterns {
-		out[i] = r.safeRate(r.Patterns[i].Tally, m) - global
+		out[i] = m.safeRate(r.Patterns[i].Tally) - global
 	}
 	return out
 }
@@ -98,9 +85,9 @@ func (r *Result) divergences(m Metric) []float64 {
 // exactly DivergenceOfTally.
 func (r *Result) definedDivergences(m Metric) []float64 {
 	out := make([]float64, len(r.Patterns))
-	global := r.safeRate(r.total, m)
+	global := m.safeRate(r.total)
 	for i := range r.Patterns {
-		out[i] = r.Rate(r.Patterns[i].Tally, m) - global
+		out[i] = m.Rate(r.Patterns[i].Tally) - global
 	}
 	return out
 }

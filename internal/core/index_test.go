@@ -198,7 +198,7 @@ func TestPruneAndClosedMatchLookupReference(t *testing.T) {
 // refSurvives is the pruning rule of Sec. 3.5 evaluated by looking up
 // every I \ α.
 func refSurvives(r *Result, p Pattern, m Metric, eps float64) bool {
-	if math.IsNaN(r.Rate(p.Tally, m)) {
+	if math.IsNaN(m.Rate(p.Tally)) {
 		return false
 	}
 	div := r.DivergenceOfTally(p.Tally, m)

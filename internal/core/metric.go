@@ -12,8 +12,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/fpm"
+	"repro/internal/stats"
 )
 
 // Outcome classes for classifier analysis: the confusion cell of each
@@ -125,6 +127,35 @@ func MetricByName(name string) (Metric, error) {
 // Counts splits a tally into the metric's (k⁺, k⁻) observation counts.
 func (m Metric) Counts(t fpm.Tally) (kPos, kNeg int64) {
 	return t.Masked(m.Pos), t.Masked(m.Neg)
+}
+
+// Rate returns the metric's raw rate k⁺/(k⁺+k⁻) on a tally (Eq. 2):
+// NaN when no instance has a non-⊥ outcome, where the rate is
+// undefined.
+func (m Metric) Rate(t fpm.Tally) float64 {
+	kp, kn := m.Counts(t)
+	if kp+kn == 0 {
+		return math.NaN()
+	}
+	return float64(kp) / float64(kp+kn)
+}
+
+// posterior returns the Bayesian posterior over the metric's rate on a
+// tally (Sec. 3.3), which is well defined even for all-⊥ tallies.
+func (m Metric) posterior(t fpm.Tally) stats.PosteriorRate {
+	kp, kn := m.Counts(t)
+	return stats.NewPosteriorRate(float64(kp), float64(kn))
+}
+
+// safeRate returns the raw rate when defined and falls back to the
+// posterior mean otherwise, so lattice-wide aggregates (Shapley sums,
+// global divergence) stay finite. The fallback only triggers on tallies
+// where the metric is entirely ⊥.
+func (m Metric) safeRate(t fpm.Tally) float64 {
+	if rate := m.Rate(t); !math.IsNaN(rate) {
+		return rate
+	}
+	return m.posterior(t).Mean()
 }
 
 // Validate checks that the metric's masks are non-empty and disjoint.

@@ -95,13 +95,13 @@ func TestMetricComplements(t *testing.T) {
 	db := randomClassifierDB(t, 7, 3, 2, 50)
 	r := explore(t, db, 0.05)
 	for _, p := range r.Patterns {
-		er := r.Rate(p.Tally, ErrorRate)
-		acc := r.Rate(p.Tally, Accuracy)
+		er := ErrorRate.Rate(p.Tally)
+		acc := Accuracy.Rate(p.Tally)
 		if !almost(er+acc, 1, 1e-12) {
 			t.Fatalf("ER+ACC = %v on %v", er+acc, p.Items)
 		}
-		fpr := r.Rate(p.Tally, FPR)
-		tnr := r.Rate(p.Tally, TNR)
+		fpr := FPR.Rate(p.Tally)
+		tnr := TNR.Rate(p.Tally)
 		if !isNaN(fpr) && !almost(fpr+tnr, 1, 1e-12) {
 			t.Fatalf("FPR+TNR = %v on %v", fpr+tnr, p.Items)
 		}

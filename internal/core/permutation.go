@@ -47,8 +47,9 @@ func (r *Result) PermutationTest(ctx context.Context, m Metric, cfg permtest.Con
 		Permutations: pr.Permutations,
 		Exhaustive:   pr.Exhaustive,
 	}
+	scorer := r.leaderboard(m, 0, ByDivergence)
 	for i, pi := range tested {
-		out.Tested[i] = r.significant(pi, m, pr.RawP[i], pr.AdjP[i])
+		out.Tested[i] = r.significant(&scorer, pi, pr.RawP[i], pr.AdjP[i])
 	}
 	return out, nil
 }
@@ -64,7 +65,7 @@ func (r *Result) permute(ctx context.Context, m Metric, cfg permtest.Config) ([]
 	tested := make([]int32, 0, len(r.Patterns))
 	itemsets := make([]fpm.Itemset, 0, len(r.Patterns))
 	for i, p := range r.Patterns {
-		if !math.IsNaN(r.Rate(p.Tally, m)) {
+		if !math.IsNaN(m.Rate(p.Tally)) {
 			tested = append(tested, int32(i))
 			itemsets = append(itemsets, p.Items)
 		}
@@ -80,10 +81,10 @@ func (r *Result) permute(ctx context.Context, m Metric, cfg permtest.Config) ([]
 	return tested, pr, nil
 }
 
-// significant annotates pattern pi, one on which m is defined, with its
-// p-values.
-func (r *Result) significant(pi int32, m Metric, p, adjP float64) Significant {
-	rk, _ := r.ranked(r.Patterns[pi], m)
+// significant scores pattern pi, one on which the scorer's metric is
+// defined, and annotates it with its p-values.
+func (r *Result) significant(scorer *Leaderboard, pi int32, p, adjP float64) Significant {
+	rk, _ := scorer.Rank(r.Patterns[pi].Items, r.Patterns[pi].Tally)
 	return Significant{Ranked: rk, P: p, AdjP: adjP}
 }
 
@@ -104,9 +105,10 @@ func (r *Result) SignificantPatternsWY(ctx context.Context, m Metric, alpha floa
 		}
 	}
 	out := make([]Significant, 0, n)
+	scorer := r.leaderboard(m, 0, order)
 	for i, pi := range tested {
 		if pr.AdjP[i] <= alpha {
-			out = append(out, r.significant(pi, m, pr.RawP[i], pr.AdjP[i]))
+			out = append(out, r.significant(&scorer, pi, pr.RawP[i], pr.AdjP[i]))
 		}
 	}
 	sortSignificant(out, order)
@@ -131,9 +133,10 @@ func (r *Result) SignificantPatternsPermFDR(ctx context.Context, m Metric, q flo
 		}
 	}
 	out := make([]Significant, 0, n)
+	scorer := r.leaderboard(m, 0, order)
 	for i, pi := range tested {
 		if reject[i] {
-			out = append(out, r.significant(pi, m, pr.RawP[i], adjusted[i]))
+			out = append(out, r.significant(&scorer, pi, pr.RawP[i], adjusted[i]))
 		}
 	}
 	sortSignificant(out, order)

@@ -47,7 +47,7 @@ func (r *Result) survivors(m Metric, eps float64) []bool {
 	for i, p := range r.Patterns {
 		parents := rest[:len(p.Items)]
 		rest = rest[len(p.Items):]
-		keep[i] = definedOn(p.Tally, m) && !redundant(divs[i], parents, divs, eps)
+		keep[i] = !math.IsNaN(m.Rate(p.Tally)) && !redundant(divs[i], parents, divs, eps)
 	}
 	return keep
 }
@@ -78,14 +78,14 @@ func (r *Result) MarginalContribution(is fpm.Itemset, alpha fpm.Item, m Metric) 
 		return 0, false
 	}
 	p, ok := r.Lookup(is)
-	if !ok || math.IsNaN(r.Rate(p.Tally, m)) {
+	if !ok || math.IsNaN(m.Rate(p.Tally)) {
 		return 0, false
 	}
 	parent := is.Without(alpha)
 	var parentDiv float64
 	if len(parent) > 0 {
 		pp, ok := r.Lookup(parent)
-		if !ok || math.IsNaN(r.Rate(pp.Tally, m)) {
+		if !ok || math.IsNaN(m.Rate(pp.Tally)) {
 			return 0, false
 		}
 		parentDiv = r.DivergenceOfTally(pp.Tally, m)

@@ -81,7 +81,7 @@ func TestPruneRuleProperty(t *testing.T) {
 			surviving[p.Items.Key()] = true
 		}
 		for _, p := range r.Patterns {
-			if math.IsNaN(r.Rate(p.Tally, ErrorRate)) {
+			if math.IsNaN(ErrorRate.Rate(p.Tally)) {
 				if surviving[p.Items.Key()] {
 					return false
 				}

@@ -94,7 +94,7 @@ func (r *Result) Lookup(is fpm.Itemset) (Pattern, bool) {
 	// Keys of up to 32 items are built on the stack, and a map index with
 	// a string(bytes) key does not allocate.
 	var key [4 * 32]byte
-	i, ok := r.index[string(appendKey(key[:0], is))]
+	i, ok := r.index[string(is.AppendKey(key[:0]))]
 	if !ok {
 		return Pattern{}, false
 	}
@@ -106,42 +106,19 @@ func (r *Result) Support(t fpm.Tally) float64 {
 	return float64(t.Total()) / float64(r.DB.NumRows())
 }
 
-// Rate returns the raw outcome rate k⁺/(k⁺+k⁻) of a tally under metric m
-// (Eq. 2). When no instance has a non-⊥ outcome the rate is undefined and
-// NaN is returned.
-func (r *Result) Rate(t fpm.Tally, m Metric) float64 {
-	kp, kn := m.Counts(t)
-	if kp+kn == 0 {
-		return math.NaN()
-	}
-	return float64(kp) / float64(kp+kn)
-}
-
 // PosteriorRate returns the Bayesian posterior over the rate (Sec. 3.3),
 // which is well defined even for all-⊥ tallies.
 func (r *Result) PosteriorRate(t fpm.Tally, m Metric) stats.PosteriorRate {
-	kp, kn := m.Counts(t)
-	return stats.NewPosteriorRate(float64(kp), float64(kn))
+	return m.posterior(t)
 }
 
 // GlobalRate returns f(D), the metric's rate over the whole dataset.
-func (r *Result) GlobalRate(m Metric) float64 { return r.Rate(r.total, m) }
-
-// safeRate returns the raw rate when defined and falls back to the
-// posterior mean otherwise, so lattice-wide aggregates (Shapley sums,
-// global divergence) stay finite. The fallback only triggers on itemsets
-// where the metric is entirely ⊥.
-func (r *Result) safeRate(t fpm.Tally, m Metric) float64 {
-	if rate := r.Rate(t, m); !math.IsNaN(rate) {
-		return rate
-	}
-	return r.PosteriorRate(t, m).Mean()
-}
+func (r *Result) GlobalRate(m Metric) float64 { return m.Rate(r.total) }
 
 // DivergenceOfTally returns Δ_f for a tally: rate(t) − rate(D) (Eq. 1),
 // with the safeRate fallback for all-⊥ tallies.
 func (r *Result) DivergenceOfTally(t fpm.Tally, m Metric) float64 {
-	return r.safeRate(t, m) - r.safeRate(r.total, m)
+	return m.safeRate(t) - m.safeRate(r.total)
 }
 
 // Divergence returns Δ_f(I) for a frequent itemset (Eq. 1). The second
@@ -161,7 +138,7 @@ func (r *Result) Divergence(is fpm.Itemset, m Metric) (float64, bool) {
 // TStat returns the Welch t-statistic comparing the posterior rate on the
 // tally with the posterior rate on the whole dataset (Sec. 3.3).
 func (r *Result) TStat(t fpm.Tally, m Metric) float64 {
-	return stats.WelchTPosterior(r.PosteriorRate(t, m), r.PosteriorRate(r.total, m))
+	return stats.WelchTPosterior(m.posterior(t), m.posterior(r.total))
 }
 
 // Ranked is a pattern annotated with the statistics used for ranking and
@@ -175,21 +152,10 @@ type Ranked struct {
 	T          float64
 }
 
-// ranked builds the annotation for one pattern; ok is false when the
-// metric is undefined (all ⊥) on the pattern.
-func (r *Result) ranked(p Pattern, m Metric) (Ranked, bool) {
-	rate := r.Rate(p.Tally, m)
-	if math.IsNaN(rate) {
-		return Ranked{}, false
-	}
-	return Ranked{
-		Items:      p.Items,
-		Tally:      p.Tally,
-		Support:    r.Support(p.Tally),
-		Rate:       rate,
-		Divergence: r.DivergenceOfTally(p.Tally, m),
-		T:          r.TStat(p.Tally, m),
-	}, true
+// leaderboard returns a leaderboard of the k best of r's patterns under
+// m and order, its heap sized for them; with k <= 0 it only scores.
+func (r *Result) leaderboard(m Metric, k int, order RankOrder) Leaderboard {
+	return newLeaderboard(r.total, r.DB.NumRows(), m, k, order, len(r.Patterns))
 }
 
 // Describe annotates an arbitrary frequent itemset. It fails when the
@@ -200,7 +166,8 @@ func (r *Result) Describe(is fpm.Itemset, m Metric) (Ranked, error) {
 		return Ranked{}, fmt.Errorf("core: itemset %s not frequent at support %v",
 			r.DB.Catalog.Format(is), r.MinSup)
 	}
-	rk, ok := r.ranked(p, m)
+	scorer := r.leaderboard(m, 0, ByDivergence)
+	rk, ok := scorer.Rank(p.Items, p.Tally)
 	if !ok {
 		return Ranked{}, fmt.Errorf("core: metric %s undefined on %s (all outcomes ⊥)",
 			m.Name, r.DB.Catalog.Format(is))
@@ -238,34 +205,21 @@ func (r *Result) selectRanked(m Metric, k int, order RankOrder, keep []bool) []R
 	if k <= 0 {
 		return []Ranked{}
 	}
-	sel := newBestK(k, len(r.Patterns), func(a, b *Ranked) bool { return rankedBetter(a, b, order) })
-	global := r.safeRate(r.total, m)
+	lb := r.leaderboard(m, k, order)
 	for i := range r.Patterns {
-		p := &r.Patterns[i]
-		if keep != nil && !keep[i] {
-			continue
+		if keep == nil || keep[i] {
+			lb.Offer(r.Patterns[i].Items, r.Patterns[i].Tally)
 		}
-		rate := r.Rate(p.Tally, m)
-		if math.IsNaN(rate) {
-			continue
-		}
-		// A pattern whose key is already below the weakest kept one cannot
-		// enter, so it skips the Welch t of a full annotation. rate−global
-		// is DivergenceOfTally on a defined tally.
-		if w := sel.weakest(); w != nil && orderKey(order, rate-global) < orderKey(order, w.Divergence) {
-			continue
-		}
-		rk, _ := r.ranked(*p, m)
-		sel.offer(rk)
 	}
-	return sel.sorted()
+	return lb.sel.sorted()
 }
 
 // RankAll annotates and sorts all patterns under the metric and order.
 func (r *Result) RankAll(m Metric, order RankOrder) []Ranked {
+	scorer := r.leaderboard(m, 0, order)
 	rs := make([]Ranked, 0, len(r.Patterns))
 	for _, p := range r.Patterns {
-		if rk, ok := r.ranked(p, m); ok {
+		if rk, ok := scorer.Rank(p.Items, p.Tally); ok {
 			rs = append(rs, rk)
 		}
 	}
@@ -279,18 +233,11 @@ func (r *Result) RankAll(m Metric, order RankOrder) []Ranked {
 func (r *Result) NumDefined(m Metric) int {
 	n := 0
 	for i := range r.Patterns {
-		if definedOn(r.Patterns[i].Tally, m) {
+		if !math.IsNaN(m.Rate(r.Patterns[i].Tally)) {
 			n++
 		}
 	}
 	return n
-}
-
-// definedOn reports whether the metric has at least one non-⊥ outcome
-// on the tally, i.e. whether Rate is a number.
-func definedOn(t fpm.Tally, m Metric) bool {
-	kp, kn := m.Counts(t)
-	return kp+kn != 0
 }
 
 // orderKey is the primary ranking key of a divergence under an order.
@@ -373,10 +320,8 @@ func (r *Result) IndividualDivergence(m Metric) map[fpm.Item]float64 {
 }
 
 // individual is the divergence of a singleton's tally, NaN when the
-// metric is undefined on it.
+// metric is undefined on it: where it is defined, Rate − f(D) is
+// exactly DivergenceOfTally.
 func (r *Result) individual(t fpm.Tally, m Metric) float64 {
-	if !definedOn(t, m) {
-		return math.NaN()
-	}
-	return r.DivergenceOfTally(t, m)
+	return m.Rate(t) - m.safeRate(r.total)
 }

@@ -97,7 +97,7 @@ func TestRateUndefinedIsNaN(t *testing.T) {
 	if !ok {
 		t.Fatal("itemset not frequent")
 	}
-	if got := r.Rate(p.Tally, FPR); !math.IsNaN(got) {
+	if got := FPR.Rate(p.Tally); !math.IsNaN(got) {
 		t.Errorf("Rate on all-⊥ itemset = %v, want NaN", got)
 	}
 	// The posterior remains defined (uniform prior).

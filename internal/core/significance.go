@@ -96,8 +96,9 @@ func (r *Result) TopKCredible(m Metric, k int, level float64) []DivergenceCredib
 		return nil
 	}
 	out := make([]DivergenceCredible, 0, len(r.Patterns))
+	scorer := r.leaderboard(m, 0, ByAbsDivergence)
 	for _, p := range r.Patterns {
-		rk, ok := r.ranked(p, m)
+		rk, ok := scorer.Rank(p.Items, p.Tally)
 		if !ok {
 			continue
 		}

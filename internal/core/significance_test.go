@@ -9,7 +9,7 @@ func TestCredibleIntervalBracketsRate(t *testing.T) {
 	db := fixtureDB(t)
 	r := explore(t, db, 0.05)
 	for _, p := range r.Patterns {
-		rate := r.Rate(p.Tally, FPR)
+		rate := FPR.Rate(p.Tally)
 		if math.IsNaN(rate) {
 			continue
 		}

@@ -14,11 +14,11 @@ import (
 // O(k) memory, with two guarantees the tests pin down:
 //
 //   - At unlimited budget the answer is byte-identical to the exhaustive
-//     Result.TopK. That requires the streaming heap to use the same
-//     total order RankAll sorts by, rankedBetter (key desc, then Welch t
-//     desc, then support desc, then lexicographic itemset), not just the
-//     ranking key — under a total order the top-k set is unique, so
-//     visit order cannot matter.
+//     Result.TopK. Both rank through a Leaderboard, under one total
+//     order, rankedBetter (key desc, then Welch t desc, then support
+//     desc, then lexicographic itemset), not just the ranking key —
+//     under a total order the top-k set is unique, so visit order
+//     cannot matter.
 //   - Under a budget, every reported pattern still carries its exact
 //     statistics; budgets truncate the candidate stream, never distort
 //     it. Approximation enters only via row sampling, and then every
@@ -122,11 +122,10 @@ func ExploreTopKAnytime(db *fpm.TxDB, minSup float64, m Metric, k int, order Ran
 	}
 
 	total := db.TotalTally()
-	globalRate := rateOf(total, m)
+	globalRate := m.Rate(total)
 	if math.IsNaN(globalRate) {
 		return nil, fmt.Errorf("core: metric %s undefined on the whole dataset", m.Name)
 	}
-	globalPost := posteriorOf(total, m)
 
 	mdb := db
 	sampled := false
@@ -139,42 +138,36 @@ func ExploreTopKAnytime(db *fpm.TxDB, minSup float64, m Metric, k int, order Ran
 		supportEps = stats.HoeffdingRadius(mdb.NumRows(), conf)
 	}
 	minCount := fpm.MinCount(mdb.NumRows(), minSup)
-	rows := float64(mdb.NumRows())
+	// Intervals never change the order, so they are attached to the
+	// patterns the leaderboard returns, not to every candidate.
+	annotate := func(top []Ranked) []RankedEstimate {
+		out := make([]RankedEstimate, len(top))
+		for i, rk := range top {
+			out[i] = estimate(rk, sampled, conf, supportEps, globalRate, m)
+		}
+		return out
+	}
 
 	updateEvery := opts.UpdateEvery
 	if updateEvery <= 0 {
 		updateEvery = defaultUpdateEvery
 	}
 
-	// The heap grows with the candidates seen, not with k, so an oversized
-	// k costs nothing up front.
-	h := newBestK(k, 0, func(a, b *RankedEstimate) bool { return rankedBetter(&a.Ranked, &b.Ranked, order) })
+	// Patterns are scored against the full dataset's rate over the mined
+	// rows. The heap grows with the candidates seen, not with k, so an
+	// oversized k costs nothing up front.
+	lb := newLeaderboard(total, mdb.NumRows(), m, k, order, 0)
 	var seen int64
 	info, err := fpm.MineVisit(mdb, minCount, opts.Budget, func(p fpm.FrequentPattern) error {
 		seen++
 		if opts.OnUpdate != nil && seen%updateEvery == 0 {
-			opts.OnUpdate(h.snapshot(), seen)
+			opts.OnUpdate(annotate(lb.Top()), seen)
 		}
-		rate := rateOf(p.Tally, m)
-		if math.IsNaN(rate) {
-			return nil
+		// The miner lends p.Items, so only a pattern that enters is copied.
+		if rk, ok := lb.admit(p.Items, p.Tally); ok {
+			rk.Items = p.Items.Clone()
+			lb.sel.offer(rk)
 		}
-		rk := Ranked{
-			Tally:      p.Tally,
-			Support:    float64(p.Tally.Total()) / rows,
-			Rate:       rate,
-			Divergence: rate - globalRate,
-			T:          welchOf(p.Tally, m, globalPost),
-		}
-		// Once k patterns are kept, only a candidate strictly better than
-		// the weakest (under the total order) displaces it. Items is still
-		// the miner's borrowed slice here; rankedBetter only reads it.
-		rk.Items = p.Items
-		if w := h.weakest(); w != nil && !rankedBetter(&rk, &w.Ranked, order) {
-			return nil
-		}
-		rk.Items = p.Items.Clone()
-		h.offer(annotate(rk, sampled, conf, supportEps, globalRate, m))
 		return nil
 	})
 	if err != nil {
@@ -182,7 +175,7 @@ func ExploreTopKAnytime(db *fpm.TxDB, minSup float64, m Metric, k int, order Ran
 	}
 
 	out := &AnytimeTopK{
-		Top:        h.snapshot(),
+		Top:        annotate(lb.sel.sorted()),
 		Reason:     info.Reason,
 		Visited:    info.Patterns,
 		Sampled:    sampled,
@@ -193,16 +186,13 @@ func ExploreTopKAnytime(db *fpm.TxDB, minSup float64, m Metric, k int, order Ran
 	return out, nil
 }
 
-// annotate attaches confidence intervals to a ranked pattern. On an
+// estimate attaches confidence intervals to a ranked pattern. On an
 // exact run the intervals collapse to the point estimates.
-func annotate(rk Ranked, sampled bool, conf, supportEps, globalRate float64, m Metric) RankedEstimate {
-	e := RankedEstimate{Ranked: rk}
+func estimate(rk Ranked, sampled bool, conf, supportEps, globalRate float64, m Metric) RankedEstimate {
 	if !sampled {
-		e.SupportLo, e.SupportHi = rk.Support, rk.Support
-		e.RateLo, e.RateHi = rk.Rate, rk.Rate
-		e.DivergenceLo, e.DivergenceHi = rk.Divergence, rk.Divergence
-		return e
+		return rk.Exact()
 	}
+	e := RankedEstimate{Ranked: rk}
 	e.SupportLo = math.Max(0, rk.Support-supportEps)
 	e.SupportHi = math.Min(1, rk.Support+supportEps)
 	kp, kn := m.Counts(rk.Tally)
@@ -214,19 +204,13 @@ func annotate(rk Ranked, sampled bool, conf, supportEps, globalRate float64, m M
 	return e
 }
 
-func rateOf(t fpm.Tally, m Metric) float64 {
-	kp, kn := m.Counts(t)
-	if kp+kn == 0 {
-		return math.NaN()
+// Exact is rk as an estimate of itself: exact statistics, so every
+// interval collapses to its point.
+func (rk Ranked) Exact() RankedEstimate {
+	return RankedEstimate{
+		Ranked:    rk,
+		SupportLo: rk.Support, SupportHi: rk.Support,
+		RateLo: rk.Rate, RateHi: rk.Rate,
+		DivergenceLo: rk.Divergence, DivergenceHi: rk.Divergence,
 	}
-	return float64(kp) / float64(kp+kn)
-}
-
-func posteriorOf(t fpm.Tally, m Metric) stats.PosteriorRate {
-	kp, kn := m.Counts(t)
-	return stats.NewPosteriorRate(float64(kp), float64(kn))
-}
-
-func welchOf(t fpm.Tally, m Metric, global stats.PosteriorRate) float64 {
-	return stats.WelchTPosterior(posteriorOf(t, m), global)
 }

@@ -207,7 +207,7 @@ func TestAnytimeTopKSampled(t *testing.T) {
 	if got.SupportEps <= 0 || got.SupportEps > 0.5 {
 		t.Fatalf("SupportEps = %v", got.SupportEps)
 	}
-	globalRate := rateOf(db.TotalTally(), ErrorRate)
+	globalRate := ErrorRate.Rate(db.TotalTally())
 	for _, e := range got.Top {
 		if e.SupportLo > e.Support || e.Support > e.SupportHi {
 			t.Errorf("support %v outside [%v, %v]", e.Support, e.SupportLo, e.SupportHi)

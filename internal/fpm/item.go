@@ -42,6 +42,15 @@ func (is Itemset) Key() string {
 	return string(buf)
 }
 
+// AppendKey appends the itemset's Key to buf, so a map lookup can build
+// the key in a buffer of the caller's instead of allocating it.
+func (is Itemset) AppendKey(buf []byte) []byte {
+	for _, it := range is {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(it))
+	}
+	return buf
+}
+
 // ParseKey decodes a key produced by Key back into an itemset.
 func ParseKey(key string) Itemset {
 	is := make(Itemset, len(key)/4)
@@ -272,16 +281,21 @@ func (c *Catalog) ItemsetByNames(names ...string) (Itemset, error) {
 	return is.Sorted(), nil
 }
 
+// Names renders an itemset as its item names, one per item.
+func (c *Catalog) Names(is Itemset) []string {
+	out := make([]string, len(is))
+	for i, it := range is {
+		out[i] = c.Name(it)
+	}
+	return out
+}
+
 // Format renders an itemset as a comma-separated list of item names.
 func (c *Catalog) Format(is Itemset) string {
 	if len(is) == 0 {
 		return "{}"
 	}
-	parts := make([]string, len(is))
-	for i, it := range is {
-		parts[i] = c.Name(it)
-	}
-	return strings.Join(parts, ", ")
+	return strings.Join(c.Names(is), ", ")
 }
 
 // RowItems converts a dataset row (value codes per attribute) into its

@@ -3,6 +3,7 @@ package jobs
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 
@@ -10,7 +11,6 @@ import (
 	"repro/internal/fpm"
 	"repro/internal/lattice"
 	"repro/internal/registry"
-	"repro/internal/stats"
 )
 
 // The anytime exploration tier (DESIGN.md §14). Explore queries run
@@ -247,13 +247,12 @@ func (e *Engine) explore(ctx context.Context, spec ExploreSpec, tr *Tracker) (*E
 		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
 
-	kp, kn := m.Counts(sess.db.TotalTally())
 	out := &ExploreOutcome{
 		Reason:     res.Reason.String(),
 		Partial:    res.Partial(),
 		Visited:    res.Visited,
 		Metric:     m.Name,
-		GlobalRate: float64(kp) / float64(kp+kn),
+		GlobalRate: m.Rate(sess.db.TotalTally()),
 		Top:        explorePatterns(sess.db.Catalog, res.Top),
 		Sampled:    res.Sampled,
 		Confidence: res.Confidence,
@@ -321,23 +320,21 @@ func (e *Engine) Expand(spec ExpandSpec) (*ExpandOutcome, error) {
 	e.expands.Add(1)
 
 	total := sess.db.TotalTally()
-	kp, kn := m.Counts(total)
-	if kp+kn == 0 {
+	globalRate := m.Rate(total)
+	if math.IsNaN(globalRate) {
 		return nil, fmt.Errorf("%w: metric %s undefined on the whole dataset", ErrBadInput, m.Name)
 	}
-	globalRate := float64(kp) / float64(kp+kn)
-	globalPost := stats.NewPosteriorRate(float64(kp), float64(kn))
-	rows := float64(sess.db.NumRows())
-
 	out := &ExpandOutcome{
-		Parent:     itemNameList(sess.db.Catalog, pattern),
+		Parent:     sess.db.Catalog.Names(pattern),
 		Metric:     m.Name,
 		GlobalRate: globalRate,
 	}
+	// Refinements keep the explorer's item order; each is scored as
+	// /analyze scores it, and its statistics are exact.
+	scorer := core.NewLeaderboard(total, sess.db.NumRows(), m, 0, core.ByAbsDivergence)
 	for _, r := range refs {
-		p := exactPattern(sess.db.Catalog, r.Items, r.Tally, rows, globalRate, globalPost, m)
-		if p != nil {
-			out.Refinements = append(out.Refinements, *p)
+		if rk, ok := scorer.Rank(r.Items, r.Tally); ok {
+			out.Refinements = append(out.Refinements, explorePattern(sess.db.Catalog, rk.Exact()))
 		}
 	}
 	return out, nil
@@ -366,47 +363,30 @@ func (e *Engine) ExploreStatsSnapshot() ExploreStats {
 	return st
 }
 
-// exactPattern renders one exactly-tallied pattern (navigation and
-// unsampled paths); nil when the metric is undefined on it.
-func exactPattern(cat *fpm.Catalog, items fpm.Itemset, t fpm.Tally, rows, globalRate float64, globalPost stats.PosteriorRate, m core.Metric) *ExplorePattern {
-	kp, kn := m.Counts(t)
-	if kp+kn == 0 {
-		return nil
-	}
-	rate := float64(kp) / float64(kp+kn)
-	sup := float64(t.Total()) / rows
-	div := rate - globalRate
-	return &ExplorePattern{
-		Items:      itemNameList(cat, items),
-		Support:    sup,
-		Rate:       rate,
-		Divergence: div,
-		T:          stats.WelchTPosterior(stats.NewPosteriorRate(float64(kp), float64(kn)), globalPost),
-		SupportLo:  sup, SupportHi: sup,
-		RateLo: rate, RateHi: rate,
-		DivergenceLo: div, DivergenceHi: div,
-	}
-}
-
 // explorePatterns converts ranked estimates to the wire format.
 func explorePatterns(cat *fpm.Catalog, top []core.RankedEstimate) []ExplorePattern {
 	out := make([]ExplorePattern, len(top))
 	for i, e := range top {
-		out[i] = ExplorePattern{
-			Items:        itemNameList(cat, e.Items),
-			Support:      e.Support,
-			Rate:         e.Rate,
-			Divergence:   e.Divergence,
-			T:            e.T,
-			SupportLo:    e.SupportLo,
-			SupportHi:    e.SupportHi,
-			RateLo:       e.RateLo,
-			RateHi:       e.RateHi,
-			DivergenceLo: e.DivergenceLo,
-			DivergenceHi: e.DivergenceHi,
-		}
+		out[i] = explorePattern(cat, e)
 	}
 	return out
+}
+
+// explorePattern converts one ranked estimate to the wire format.
+func explorePattern(cat *fpm.Catalog, e core.RankedEstimate) ExplorePattern {
+	return ExplorePattern{
+		Items:        cat.Names(e.Items),
+		Support:      e.Support,
+		Rate:         e.Rate,
+		Divergence:   e.Divergence,
+		T:            e.T,
+		SupportLo:    e.SupportLo,
+		SupportHi:    e.SupportHi,
+		RateLo:       e.RateLo,
+		RateHi:       e.RateHi,
+		DivergenceLo: e.DivergenceLo,
+		DivergenceHi: e.DivergenceHi,
+	}
 }
 
 // partialPatterns converts ranked estimates to snapshot entries.
@@ -414,7 +394,7 @@ func partialPatterns(cat *fpm.Catalog, top []core.RankedEstimate) []PartialPatte
 	out := make([]PartialPattern, len(top))
 	for i, e := range top {
 		out[i] = PartialPattern{
-			Items:      itemNameList(cat, e.Items),
+			Items:      cat.Names(e.Items),
 			Support:    e.Support,
 			Rate:       e.Rate,
 			Divergence: e.Divergence,

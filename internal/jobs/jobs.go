@@ -1,6 +1,6 @@
 // Package jobs is the asynchronous analysis-job engine: a bounded worker
-// pool runs DivExplorer explorations (via the parallel FP-growth path)
-// off the request goroutine, with a full job lifecycle
+// pool runs DivExplorer explorations (mined by fpm.Parallel, the bitset
+// kernel) off the request goroutine, with a full job lifecycle
 //
 //	queued → running → done | failed | canceled
 //
@@ -17,7 +17,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -113,15 +112,14 @@ type Spec struct {
 	Tenant string `json:",omitempty"`
 }
 
-// CacheKey identifies the cached mining result for a spec. It covers
-// every input the mined lattice depends on — dataset hash, label
-// columns, support — plus the metric list and epsilon so a cached entry
-// always reproduces the full request byte-for-byte. Render-only knobs
-// (TopK, Alpha, Timeout) and the admission identity (Tenant) are
-// deliberately excluded.
+// CacheKey identifies the cached mining result for a spec: exactly the
+// inputs the mined lattice depends on — dataset hash, label columns,
+// support — so every analysis, significance query and rehydration of
+// the same mine shares one entry. What only shapes the rendered answer
+// (Metrics, Epsilon, TopK, Alpha), Timeout and the admission identity
+// (Tenant) are excluded; they are applied to the Result per request.
 func (s Spec) CacheKey() string {
-	return cacheKey(string(s.Dataset), s.TruthCol, s.PredCol,
-		ftoa(s.Support), strings.Join(s.Metrics, ","), ftoa(s.Epsilon))
+	return cacheKey(string(s.Dataset), s.TruthCol, s.PredCol, ftoa(s.Support))
 }
 
 // Job is one submitted analysis, exploration or significance query.

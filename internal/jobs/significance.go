@@ -193,12 +193,10 @@ func (e *Engine) significance(ctx context.Context, spec SignificanceSpec, tr *Tr
 	}
 
 	// The mined lattice is shared with the analysis tier through the
-	// result cache: a significance query after an /analyze of the same
-	// dataset re-mines nothing.
-	jspec := Spec{
-		Dataset: spec.Dataset, TruthCol: spec.TruthCol, PredCol: spec.PredCol,
-		Support: spec.Support, Metrics: []string{m.Name},
-	}
+	// result cache, keyed by the mine's inputs alone: a significance query
+	// after an /analyze of the same dataset and support, under any
+	// metrics, re-mines nothing.
+	jspec := Spec{Dataset: spec.Dataset, TruthCol: spec.TruthCol, PredCol: spec.PredCol, Support: spec.Support}
 	res, _, err := e.analyzeCached(ctx, jspec, nil)
 	if err != nil {
 		return nil, err
@@ -266,7 +264,7 @@ func (e *Engine) significance(ctx context.Context, spec SignificanceSpec, tr *Tr
 	out.Top = make([]SignificantPattern, 0, len(sig))
 	for _, s := range sig {
 		sp := SignificantPattern{
-			Items:      itemNameList(res.DB.Catalog, s.Items),
+			Items:      res.DB.Catalog.Names(s.Items),
 			Support:    s.Support,
 			Rate:       s.Rate,
 			Divergence: s.Divergence,

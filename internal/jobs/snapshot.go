@@ -96,21 +96,13 @@ func summarize(res *core.Result, spec Spec) *ResultSummary {
 func appendPartial(dst []PartialPattern, cat *fpm.Catalog, rs []core.Ranked) []PartialPattern {
 	for _, rk := range rs {
 		dst = append(dst, PartialPattern{
-			Items:      itemNameList(cat, rk.Items),
+			Items:      cat.Names(rk.Items),
 			Support:    rk.Support,
 			Rate:       rk.Rate,
 			Divergence: rk.Divergence,
 		})
 	}
 	return dst
-}
-
-func itemNameList(cat *fpm.Catalog, is fpm.Itemset) []string {
-	out := make([]string, len(is))
-	for i, it := range is {
-		out[i] = cat.Name(it)
-	}
-	return out
 }
 
 // Tracker carries a running job's live telemetry out of the analysis
@@ -198,8 +190,8 @@ func newPartialAccum(db *fpm.TxDB, spec Spec, tr *Tracker) *partialAccum {
 	if len(spec.Metrics) > 0 {
 		if m, err := core.MetricByName(spec.Metrics[0]); err == nil {
 			acc.metric = m.Name
-			if kp, kn := m.Counts(db.TotalTally()); kp+kn > 0 {
-				acc.top = core.NewLeaderboard(db, m, topK, core.ByAbsDivergence)
+			if total := db.TotalTally(); !math.IsNaN(m.Rate(total)) {
+				acc.top = core.NewLeaderboard(total, db.NumRows(), m, topK, core.ByAbsDivergence)
 			}
 		}
 	}

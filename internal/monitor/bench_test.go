@@ -67,6 +67,52 @@ func BenchmarkParseBatch(b *testing.B) {
 // batchSink keeps BenchmarkParseBatch's result live.
 var batchSink Batch
 
+// BenchmarkMonitorSnapshot measures one snapshot read of a monitor of
+// the end-to-end benchmark's shape: 4 attributes of 3 values, subgroups
+// of up to 3 items, a sliding window of 8 × 500 ms buckets, full. The
+// window is filled before the timer starts and nothing is ingested
+// after, so allocs/op repeat exactly.
+func BenchmarkMonitorSnapshot(b *testing.B) {
+	spec := Spec{
+		Name:       "snapshot",
+		Metric:     "FPR",
+		MaxLen:     3,
+		MinSupport: 0.05,
+		Window:     WindowConfig{BucketMs: 500, Buckets: 8},
+	}
+	for a := 0; a < 4; a++ {
+		vals := make([]string, 3)
+		for v := range vals {
+			vals[v] = fmt.Sprintf("a%d_v%d", a, v)
+		}
+		spec.Attributes = append(spec.Attributes, AttrSpec{Name: fmt.Sprintf("attr%d", a), Values: vals})
+	}
+	s, err := datagen.Drift(1, datagen.DriftConfig{Events: 1000, Attrs: 4, Card: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	mgr := NewManager(Config{})
+	defer mgr.Close()
+	m, err := mgr.Create(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := m.Ingest(s.Body(0, len(s.Events))); err != nil {
+		b.Fatal(err)
+	}
+	awaitEvents(b, m, int64(len(s.Events)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snapshotSink = m.Snapshot()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(snapshotSink.Counters.TrackedPatterns), "tracked")
+}
+
+// snapshotSink keeps BenchmarkMonitorSnapshot's result live.
+var snapshotSink Snapshot
+
 func awaitDrained(b *testing.B, m *Monitor) {
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {

@@ -76,7 +76,9 @@ type Batch struct {
 
 // ParseBatch splits body into JSON lines and decodes each as Parse
 // does. Blank lines are skipped. Invalid lines are counted, never
-// fatal: a stream ingests what it can and reports the rest.
+// fatal: a stream ingests what it can and reports the rest. Only the
+// first rejection is formatted (FirstErr), so a rejected line after it
+// costs no allocation.
 //
 // The accepted events cost two allocations, whatever their number: the
 // []Event and one arena of value codes, of which each event's Vals is a
@@ -109,8 +111,10 @@ func (p *Parser) ParseBatch(body []byte) Batch {
 		t, class, err := d.decode(line)
 		if err != nil {
 			b.Invalid++
-			if b.FirstErr == nil {
-				b.FirstErr = err
+			if !d.quiet {
+				// Only the first rejection's text is kept, so the rest
+				// are not formatted.
+				b.FirstErr, d.quiet = err, true
 			}
 			continue
 		}
@@ -195,6 +199,9 @@ type lineDecoder struct {
 	codes   [MaxAttrs]uint8 // the validated line's value codes
 	scratch []byte          // the last unescaped string
 	arrays  [maxDepth/64 + 1]uint64
+
+	// quiet rejects with errQuiet instead of a formatted error.
+	quiet bool
 }
 
 // Fields of the event object.
@@ -274,6 +281,9 @@ func (d *lineDecoder) object() error {
 func (d *lineDecoder) end() error {
 	d.ws()
 	if d.pos < len(d.buf) {
+		if d.quiet {
+			return errQuiet
+		}
 		return decodeErr("data after the event object at offset %d", d.pos)
 	}
 	return nil
@@ -316,7 +326,7 @@ func (d *lineDecoder) time() error {
 	}
 	t, ok := parseInt(d.buf[s.lo:s.hi])
 	if !ok {
-		return decodeErr("%q wants an integer, got %s", "t", clip(d.buf[s.lo:s.hi]))
+		return d.fault(decodePrefix, "t", " wants an integer, got ", d.buf[s.lo:s.hi])
 	}
 	d.t = t
 	return nil
@@ -354,7 +364,7 @@ func (d *lineDecoder) attrs() error {
 		if err != nil {
 			return err
 		}
-		return decodeErr("%q wants an object, got %s", "attrs", clip(d.buf[s.lo:s.hi]))
+		return d.fault(decodePrefix, "attrs", " wants an object, got ", d.buf[s.lo:s.hi])
 	}
 	d.pos++
 	d.ws()
@@ -405,7 +415,7 @@ func (d *lineDecoder) declared(depth int, name string) (span, error) {
 		if err := d.literal("null"); err != nil {
 			return span{}, err
 		}
-		return span{}, decodeErr("%q is null", name)
+		return span{}, d.fault(decodePrefix, name, " is null", nil)
 	}
 	return d.value(depth)
 }
@@ -568,15 +578,15 @@ func (d *lineDecoder) str() (esc bool, err error) {
 				}
 				for k := i + 2; k < i+6; k++ {
 					if hexVal(b[k]) < 0 {
-						return false, decodeErr("invalid character %q at offset %d", b[k], k)
+						return false, d.unexpectedAt(k)
 					}
 				}
 				i += 6
 			default:
-				return false, decodeErr("invalid character %q at offset %d", b[i+1], i+1)
+				return false, d.unexpectedAt(i + 1)
 			}
 		case c < ' ':
-			return false, decodeErr("invalid character %q at offset %d", c, i)
+			return false, d.unexpectedAt(i)
 		default:
 			wide = true
 			i++
@@ -750,6 +760,9 @@ func (d *lineDecoder) peek() byte {
 // count — and leaves the value codes in d.codes.
 func (d *lineDecoder) validate() (int64, uint8, error) {
 	if d.t < 0 {
+		if d.quiet {
+			return 0, 0, errQuiet
+		}
 		return 0, 0, rejectErr("event time %d is negative", d.t)
 	}
 	truth, err := d.outcome(d.truth, "truth")
@@ -770,6 +783,9 @@ func (d *lineDecoder) validate() (int64, uint8, error) {
 		}
 	}
 	if missing := len(attrs) - bits.OnesCount64(d.found); missing > 0 {
+		if d.quiet {
+			return 0, 0, errQuiet
+		}
 		return 0, 0, rejectErr("event is missing %d of the declared attributes (%s)", missing, d.p.names)
 	}
 	return d.t, confusionCell(truth, pred), nil
@@ -779,7 +795,7 @@ func (d *lineDecoder) validate() (int64, uint8, error) {
 // strconv.ParseFloat reads as 0 or 1 (so -0, 1.0 and 1e0 count).
 func (d *lineDecoder) outcome(s span, field string) (bool, error) {
 	if s.hi == 0 {
-		return false, rejectErr("event is missing %q", field)
+		return false, d.fault("monitor: event is missing ", field, "", nil)
 	}
 	raw := d.buf[s.lo:s.hi]
 	switch c := raw[0]; {
@@ -800,7 +816,7 @@ func (d *lineDecoder) outcome(s span, field string) (bool, error) {
 			return true, nil
 		}
 	}
-	return false, rejectErr("%q wants a boolean or 0/1, got %s", field, clip(raw))
+	return false, d.fault("monitor: ", field, " wants a boolean or 0/1, got ", raw)
 }
 
 // code validates one attribute value against its declaration and
@@ -817,10 +833,10 @@ func (d *lineDecoder) code(a *AttrSpec, s span) (uint8, error) {
 				return a.bin(v), nil
 			}
 		}
-		return 0, rejectErr("attribute %q wants a number, got %s", a.Name, clip(raw))
+		return 0, d.fault("monitor: attribute ", a.Name, " wants a number, got ", raw)
 	}
 	if raw[0] != '"' {
-		return 0, rejectErr("attribute %q wants a string, got %s", a.Name, clip(raw))
+		return 0, d.fault("monitor: attribute ", a.Name, " wants a string, got ", raw)
 	}
 	v := raw[1 : len(raw)-1]
 	if s.esc {
@@ -830,6 +846,9 @@ func (d *lineDecoder) code(a *AttrSpec, s span) (uint8, error) {
 		if w == string(v) {
 			return uint8(k), nil
 		}
+	}
+	if d.quiet {
+		return 0, errQuiet
 	}
 	return 0, rejectErr("attribute %q has no value %q", a.Name, v)
 }
@@ -853,37 +872,55 @@ func confusionCell(truth, pred bool) uint8 {
 func (d *lineDecoder) unexpected() error { return d.unexpectedAt(d.pos) }
 
 func (d *lineDecoder) unexpectedAt(i int) error {
-	if i >= len(d.buf) {
+	switch {
+	case i >= len(d.buf):
 		return errEnd
+	case d.quiet:
+		return errQuiet
 	}
 	return decodeErr("invalid character %q at offset %d", d.buf[i], i)
 }
 
+// fault reports a field's value: prefix, the field's quoted name, what
+// is wrong with the value and, clipped, the value itself (raw, nil for
+// none).
+//
+// lint:ignore hotalloc an error ends the line's decode: once per batch
+func (d *lineDecoder) fault(prefix, name, what string, raw []byte) error {
+	if d.quiet {
+		return errQuiet
+	}
+	return fmt.Errorf("%s%q%s%s", prefix, name, what, clip(raw))
+}
+
 // errEnd and errDepth end the decode of a line cut short or nested
-// too deep.
+// too deep; errQuiet is every other rejection of a quiet decoder.
 var (
 	errEnd   = errors.New("monitor: decoding event: unexpected end of line")
 	errDepth = errors.New("monitor: decoding event: exceeded max depth")
+	errQuiet = errors.New("monitor: event rejected")
 )
 
+// decodePrefix starts a JSON syntax or type fault's message.
+const decodePrefix = "monitor: decoding event: "
+
 // decodeErr formats a JSON syntax or type fault in a line, and
-// rejectErr a value the schema does not admit. Either ends the line's
-// decode, so each runs once per rejected line, never per field of an
-// accepted one.
+// rejectErr a value the schema does not admit. A quiet decoder calls
+// neither, so each runs at most once per batch.
 //
-// lint:ignore hotalloc an error ends the line's decode: once per rejected line
+// lint:ignore hotalloc an error ends the line's decode: once per batch
 func decodeErr(format string, args ...any) error {
-	return fmt.Errorf("monitor: decoding event: "+format, args...)
+	return fmt.Errorf(decodePrefix+format, args...)
 }
 
-// lint:ignore hotalloc an error ends the line's decode: once per rejected line
+// lint:ignore hotalloc an error ends the line's decode: once per batch
 func rejectErr(format string, args ...any) error {
 	return fmt.Errorf("monitor: "+format, args...)
 }
 
 // clip bounds a raw JSON fragment for an error message.
 //
-// lint:ignore hotalloc an error ends the line's decode: once per rejected line
+// lint:ignore hotalloc an error ends the line's decode: once per batch
 func clip(raw []byte) string {
 	const max = 32
 	if len(raw) > max {

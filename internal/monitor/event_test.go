@@ -206,6 +206,49 @@ func TestParseBatchAllocations(t *testing.T) {
 	}
 }
 
+// TestParseBatchRejectsWithoutAllocating: a batch formats only its
+// first rejection, so its allocations do not grow with the number of
+// rejected lines, whatever their fault, and FirstErr is the text Parse
+// gives for the first of them. The first line is cut short, whose
+// error is a constant: fmt's printer pool drops items at random under
+// the race detector, so a formatted first error would make the count
+// vary from run to run.
+func TestParseBatchRejectsWithoutAllocating(t *testing.T) {
+	p := testParser(t)
+	rejected := []string{
+		`{"t": 1, "attrs": {"color":"red`,
+		`junk`,
+		`{"t": -1, "attrs": {"color":"red","size":"s","age":1}, "truth": 1, "pred": 0}`,
+		`{"t": 0, "attrs": {"color":"red","size":"s"}, "truth": 1, "pred": 0}`,
+		`{"t": 0, "attrs": {"color":"mauve","size":"s","age":1}, "truth": 1, "pred": 0}`,
+		`{"t": 0, "attrs": {"color":"red","size":"s","age":"old"}, "truth": 1, "pred": 0}`,
+		`{"t": 0, "attrs": {"color":3,"size":"s","age":1}, "truth": 1, "pred": 0}`,
+		`{"t": 0, "attrs": {"color":"red","size":"s","age":1}, "truth": 2, "pred": 0}`,
+		`{"t": 0, "attrs": {"color":"red","size":"s","age":1}, "pred": 0}`,
+		`{"t": 1, "attrs": {"color":"red","size":"s","age":1}, "truth": null, "pred": 1}`,
+		`{"t": 1, "attrs": {"color":"red","size":"s","age":1}, "truth": 1, "pred": 1} junk`,
+		`{"t": 1.5, "attrs": {"color":"red","size":"s","age":1}, "truth": 1, "pred": 1}`,
+		`{"t": 1, "attrs": [], "truth": 1, "pred": 1}`,
+		`{"t": 1, "attrs": {"color":"r\qd","size":"s","age":1}, "truth": 1, "pred": 1}`,
+	}
+	_, want := p.Parse([]byte(rejected[0]))
+	var allocs []float64
+	for _, n := range []int{1000, 100000} {
+		var body []byte
+		for i := 0; i < n; i++ {
+			body = append(body, rejected[i%len(rejected)]+"\n"...)
+		}
+		var b Batch
+		allocs = append(allocs, testing.AllocsPerRun(3, func() { b = p.ParseBatch(body) }))
+		if len(b.Events) != 0 || b.Invalid != n || b.FirstErr == nil || b.FirstErr.Error() != want.Error() {
+			t.Fatalf("%d lines: %d events, %d invalid, first error %v; want 0, %d, %v", n, len(b.Events), b.Invalid, b.FirstErr, n, want)
+		}
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("%.0f allocations for 1,000 rejected lines, %.0f for 100,000", allocs[0], allocs[1])
+	}
+}
+
 // TestParseBatchArena checks that each event's Vals, a window of the
 // batch's one code arena, is capacity-bounded, so an append to it
 // cannot overwrite the next event's codes.

@@ -253,26 +253,25 @@ func (m *Monitor) evaluate(endMs int64) {
 		}
 		m.pruneDetectors(endMs)
 	}
-	overall, ok := rate(m.metric.Pos, m.metric.Neg, w.total)
-	if !ok {
+	if math.IsNaN(m.metric.Rate(w.total)) {
 		return
 	}
+	scorer := core.NewLeaderboard(w.total, w.rowsIn, m.metric, 0, core.ByAbsDivergence)
 	for i := range w.tracked {
 		t := &w.tracked[i]
 		if t.tally.Total() < minCount {
 			continue
 		}
-		r, ok := rate(m.metric.Pos, m.metric.Neg, t.tally)
+		rk, ok := scorer.Rank(t.items, t.tally)
 		if !ok {
 			continue
 		}
-		div := r - overall
 		d := m.detectors[t.key]
 		if d == nil {
 			d = &detector{cfg: m.spec.Detection}
 			m.detectors[t.key] = d
 		}
-		if from, to, changed := d.update(div); changed {
+		if from, to, changed := d.update(rk.Divergence); changed {
 			m.record(endMs, t.items, d, from, to)
 		}
 	}
@@ -316,7 +315,7 @@ func (m *Monitor) record(endMs int64, items fpm.Itemset, d *detector, from, to A
 	m.transitions = append(m.transitions, Transition{
 		Seq:        m.nextSeq,
 		TimeMs:     endMs,
-		Itemset:    m.win.names(items),
+		Itemset:    m.win.cat.Names(items),
 		Metric:     m.spec.Metric,
 		From:       from.String(),
 		To:         to.String(),
@@ -331,7 +330,8 @@ func (m *Monitor) record(endMs int64, items fpm.Itemset, d *detector, from, to A
 }
 
 // Snapshot assembles the serving view: window position, the top-K
-// tracked subgroups by absolute divergence, and counters.
+// tracked subgroups, ranked as /analyze ranks (core.Leaderboard under
+// ByAbsDivergence), and counters.
 func (m *Monitor) Snapshot() Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -347,56 +347,37 @@ func (m *Monitor) Snapshot() Snapshot {
 		WindowStartMs: w.curStart - int64(w.count-1)*w.cfg.BucketMs,
 		Counters:      m.countersLocked(),
 	}
-	if overall, ok := rate(m.metric.Pos, m.metric.Neg, w.total); ok {
-		s.GlobalRate = overall
-		minCount := w.minCount()
-		total := float64(w.rowsIn)
-		for i := range w.tracked {
-			t := &w.tracked[i]
-			sup := t.tally.Total()
-			if sup < minCount {
-				continue
-			}
-			r, ok := rate(m.metric.Pos, m.metric.Neg, t.tally)
-			if !ok {
-				continue
-			}
-			st := SubgroupStatus{
-				Itemset:    w.names(t.items),
-				Support:    float64(sup) / total,
-				Rate:       r,
-				Divergence: r - overall,
-				State:      StateOK.String(),
-			}
-			if d := m.detectors[t.key]; d != nil {
-				st.Z, st.Cusum, st.State = d.lastZ, d.lastStat, d.state.String()
-			}
-			s.Top = append(s.Top, st)
+	overall := m.metric.Rate(w.total)
+	if math.IsNaN(overall) {
+		return s
+	}
+	s.GlobalRate = overall
+	minCount := w.minCount()
+	lb := core.NewLeaderboard(w.total, w.rowsIn, m.metric, m.spec.TopK, core.ByAbsDivergence)
+	for i := range w.tracked {
+		if t := &w.tracked[i]; t.tally.Total() >= minCount {
+			lb.Offer(t.items, t.tally)
 		}
-		sort.Slice(s.Top, func(i, j int) bool {
-			di, dj := math.Abs(s.Top[i].Divergence), math.Abs(s.Top[j].Divergence)
-			// lint:ignore floatcmp exact tie-break; equal divergences fall through to the name order
-			if di != dj {
-				return di > dj
-			}
-			return lessNames(s.Top[i].Itemset, s.Top[j].Itemset)
-		})
-		if len(s.Top) > m.spec.TopK {
-			s.Top = s.Top[:m.spec.TopK]
+	}
+	top := lb.Top()
+	if len(top) > 0 {
+		s.Top = make([]SubgroupStatus, len(top))
+	}
+	var key [4 * MaxAttrs]byte
+	for i, rk := range top {
+		st := SubgroupStatus{
+			Itemset:    w.cat.Names(rk.Items),
+			Support:    rk.Support,
+			Rate:       rk.Rate,
+			Divergence: rk.Divergence,
+			State:      StateOK.String(),
 		}
+		if d := m.detectors[string(rk.Items.AppendKey(key[:0]))]; d != nil {
+			st.Z, st.Cusum, st.State = d.lastZ, d.lastStat, d.state.String()
+		}
+		s.Top[i] = st
 	}
 	return s
-}
-
-// lessNames orders itemset name slices lexicographically (tie-break for
-// deterministic snapshots).
-func lessNames(a, b []string) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }
 
 // Counters returns the monitor's counters.

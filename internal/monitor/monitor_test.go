@@ -33,7 +33,7 @@ func driftSpec() Spec {
 }
 
 // awaitEvents polls until the monitor's worker has folded in n events.
-func awaitEvents(t *testing.T, m *Monitor, n int64) {
+func awaitEvents(t testing.TB, m *Monitor, n int64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {

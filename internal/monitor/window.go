@@ -365,22 +365,3 @@ func keepTopSupport(tracked []trackedPattern, n int) []trackedPattern {
 	})
 	return tracked[:n]
 }
-
-// names renders an itemset as "attr=value" strings via the catalog.
-func (w *window) names(is fpm.Itemset) []string {
-	out := make([]string, len(is))
-	for i, it := range is {
-		out[i] = w.cat.Name(it)
-	}
-	return out
-}
-
-// rate computes a metric's positive rate over a tally; ok is false when
-// the metric's observation count is zero.
-func rate(pos, neg uint16, t fpm.Tally) (float64, bool) {
-	kPos, kNeg := t.Masked(pos), t.Masked(neg)
-	if kPos+kNeg == 0 {
-		return 0, false
-	}
-	return float64(kPos) / float64(kPos+kNeg), true
-}

@@ -103,7 +103,6 @@ import (
 	"repro/internal/admission"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/fpm"
 	"repro/internal/htmlreport"
 	"repro/internal/jobs"
 	"repro/internal/monitor"
@@ -556,7 +555,7 @@ func buildJSON(res *core.Result, req analysisRequest) responseJSON {
 		mj := metricJSON{Metric: m.Name, OverallRate: res.GlobalRate(m)}
 		toJSON := func(rk core.Ranked) patternJSON {
 			return patternJSON{
-				Itemset:    itemNames(res, rk.Items),
+				Itemset:    res.DB.Catalog.Names(rk.Items),
 				Support:    rk.Support,
 				Rate:       rk.Rate,
 				Divergence: rk.Divergence,
@@ -594,7 +593,7 @@ func buildJSON(res *core.Result, req analysisRequest) responseJSON {
 		}
 		for _, c := range res.TopCorrective(m, 5, 2.0) {
 			mj.Corrective = append(mj.Corrective, correctiveJSON{
-				Base:   itemNames(res, c.Base),
+				Base:   res.DB.Catalog.Names(c.Base),
 				Item:   res.DB.Catalog.Name(c.Item),
 				Factor: c.Factor,
 				T:      c.T,
@@ -603,12 +602,4 @@ func buildJSON(res *core.Result, req analysisRequest) responseJSON {
 		resp.Metrics = append(resp.Metrics, mj)
 	}
 	return resp
-}
-
-func itemNames(res *core.Result, is fpm.Itemset) []string {
-	out := make([]string, len(is))
-	for i, it := range is {
-		out[i] = res.DB.Catalog.Name(it)
-	}
-	return out
 }

@@ -248,3 +248,42 @@ func FuzzSignificanceRequest(f *testing.F) {
 		}
 	})
 }
+
+// TestOneMinePerSupport pins the result cache's key to the mine's own
+// inputs: an /analyze of FPR, an /analyze of FNR and ER with pruning,
+// and an analytic significance query on ER, all on one table at one
+// support, share a single mined lattice (one result-cache miss), and
+// each answer is byte-equal to the same request on a fresh server.
+func TestOneMinePerSupport(t *testing.T) {
+	csv := datagenCSV(t, 7, 1200, 6, 3)
+	requests := []func(e *exploreEnv, hash string) (int, string){
+		func(e *exploreEnv, _ string) (int, string) {
+			w := e.do(t, http.MethodPost, "/analyze?support=0.05&metric=FPR", csv)
+			return w.Code, w.Body.String()
+		},
+		func(e *exploreEnv, _ string) (int, string) {
+			w := e.do(t, http.MethodPost, "/analyze?support=0.05&metric=FNR,ER&eps=0.02", csv)
+			return w.Code, w.Body.String()
+		},
+		func(e *exploreEnv, hash string) (int, string) {
+			code, _, body := e.significance(t, fmt.Sprintf(`{"dataset":%q,"support":0.05,"metric":"ER","method":"bh"}`, hash))
+			return code, body
+		},
+	}
+	shared := newExploreEnv(t)
+	hash := shared.register(t, csv)
+	for i, req := range requests {
+		code, got := req(shared, hash)
+		fresh := newExploreEnv(t)
+		wantCode, want := req(fresh, fresh.register(t, csv))
+		if code != http.StatusOK || wantCode != http.StatusOK {
+			t.Fatalf("request %d: status %d shared, %d fresh: %s", i, code, wantCode, got)
+		}
+		if got != want {
+			t.Errorf("request %d: the shared server's answer differs from a fresh server's:\n%s\nvs\n%s", i, got, want)
+		}
+	}
+	if st := shared.srv.engine.Stats().ResultCache; st.Misses != 1 || st.Hits != 2 {
+		t.Errorf("result cache %+v, want one miss and two hits", st)
+	}
+}

@@ -358,7 +358,7 @@ func divExplorerCandidates(test *dataset.Dataset, testTruth, testPred []bool, su
 	seen := map[string]bool{}
 	appendTop := func(rs []core.Ranked) {
 		for _, rk := range rs {
-			p := newPattern(splitNames(db.Catalog, rk.Items)...)
+			p := newPattern(db.Catalog.Names(rk.Items)...)
 			if key := p.String(); !seen[key] {
 				seen[key] = true
 				out = append(out, p)
@@ -411,7 +411,7 @@ func sliceFinderCandidates(test *dataset.Dataset, testTruth []bool, model *class
 	}
 	var out []pattern
 	for _, s := range f.Find() {
-		out = append(out, newPattern(splitNames(f.Catalog(), s.Items)...))
+		out = append(out, newPattern(f.Catalog().Names(s.Items)...))
 	}
 	return out, nil
 }
@@ -612,12 +612,4 @@ func firstN(xs []int, n int) []int {
 		return xs
 	}
 	return xs[:n]
-}
-
-func splitNames(cat *fpm.Catalog, is fpm.Itemset) []string {
-	out := make([]string, len(is))
-	for i, it := range is {
-		out[i] = cat.Name(it)
-	}
-	return out
 }

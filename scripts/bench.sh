@@ -23,6 +23,10 @@
 #   BenchmarkParseBatch                  the event decoder alone: one
 #                                        100-event batch, no worker
 #                                        (two allocations a batch)
+#   BenchmarkMonitorSnapshot             one snapshot read of a full
+#                                        monitor of the end-to-end
+#                                        bench's shape (the top K ranked
+#                                        through core.Leaderboard)
 #   BenchmarkWindowAdvance               the O(bucket) advance across
 #                                        window lengths — flat ns/op is
 #                                        the design's acceptance bar
@@ -87,7 +91,7 @@ echo "==> benchmarks (-benchtime ${benchtime}, -benchmem, -cpu=1)"
     go test -run=NONE -benchmem -cpu=1 -benchtime="${benchtime}" \
         -bench '^(BenchmarkRegistryRegister|BenchmarkRegistryGetDiskFallthrough)$' ./internal/registry
     go test -run=NONE -benchmem -cpu=1 -benchtime="${benchtime}" \
-        -bench '^(BenchmarkMonitorIngest|BenchmarkParseBatch|BenchmarkWindowAdvance)$' ./internal/monitor
+        -bench '^(BenchmarkMonitorIngest|BenchmarkParseBatch|BenchmarkMonitorSnapshot|BenchmarkWindowAdvance)$' ./internal/monitor
     go test -run=NONE -benchmem -cpu=1 -benchtime="${benchtime}" \
         -bench '^(BenchmarkAnytimeTopK|BenchmarkRankAnalyze|BenchmarkSignificanceWY)$' ./internal/core
     go test -run=NONE -benchmem -cpu=1 -benchtime="${benchtime}" \

@@ -106,7 +106,10 @@
 #                                  covers, WY adjust, window advance,
 #                                  the monitor's event-batch decode
 #                                  (two allocations a batch, none an
-#                                  event), registry registration — the two-row
+#                                  event), the monitor's snapshot read
+#                                  (the K subgroups it returns, not
+#                                  every tracked one), registry
+#                                  registration — the two-row
 #                                  and the audit-shaped decode arms —
 #                                  and disk fall-through, ring lookup)
 #                                  at -cpu=1,
@@ -209,7 +212,7 @@ echo "==> allocation gate (hot benchmarks at -cpu=1 against the newest BENCH_*.j
     go test -run=NONE -benchmem -cpu=1 -benchtime=200x \
         -bench '^(BenchmarkPermutationPass|BenchmarkPermutationPassSparse|BenchmarkWYAdjust)$' ./internal/permtest
     go test -run=NONE -benchmem -cpu=1 -benchtime=200x \
-        -bench '^(BenchmarkWindowAdvance|BenchmarkParseBatch)$' ./internal/monitor
+        -bench '^(BenchmarkWindowAdvance|BenchmarkParseBatch|BenchmarkMonitorSnapshot)$' ./internal/monitor
     go test -run=NONE -benchmem -cpu=1 -benchtime=200x \
         -bench '^(BenchmarkRegistryRegister|BenchmarkRegistryGetDiskFallthrough)$' ./internal/registry
     go test -run=NONE -benchmem -cpu=1 -benchtime=200x \
