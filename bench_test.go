@@ -218,12 +218,14 @@ func BenchmarkSliceFinderCompas(b *testing.B) {
 // BenchmarkMinerAblation compares the paper's two Algorithm 1 variants
 // (level-wise Apriori over bitsets, FP-growth) with the bitset kernel
 // that serves every request path, on two contrasting workloads: COMPAS
-// (small schema) and german at s=0.1 (wide schema). The kernel's
-// depth-first search with class-sorted covers beats both at these
-// supports: one AND-and-popcount pass gives a candidate's cover and
-// whole tally, where Apriori needs K more passes and a subset check,
-// and FP-growth rebuilds a conditional tree per subproblem. All three
-// produce identical output (verified by the fpm property tests); this
+// (small schema) and german at s=0.1 (wide schema). Apriori and the
+// kernel read the same class-sorted covers, where one AND-and-popcount
+// pass gives a candidate's cover and whole tally; the kernel's
+// depth-first search beats both variants at these supports, since
+// Apriori also joins levels, checks subsets and keeps every level's
+// covers, and FP-growth rebuilds a conditional tree per subproblem.
+// All three produce identical output (verified by the fpm property
+// tests); this
 // measures the cost of the design choice DESIGN.md §6 calls out.
 func BenchmarkMinerAblation(b *testing.B) {
 	workloads := []struct {

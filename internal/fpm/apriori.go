@@ -6,10 +6,10 @@ import (
 )
 
 // Apriori mines frequent itemsets level-wise (Agrawal & Srikant, VLDB'94)
-// over a vertical bitset layout: every itemset carries the bitset of rows
-// it covers, candidate covers are bitwise intersections, and outcome
-// tallies are masked popcounts against per-class row bitsets. This is the
-// Apriori-based variant of Algorithm 1.
+// over the vertical bitset layout of layout.go: every itemset carries
+// the bitset of rows it covers, and one AND-and-popcount of two covers
+// (Layout.AndTally) gives a candidate's cover and its outcome tally.
+// This is the Apriori-based variant of Algorithm 1.
 type Apriori struct{}
 
 // Name implements Miner.
@@ -18,7 +18,7 @@ func (Apriori) Name() string { return "apriori" }
 // levelEntry is one frequent itemset of the current level with its cover.
 type levelEntry struct {
 	items Itemset
-	cover bitset
+	cover []uint64
 }
 
 // Mine implements Miner. The context is checked once per level, so a
@@ -30,45 +30,21 @@ func (Apriori) Mine(ctx context.Context, db *TxDB, minCount int64) ([]FrequentPa
 	if err := ctx.Err(); err != nil {
 		return nil, mineCanceled{err}
 	}
-	n := db.NumRows()
 	cat := db.Catalog
 
-	// Per-class row bitsets, used to split covers into tallies.
-	classBits := make([]bitset, db.K)
-	for c := range classBits {
-		classBits[c] = newBitset(n)
-	}
-	for r, c := range db.Classes {
-		classBits[c].set(r)
-	}
-	tallyOf := func(cover bitset) Tally {
-		var t Tally
-		for c := 0; c < db.K; c++ {
-			t[c] = countAnd(cover, classBits[c])
-		}
-		return t
-	}
-
-	// Level 1: item covers.
-	itemCover := make([]bitset, cat.NumItems())
-	for i := range itemCover {
-		itemCover[i] = newBitset(n)
-	}
-	for r, row := range db.Data.Rows {
-		for a, v := range row {
-			itemCover[cat.ItemFor(a, v)].set(r)
-		}
-	}
+	// Level 1: the frequent items' covers, straight from the layout.
+	var lay Layout
+	lay.Count(db)
+	w := lay.Words()
+	items := lay.Frequent(minCount, nil)
+	covers := make([]uint64, len(items)*w)
+	lay.Pack(db, items, covers)
 	var out []FrequentPattern
 	var level []levelEntry
-	for i := 0; i < cat.NumItems(); i++ {
-		cover := itemCover[i]
-		if cover.count() < minCount {
-			continue
-		}
-		items := Itemset{Item(i)}
-		out = append(out, FrequentPattern{Items: items, Tally: tallyOf(cover)})
-		level = append(level, levelEntry{items: items, cover: cover})
+	for e, it := range items {
+		is := Itemset{it}
+		out = append(out, FrequentPattern{Items: is, Tally: lay.counts[it]})
+		level = append(level, levelEntry{items: is, cover: covers[e*w : (e+1)*w]})
 	}
 
 	// Levels k >= 2: join entries sharing a (k-1)-prefix; prune candidates
@@ -98,9 +74,8 @@ func (Apriori) Mine(ctx context.Context, db *TxDB, minCount int64) ([]FrequentPa
 				if !allSubsetsFrequent(cand, frequentKeys) {
 					continue
 				}
-				cover := newBitset(n)
-				intersect(cover, a.cover, b.cover)
-				tally := tallyOf(cover)
+				cover := make([]uint64, w)
+				tally := lay.AndTally(cover, a.cover, b.cover)
 				if tally.Total() < minCount {
 					continue
 				}

@@ -19,11 +19,10 @@ import (
 // transaction database. The index is immutable after construction and
 // safe for concurrent readers.
 type CoverIndex struct {
-	covers  []cover  // one per itemset, in input order
-	words   []uint64 // bitset covers, w words each
-	rows    []int32  // row-list covers, each ascending
-	w       int      // words per bitset: ⌈numRows/64⌉
-	numRows int
+	covers []cover  // one per itemset, in input order
+	words  []uint64 // bitset covers, w words each
+	rows   []int32  // row-list covers, each ascending
+	w      int      // words per bitset: ⌈numRows/64⌉
 }
 
 // cover locates one itemset's cover: count rows, stored at off in words
@@ -36,50 +35,27 @@ type cover struct {
 func (c *CoverIndex) isBitset(count int) bool { return count >= 2*c.w }
 
 // BuildCoverIndex computes the cover of every itemset as the AND of its
-// items' row bitsets, then stores it in the smaller form, extracting a
-// row list from the bitset when that is the smaller. Construction is a
-// cold path: one scan of the dataset sets the bitsets of the items the
-// itemsets use, then each itemset costs one AND per item and word.
+// items' layout covers, then stores it in the smaller form, extracting a
+// row list from the bitset when that is the smaller. The fold reads no
+// per-class tally and every permutation relabels the rows, so the index
+// lays the rows out as one class, in dataset order: class ranges would
+// only pad each cover by up to K−1 words. Construction is a cold path:
+// the layout's two passes pack the covers of the items the itemsets
+// use, then each itemset costs one AndTally per item.
 func BuildCoverIndex(db *TxDB, itemsets []Itemset) *CoverIndex {
-	n := db.NumRows()
-	c := &CoverIndex{covers: make([]cover, len(itemsets)), w: (n + 63) / 64, numRows: n}
-
-	// slot[it] is 1 + the position of item it's bitset in itemBits, or
-	// 0 when no itemset uses item it.
-	slot := make([]int32, db.Catalog.NumItems())
-	used := 0
-	for _, is := range itemsets {
-		for _, it := range is {
-			if slot[it] == 0 {
-				used++
-				slot[it] = int32(used)
-			}
-		}
-	}
-	itemBits := make([]uint64, used*c.w)
-	for r, row := range db.Data.Rows {
-		for a, v := range row {
-			if s := slot[db.Catalog.ItemFor(a, v)]; s > 0 {
-				itemBits[int(s-1)*c.w+r/64] |= 1 << (uint(r) % 64)
-			}
-		}
-	}
-	bitsOf := func(it Item) bitset {
-		off := int(slot[it]-1) * c.w
-		return bitset(itemBits[off : off+c.w])
-	}
-
-	all := newBitset(n) // every row: the empty itemset's cover
-	for r := 0; r < n; r++ {
-		all.set(r)
-	}
-	acc := newBitset(n)
+	flat := TxDB{Catalog: db.Catalog, Data: db.Data, Classes: make([]uint8, db.NumRows()), K: 1}
+	var lay Layout
+	lay.Count(&flat)
+	w := lay.Words()
+	c := &CoverIndex{covers: make([]cover, len(itemsets)), w: w}
+	itemCovers := lay.packUsed(&flat, itemsets, w) // then the accumulator
+	acc := itemCovers[len(itemCovers)-w:]
 	for i, is := range itemsets {
-		copy(acc, all)
+		t := lay.Full(acc) // the empty itemset covers every row
 		for _, it := range is {
-			intersect(acc, acc, bitsOf(it))
+			t = lay.AndTally(acc, acc, itemCovers[int(lay.pos[it])*w:][:w])
 		}
-		count := int(acc.count())
+		count := int(t.Total())
 		if c.isBitset(count) {
 			c.covers[i] = cover{off: len(c.words), count: count}
 			c.words = append(c.words, acc...)
@@ -142,7 +118,7 @@ func (c *CoverIndex) Fold(i int, s *Split) (pos, neg int64) {
 // 1 when it is negative). A Split is written in place by Fill, so one
 // split serves any number of labellings without allocating.
 type Split struct {
-	pos, neg bitset
+	pos, neg []uint64
 	code     []uint8
 }
 
@@ -151,8 +127,8 @@ type Split struct {
 // bitset word; Fill never writes the padding, so it stays zero.
 func (c *CoverIndex) NewSplit() *Split {
 	return &Split{
-		pos:  newBitset(c.numRows),
-		neg:  newBitset(c.numRows),
+		pos:  make([]uint64, c.w),
+		neg:  make([]uint64, c.w),
 		code: make([]uint8, 64*c.w),
 	}
 }

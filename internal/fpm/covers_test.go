@@ -2,9 +2,13 @@ package fpm
 
 import (
 	"context"
+	"fmt"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"repro/internal/dataset"
 )
 
 // coverRows reads itemset i's cover out of the index in either form,
@@ -136,6 +140,35 @@ func TestCoverIndexFormThreshold(t *testing.T) {
 	for i, is := range []Itemset{short, long} {
 		checkFold(t, c, i, db.Classes, db.K, db.TallyOf(is))
 	}
+}
+
+// TestCoverIndexPacksUsedItems: the index lays out only the covers of
+// the items its itemsets use, so an id column's n items cost it no
+// ⌈n/64⌉-word cover each: building an index over one common item of an
+// 8,192-row table allocates well under the 8 MB that covering every item
+// would take.
+func TestCoverIndexPacksUsedItems(t *testing.T) {
+	const n = 8192
+	d := &dataset.Dataset{Attrs: []dataset.Attribute{{Name: "id"}, {Name: "a", Values: []string{"x", "y"}}}}
+	classes := make([]uint8, n)
+	for r := 0; r < n; r++ {
+		d.Attrs[0].Values = append(d.Attrs[0].Values, fmt.Sprintf("r%d", r))
+		d.Rows = append(d.Rows, []int32{int32(r), int32(r % 2)})
+		classes[r] = uint8(r % 3 % 2)
+	}
+	db, err := NewTxDB(d, classes, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	is := Itemset{db.Catalog.ItemFor(1, 0)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := BuildCoverIndex(db, []Itemset{is})
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2<<20 {
+		t.Fatalf("building a one-itemset index allocated %d bytes", got)
+	}
+	checkFold(t, c, 0, db.Classes, db.K, db.TallyOf(is))
 }
 
 // thresholdTxDB builds an n-row, one-attribute database in which value

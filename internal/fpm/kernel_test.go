@@ -15,13 +15,13 @@ import (
 func TestKernelSteadyStateAllocFree(t *testing.T) {
 	db := smallTxDB(t)
 	k := newKernel(db.Catalog)
-	k.layout(db, 1, false)
+	k.prepare(db, 1, false)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	k.ctx, k.done = ctx, ctx.Done()
 	r := &parallelRun{results: make([][]FrequentPattern, len(k.levels[0].items))}
 	runOnce := func() {
-		k.layout(db, 1, false)
+		k.prepare(db, 1, false)
 		r.next.Store(0)
 		r.work(k)
 	}
@@ -104,8 +104,8 @@ func fuzzSeed(attrs, k int, minRaw byte, sizes ...int) []byte {
 }
 
 // FuzzMinersAgree: on any small database, the bitset kernel's batch mine
-// at 1 and 3 workers and its unbudgeted stream give exactly BruteForce's
-// itemset→tally map.
+// at 1 and 3 workers, its unbudgeted stream and Apriori, the layout's
+// other miner, give exactly BruteForce's itemset→tally map.
 func FuzzMinersAgree(f *testing.F) {
 	f.Add(fuzzSeed(3, 3, 4, 63, 64, 65))
 	f.Add(fuzzSeed(4, 5, 9, 64, 0, 63, 0, 65))
@@ -137,5 +137,10 @@ func FuzzMinersAgree(f *testing.F) {
 			t.Fatal(err)
 		}
 		diffPatternMaps(t, want, patternsByKey(streamed), "brute", "stream", float64(minCount))
+		apriori, err := Apriori{}.Mine(ctx, db, minCount)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffPatternMaps(t, want, patternsByKey(apriori), "brute", "apriori", float64(minCount))
 	})
 }

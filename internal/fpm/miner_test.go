@@ -307,27 +307,3 @@ func TestFullLengthPatternsAtMinCountOne(t *testing.T) {
 		}
 	}
 }
-
-func TestBitset(t *testing.T) {
-	b := newBitset(130)
-	for _, i := range []int{0, 63, 64, 129} {
-		b.set(i)
-	}
-	if !b.get(0) || !b.get(64) || b.get(1) {
-		t.Error("get/set misbehave")
-	}
-	if got := b.count(); got != 4 {
-		t.Errorf("count = %d, want 4", got)
-	}
-	c := newBitset(130)
-	c.set(64)
-	c.set(5)
-	if got := countAnd(b, c); got != 1 {
-		t.Errorf("countAnd = %d, want 1", got)
-	}
-	dst := newBitset(130)
-	intersect(dst, b, c)
-	if got := dst.count(); got != 1 || !dst.get(64) {
-		t.Errorf("intersect wrong: count=%d", got)
-	}
-}

@@ -49,7 +49,7 @@ func (p Parallel) Mine(ctx context.Context, db *TxDB, minCount int64) ([]Frequen
 		return nil, fmt.Errorf("fpm: minCount %d < 1", minCount)
 	}
 	k0 := newKernel(db.Catalog)
-	k0.layout(db, minCount, false)
+	k0.prepare(db, minCount, false)
 	k0.ctx, k0.done = ctx, ctx.Done()
 	total := len(k0.levels[0].items)
 	workers := p.Workers

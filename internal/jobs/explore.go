@@ -19,8 +19,10 @@ import (
 // (SubmitExplore), in which case top-K refinements stream through the
 // partial-result Tracker and the final snapshot carries the completion
 // reason. Expand/Drill navigation never mines at all: it is served by a
-// per-dataset lattice.Explorer whose conditional-tally cache turns a
-// click on a pattern into one narrowed scan.
+// per-dataset lattice.Explorer, which lays out the frequent items'
+// covers on the first expand and turns a click on a pattern into one
+// AND-and-popcount per candidate item, memoized in a conditional-tally
+// cache.
 
 // ExploreSpec describes one anytime exploration.
 type ExploreSpec struct {
@@ -241,11 +243,11 @@ func (e *Engine) explore(ctx context.Context, spec ExploreSpec, tr *Tracker) (*E
 			})
 		}
 	}
-	e.exploreMines.Add(1)
 	res, err := core.ExploreTopKAnytime(sess.db, spec.Support, m, spec.TopK, core.ByAbsDivergence, opts)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
+	e.exploreMines.Add(1) // a refused question mined nothing
 
 	out := &ExploreOutcome{
 		Reason:     res.Reason.String(),
@@ -297,10 +299,8 @@ func (e *Engine) Expand(spec ExpandSpec) (*ExpandOutcome, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
 	minCount := fpm.MinCount(sess.db.NumRows(), xs.Support)
-
-	var refs []lattice.Refinement
+	attr := -1
 	if spec.Attr != "" {
-		attr := -1
 		for a := 0; a < sess.db.Catalog.NumAttrs(); a++ {
 			if sess.db.Catalog.AttrName(a) == spec.Attr {
 				attr = a
@@ -310,6 +310,15 @@ func (e *Engine) Expand(spec ExpandSpec) (*ExpandOutcome, error) {
 		if attr < 0 {
 			return nil, fmt.Errorf("%w: unknown attribute %q", ErrBadInput, spec.Attr)
 		}
+	}
+	total := sess.db.TotalTally()
+	globalRate := m.Rate(total)
+	if math.IsNaN(globalRate) {
+		return nil, fmt.Errorf("%w: metric %s undefined on the whole dataset", ErrBadInput, m.Name)
+	}
+
+	var refs []lattice.Refinement
+	if attr >= 0 {
 		refs, err = sess.nav.Drill(pattern, attr, minCount)
 	} else {
 		refs, err = sess.nav.Expand(pattern, minCount)
@@ -318,12 +327,6 @@ func (e *Engine) Expand(spec ExpandSpec) (*ExpandOutcome, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
 	e.expands.Add(1)
-
-	total := sess.db.TotalTally()
-	globalRate := m.Rate(total)
-	if math.IsNaN(globalRate) {
-		return nil, fmt.Errorf("%w: metric %s undefined on the whole dataset", ErrBadInput, m.Name)
-	}
 	out := &ExpandOutcome{
 		Parent:     sess.db.Catalog.Names(pattern),
 		Metric:     m.Name,

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/registry"
 )
 
@@ -253,5 +255,39 @@ func TestExploreValidation(t *testing.T) {
 		Pattern: []string{"group=A", "group=B"},
 	}); !errors.Is(err, ErrBadInput) {
 		t.Errorf("doubly-bound expand: %v", err)
+	}
+}
+
+// TestRefusedQueriesCountNoWork: an /explore and an expand whose metric
+// is undefined on the whole dataset (FPR on a table with no actual
+// negatives) are refused as bad input and leave the mine, expand and
+// navigation counters where they were.
+func TestRefusedQueriesCountNoWork(t *testing.T) {
+	reg := registry.New(0)
+	entry, _, err := reg.Register([]byte("g,truth,pred\na,1,1\na,1,0\nb,1,1\nb,1,1\nc,1,0\nc,1,1\n"), dataset.CSVOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(Config{Registry: reg, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := e.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	h := entry.Hash
+	spec := ExploreSpec{Dataset: h, TruthCol: "truth", PredCol: "pred", Support: 0.1, Metric: "FPR"}
+	if _, err := e.Explore(context.Background(), spec); !errors.Is(err, ErrBadInput) {
+		t.Fatalf("FPR explore without actual negatives: %v, want ErrBadInput", err)
+	}
+	if _, err := e.Expand(ExpandSpec{Dataset: h, TruthCol: "truth", PredCol: "pred", Support: 0.1, Metric: "FPR"}); !errors.Is(err, ErrBadInput) {
+		t.Fatalf("FPR expand without actual negatives: %v, want ErrBadInput", err)
+	}
+	if st := e.ExploreStatsSnapshot(); st.Mines != 0 || st.Expands != 0 || st.Navigation.Expands != 0 || st.Navigation.Misses != 0 {
+		t.Fatalf("refused queries counted as work: mines %d, expands %d, navigation %+v", st.Mines, st.Expands, st.Navigation)
 	}
 }

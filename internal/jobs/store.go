@@ -1,7 +1,6 @@
 package jobs
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -184,21 +183,20 @@ func OpenStoreFS(dir string, fsys faultfs.FS) (*Store, error) {
 // would leave the valid prefix ending mid-line, and the next append
 // would glue its record onto that line, which a later open could only
 // read as interior corruption (or repair by truncating an acknowledged
-// record). A malformed interior line is an error.
+// record). A malformed interior line is an error. One CR before a
+// newline belongs to its line, as in bufio.ScanLines, and the valid
+// prefix counts it.
 func scanLog(raw []byte) ([]Record, int64, error) {
 	var records []Record
 	var valid int64
-	sc := bufio.NewScanner(bytes.NewReader(raw))
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		consumed := valid + int64(len(b)) + 1 // +1 for the newline
-		if consumed > int64(len(raw)) {
+	for line := 1; valid < int64(len(raw)); line++ {
+		end := bytes.IndexByte(raw[valid:], '\n')
+		if end < 0 {
 			// Unterminated final line: torn by definition, parseable or not.
 			return records, valid, nil
 		}
+		b := bytes.TrimSuffix(raw[valid:valid+int64(end)], []byte{'\r'})
+		consumed := valid + int64(end) + 1 // the line, any CR included, and its newline
 		if len(b) == 0 {
 			valid = consumed
 			continue
@@ -214,9 +212,6 @@ func scanLog(raw []byte) ([]Record, int64, error) {
 		}
 		records = append(records, rec)
 		valid = consumed
-	}
-	if err := sc.Err(); err != nil {
-		return nil, 0, fmt.Errorf("scanning log: %w", err)
 	}
 	return records, valid, nil
 }

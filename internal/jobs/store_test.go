@@ -1,11 +1,15 @@
 package jobs
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestStoreRoundTrip(t *testing.T) {
@@ -266,4 +270,165 @@ func TestRecordErrorRoundTripsInterrupted(t *testing.T) {
 	if err := recordError(""); err == nil {
 		t.Error("recordError(\"\") = nil, want a placeholder error")
 	}
+}
+
+// TestStoreCRLFLine: a record line ending in CR LF counts both bytes
+// toward the valid prefix, so open repairs nothing and the next append
+// starts on a line of its own.
+func TestStoreCRLFLine(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, WALName)
+	log := "{\"v\":2,\"type\":\"submitted\",\"job\":\"a\",\"time\":\"2026-01-01T00:00:00Z\"}\r\n" +
+		"{\"v\":2,\"type\":\"running\",\"job\":\"a\",\"time\":\"2026-01-01T00:00:01Z\"}\n"
+	if err := os.WriteFile(path, []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, valid, err := scanLog([]byte(log)); err != nil || valid != int64(len(log)) {
+		t.Fatalf("scanLog valid prefix %d (err %v), want all %d bytes", valid, err, len(log))
+	}
+	st := openTestStore(t, dir)
+	if got := st.Repaired(); got != 0 {
+		t.Errorf("Repaired() = %d on a whole log", got)
+	}
+	if err := st.Append(Record{Type: RecDone, Job: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2 := openTestStore(t, dir)
+	defer func() {
+		if err := st2.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	if got := st2.Replay(); len(got) != 3 || got[2].Type != RecDone {
+		t.Fatalf("replayed %d records after append, want 3 ending in done", len(got))
+	}
+}
+
+// engineLog returns the log a real engine writes for one analysis job,
+// with snapshot records rate-limited to keep it short.
+func engineLog(t *testing.T) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, h := testEngine(t, Config{Workers: 1, Store: st, SnapshotEvery: time.Hour})
+	job, err := e.Submit(sampleSpec(h))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := waitTerminal(t, job); s.State != StateDone {
+		t.Fatalf("job ended %s (%s)", s.State, s.Err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := e.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, WALName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// scanLogCase is one named log for the scan tests.
+type scanLogCase struct {
+	name string
+	raw  []byte
+}
+
+// scanLogCases derives from a whole log of at least two lines the
+// shapes a crash or an editor leaves: a torn record after it, its last
+// newline cut, a bad line after its first, and its first line ended in
+// CR LF.
+func scanLogCases(raw []byte) []scanLogCase {
+	lines := bytes.SplitAfter(raw, []byte("\n"))
+	first, rest := lines[0], bytes.Join(lines[1:], nil)
+	return []scanLogCase{
+		{"whole", raw},
+		{"torn tail", append(bytes.Clone(raw), `{"v":2,"type":"subm`...)},
+		{"unterminated", raw[:len(raw)-1]},
+		{"bad middle", bytes.Join([][]byte{first, []byte("not json at all\n"), rest}, nil)},
+		{"crlf", bytes.Join([][]byte{first[:len(first)-1], []byte("\r\n"), rest}, nil)},
+	}
+}
+
+// checkScanLog checks scanLog's contract on raw: when the scan
+// succeeds, its valid prefix is empty or ends in a newline, rescanning
+// that prefix gives the same records and length, and the bytes it drops
+// are at most the last line.
+func checkScanLog(t *testing.T, raw []byte) {
+	t.Helper()
+	records, valid, err := scanLog(raw)
+	if err != nil {
+		return
+	}
+	if valid < 0 || valid > int64(len(raw)) || (valid > 0 && raw[valid-1] != '\n') {
+		t.Fatalf("valid prefix %d of %d bytes does not end a line", valid, len(raw))
+	}
+	again, validAgain, err := scanLog(raw[:valid])
+	if err != nil || validAgain != valid {
+		t.Fatalf("rescanning the valid prefix: %d bytes, err %v; want %d", validAgain, err, valid)
+	}
+	want, err := json.Marshal(records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := json.Marshal(again); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("rescanned records differ:\n%s\nwant\n%s", got, want)
+	}
+	if tail := raw[valid:]; len(tail) > 0 {
+		if nl := bytes.IndexByte(tail, '\n'); nl >= 0 && nl != len(tail)-1 {
+			t.Fatalf("dropped %d bytes spanning more than the last line", len(tail))
+		}
+	}
+}
+
+// TestScanLogEngineLog scans the log a real engine wrote, and its
+// damaged variants: the whole log and its CR LF copy are valid to the
+// end, a torn or unterminated last record is dropped, a bad middle line
+// is corruption, and each scan keeps FuzzScanLog's contract.
+func TestScanLogEngineLog(t *testing.T) {
+	raw := engineLog(t)
+	lines := int64(bytes.Count(raw, []byte("\n")))
+	last := int64(len(raw) - bytes.LastIndexByte(raw[:len(raw)-1], '\n') - 1)
+	want := map[string]int64{"whole": int64(len(raw)), "crlf": int64(len(raw)) + 1,
+		"torn tail": int64(len(raw)), "unterminated": int64(len(raw)) - last}
+	for _, tc := range scanLogCases(raw) {
+		name := tc.name
+		t.Run(name, func(t *testing.T) {
+			checkScanLog(t, tc.raw)
+			records, valid, err := scanLog(tc.raw)
+			switch {
+			case name == "bad middle":
+				if err == nil {
+					t.Fatal("a bad middle line scanned clean")
+				}
+			case err != nil || valid != want[name]:
+				t.Fatalf("valid prefix %d (err %v), want %d", valid, err, want[name])
+			case name != "unterminated" && int64(len(records)) != lines:
+				t.Fatalf("%d records from %d lines", len(records), lines)
+			}
+		})
+	}
+}
+
+// FuzzScanLog: on any bytes, scanLog never panics and keeps
+// checkScanLog's contract. The seeds are a three-record log and its
+// damaged variants, short so the budget goes to new inputs;
+// TestScanLogEngineLog runs the same checks on a real engine's log.
+func FuzzScanLog(f *testing.F) {
+	log := []byte(`{"v":2,"type":"submitted","job":"a","time":"2026-01-01T00:00:00Z","spec":{"dataset":"d","support":0.1}}
+{"v":2,"type":"running","job":"a","time":"2026-01-01T00:00:01Z"}
+{"v":2,"type":"done","job":"a","time":"2026-01-01T00:00:02Z"}
+`)
+	for _, tc := range scanLogCases(log) {
+		f.Add(tc.raw)
+	}
+	f.Fuzz(checkScanLog)
 }

@@ -2,6 +2,8 @@ package lattice
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/fpm"
@@ -10,35 +12,43 @@ import (
 
 // Explorer answers lattice-navigation queries — expand a pattern into
 // its one-item refinements, or drill along a single attribute — against
-// one transaction database without ever re-mining. The trick (after
-// Pastor et al.'s DivExplorer follow-up) is that one scan over a
-// pattern's cover rows computes the conditional tallies of EVERY
-// candidate extension item at once: for each covered row, each unbound
-// attribute contributes exactly one item, so a NumItems-sized tally
-// array absorbs the whole row in O(#attrs).
+// one transaction database without ever re-mining. The conditional
+// tallies of a pattern's extensions (after Pastor et al.'s DivExplorer
+// follow-up) are popcounts over fpm's class-sorted layout: the pattern's
+// cover is the AND of its items' covers, and each unbound candidate
+// costs one AND-and-popcount of that cover with its own.
 //
-// Covers and tally arrays are memoized in an entry-bounded LRU keyed by
-// the pattern, and a pattern's cover is derived by narrowing its
-// parent's cached cover rather than scanning the full dataset — so a
-// drill-down session touches ever-shrinking row sets. The Explorer
-// holds no mining state at all; the mine-counter stat in the server
-// stays flat while navigation runs (tested).
+// A cover takes ⌈n/64⌉ words whatever its item's count, so the layout
+// holds only the items whose count reaches its floor, the lowest
+// minCount asked so far: the first Expand builds it, and a lower
+// minCount builds it again. Tallies are memoized in an entry-bounded LRU
+// keyed by the pattern and that floor. The Explorer holds no mining
+// state; the server's mine counter stays flat while navigation runs
+// (tested).
 type Explorer struct {
-	db    *fpm.TxDB
-	cache *lru.Cache[string, *coverEntry] // keyed by Itemset.Key, 1 per entry
+	db      *fpm.TxDB
+	mu      sync.Mutex                       // serializes layout builds
+	current atomic.Pointer[layout]           // nil until the first Expand
+	cache   *lru.Cache[memoKey, []fpm.Tally] // 1 per entry
 
-	rows    atomic.Int64 // rows scanned building tally arrays
+	rows    atomic.Int64 // covered rows of the patterns whose tallies were computed
 	expands atomic.Int64
 }
 
-// coverEntry memoizes one pattern's navigation state: the rows it
-// covers and, for every item, the tally of pattern ∪ {item}. For items
-// of attributes the pattern already binds, the tally is the conditional
-// tally of that (attribute, value) within the cover — zero unless the
-// value matches the bound one.
-type coverEntry struct {
-	cover   []int32
-	tallies []fpm.Tally
+// layout holds, immutably, the covers of every item whose count reaches
+// floor: items ascending, items[i]'s cover at covers[i*w:(i+1)*w].
+type layout struct {
+	fpm.Layout
+	floor  int64
+	items  []fpm.Item
+	covers []uint64
+}
+
+// memoKey names a memo entry: a pattern's Itemset.Key and the floor of
+// the layout whose items its tallies follow.
+type memoKey struct {
+	pattern string
+	floor   int64
 }
 
 // Refinement is one child of the expanded pattern in the item lattice.
@@ -52,6 +62,8 @@ type Refinement struct {
 }
 
 // ExplorerStats is a point-in-time snapshot of the navigation counters.
+// RowsScanned sums the covered rows of every pattern whose tallies a
+// cache miss computed.
 type ExplorerStats struct {
 	Entries     int   `json:"entries"`
 	Capacity    int   `json:"capacity"`
@@ -65,40 +77,46 @@ type ExplorerStats struct {
 // DefaultExplorerCache is the default LRU capacity in patterns.
 const DefaultExplorerCache = 256
 
-// NewExplorer builds a navigator over db. capacity bounds the LRU in
-// cached patterns (DefaultExplorerCache when <= 0).
+// NewExplorer builds a navigator over db; it lays nothing out until
+// the first Expand. capacity bounds the LRU in cached patterns
+// (DefaultExplorerCache when <= 0).
 func NewExplorer(db *fpm.TxDB, capacity int) *Explorer {
 	if capacity <= 0 {
 		capacity = DefaultExplorerCache
 	}
-	return &Explorer{db: db, cache: lru.New[string, *coverEntry](int64(capacity))}
+	return &Explorer{db: db, cache: lru.New[memoKey, []fpm.Tally](int64(capacity))}
 }
 
 // Expand returns the frequent one-item refinements of pattern — every
 // child pattern ∪ {item} over an unbound attribute whose support count
 // reaches minCount — in ascending item order. The empty pattern expands
-// to the frequent singletons. Cost is one scan over the pattern's cover
-// on a cache miss and O(NumItems) on a hit.
+// to the frequent singletons. Cost is one AND-and-popcount per pattern
+// item and per candidate on a cache miss, and one pass over the
+// candidates on a hit. A pattern with an item the layout leaves out has
+// a count below minCount, so it has no refinement to find.
 func (e *Explorer) Expand(pattern fpm.Itemset, minCount int64) ([]Refinement, error) {
 	if minCount < 1 {
 		return nil, fmt.Errorf("lattice: minCount %d < 1", minCount)
 	}
-	ent, err := e.entry(pattern)
+	bound, err := e.bound(pattern)
 	if err != nil {
 		return nil, err
 	}
 	e.expands.Add(1)
-	c := e.db.Catalog
-	bound := make([]bool, c.NumAttrs())
+	l := e.layoutFor(minCount)
 	for _, it := range pattern {
-		bound[c.Attr(it)] = true
+		if _, ok := slices.BinarySearch(l.items, it); !ok {
+			return nil, nil
+		}
 	}
+	tallies := e.tallies(l, pattern, bound)
+	c := e.db.Catalog
 	var out []Refinement
-	for it := fpm.Item(0); int(it) < c.NumItems(); it++ {
+	for i, it := range l.items {
 		if bound[c.Attr(it)] {
 			continue
 		}
-		t := ent.tallies[it]
+		t := tallies[i]
 		if t.Total() < minCount {
 			continue
 		}
@@ -137,21 +155,6 @@ func (e *Explorer) Drill(pattern fpm.Itemset, attr int, minCount int64) ([]Refin
 	return out, nil
 }
 
-// Tally returns the exact tally of a pattern, served from the
-// navigation cache (the pattern's parent entry holds it) or one
-// narrowed scan.
-func (e *Explorer) Tally(pattern fpm.Itemset) (fpm.Tally, error) {
-	if len(pattern) == 0 {
-		return e.db.TotalTally(), nil
-	}
-	parent := pattern[:len(pattern)-1]
-	ent, err := e.entry(parent)
-	if err != nil {
-		return fpm.Tally{}, err
-	}
-	return ent.tallies[pattern[len(pattern)-1]], nil
-}
-
 // Stats snapshots the counters.
 func (e *Explorer) Stats() ExplorerStats {
 	s := e.cache.Stats()
@@ -166,13 +169,12 @@ func (e *Explorer) Stats() ExplorerStats {
 	}
 }
 
-// entry returns the memoized navigation state for a pattern, building
-// it on demand by narrowing the parent's cover. Patterns must be sorted
-// with pairwise-distinct attributes (the package invariant); items out
-// of catalog range are rejected.
-func (e *Explorer) entry(pattern fpm.Itemset) (*coverEntry, error) {
+// bound validates a pattern and returns which attributes it binds.
+// Patterns must be sorted with pairwise-distinct attributes (the
+// package invariant); items out of catalog range are rejected.
+func (e *Explorer) bound(pattern fpm.Itemset) ([]bool, error) {
 	c := e.db.Catalog
-	seen := make([]bool, c.NumAttrs())
+	bound := make([]bool, c.NumAttrs())
 	for i, it := range pattern {
 		if it < 0 || int(it) >= c.NumItems() {
 			return nil, fmt.Errorf("lattice: item %d outside the catalog", it)
@@ -180,63 +182,62 @@ func (e *Explorer) entry(pattern fpm.Itemset) (*coverEntry, error) {
 		if i > 0 && it <= pattern[i-1] {
 			return nil, fmt.Errorf("lattice: pattern is not sorted")
 		}
-		if a := c.Attr(it); seen[a] {
+		if a := c.Attr(it); bound[a] {
 			return nil, fmt.Errorf("lattice: attribute %q bound twice", c.AttrName(a))
 		} else {
-			seen[a] = true
+			bound[a] = true
 		}
 	}
-	return e.build(pattern)
+	return bound, nil
 }
 
-// build recursively materializes the entry for a (validated) pattern.
-func (e *Explorer) build(pattern fpm.Itemset) (*coverEntry, error) {
-	key := pattern.Key()
-	if ent, ok := e.cache.Get(key); ok {
-		return ent, nil
+// layoutFor returns a layout that holds every item whose count reaches
+// minCount, laying the table out at floor minCount when there is none
+// yet or the current floor is higher.
+func (e *Explorer) layoutFor(minCount int64) *layout {
+	if l := e.current.Load(); l != nil && l.floor <= minCount {
+		return l
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if l := e.current.Load(); l != nil && l.floor <= minCount {
+		return l
+	}
+	l := &layout{floor: minCount}
+	l.Count(e.db)
+	l.items = l.Frequent(minCount, nil)
+	l.covers = make([]uint64, len(l.items)*l.Words())
+	l.Pack(e.db, l.items, l.covers)
+	e.current.Store(l)
+	return l
+}
 
-	var cover []int32
-	if len(pattern) == 0 {
-		cover = make([]int32, e.db.NumRows())
-		for r := range cover {
-			cover[r] = int32(r)
-		}
-	} else {
-		// Narrow the parent's cover by the last (highest) item instead of
-		// scanning the whole dataset.
-		parent, err := e.build(pattern[:len(pattern)-1])
-		if err != nil {
-			return nil, err
-		}
-		last := pattern[len(pattern)-1]
-		a, v := e.db.Catalog.Attr(last), e.db.Catalog.Value(last)
-		for _, r := range parent.cover {
-			if e.db.Data.Rows[r][a] == v {
-				cover = append(cover, r)
-			}
+// tallies returns the memoized tally of pattern ∪ {l.items[i]} for
+// every i of an attribute the (validated) pattern leaves unbound, zero
+// for the rest; l must hold the pattern's items. A miss ANDs the
+// pattern's item covers and runs one AndTally per unbound candidate.
+func (e *Explorer) tallies(l *layout, pattern fpm.Itemset, bound []bool) []fpm.Tally {
+	key := memoKey{pattern.Key(), l.floor}
+	if ts, ok := e.cache.Get(key); ok {
+		return ts
+	}
+	c, w := e.db.Catalog, l.Words()
+	buf := make([]uint64, 2*w)
+	cover, scratch := buf[:w], buf[w:]
+	covered := l.Full(cover)
+	for _, it := range pattern {
+		i, _ := slices.BinarySearch(l.items, it)
+		covered = l.AndTally(cover, cover, l.covers[i*w:(i+1)*w])
+	}
+	ts := make([]fpm.Tally, len(l.items))
+	for i, it := range l.items {
+		if !bound[c.Attr(it)] {
+			ts[i] = l.AndTally(scratch, cover, l.covers[i*w:(i+1)*w])
 		}
 	}
-
-	c := e.db.Catalog
-	ent := &coverEntry{
-		cover:   cover,
-		tallies: make([]fpm.Tally, c.NumItems()),
-	}
-	// One scan: each covered row contributes one item per attribute, so
-	// this fills the conditional tally of every candidate extension at
-	// once.
-	for _, r := range cover {
-		row := e.db.Data.Rows[r]
-		cls := e.db.Classes[r]
-		for a, v := range row {
-			ent.tallies[c.ItemFor(a, v)][cls]++
-		}
-	}
-
-	e.rows.Add(int64(len(cover)))
+	e.rows.Add(covered.Total())
 	// A builder that raced another one gets the incumbent back.
-	ent, _ = e.cache.Add(key, ent, 1)
+	ts, _ = e.cache.Add(key, ts, 1)
 	e.cache.Trim(key)
-	return ent, nil
+	return ts
 }

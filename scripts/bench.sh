@@ -37,9 +37,11 @@
 #                                        /analyze (top-K, item divergence,
 #                                        corrective items for FPR and FNR)
 #                                        served from the parent index
-#   BenchmarkLatticeExpand               one navigation step, cold
-#                                        (narrowed scan) vs. warm
-#                                        (conditional-tally cache hit)
+#   BenchmarkLatticeExpand               expand every frequent singleton:
+#                                        cold (the layout built, then one
+#                                        AND-and-popcount per candidate)
+#                                        vs. warm (conditional-tally
+#                                        cache hits)
 #   BenchmarkPermutationPass             one label permutation: seeded
 #                                        shuffle, the permuted labels'
 #                                        split, and the full max-T sweep

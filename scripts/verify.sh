@@ -86,10 +86,14 @@
 #                                  replaced, options drawn from the
 #                                  input), FuzzParseEvent (the monitor's
 #                                  one-pass event decoder vs. the
-#                                  encoding/json parser it replaced)
-#                                  and FuzzParseSpec (the monitor-spec
+#                                  encoding/json parser it replaced),
+#                                  FuzzParseSpec (the monitor-spec
 #                                  decoder: no panic, accepted specs
-#                                  round-trip) included
+#                                  round-trip) and FuzzScanLog (the WAL
+#                                  replay scan: its valid prefix ends a
+#                                  line and rescans to the same records,
+#                                  and only the last line is dropped)
+#                                  included
 #   8. coverage summary            per-package statement coverage for
 #                                  the durability layer (internal/jobs)
 #                                  and the miners the differential
@@ -103,7 +107,9 @@
 #                                  anytime top-K, ranking, the in-process
 #                                  significance-wy query, permutation
 #                                  passes over bitset and row-list
-#                                  covers, WY adjust, window advance,
+#                                  covers, WY adjust, lattice expand
+#                                  (a sweep of every singleton, cold
+#                                  and warm), window advance,
 #                                  the monitor's event-batch decode
 #                                  (two allocations a batch, none an
 #                                  event), the monitor's snapshot read
@@ -196,6 +202,7 @@ go test -run=NONE -fuzz='^FuzzExploreRequest$' -fuzztime=10s ./internal/server
 go test -run=NONE -fuzz='^FuzzSignificanceRequest$' -fuzztime=10s ./internal/server
 go test -run=NONE -fuzz='^FuzzMinersAgree$' -fuzztime=10s ./internal/fpm
 go test -run=NONE -fuzz='^FuzzCoverFold$' -fuzztime=10s ./internal/fpm
+go test -run=NONE -fuzz='^FuzzScanLog$' -fuzztime=10s ./internal/jobs
 
 echo "==> coverage summary (jobs, fpm)"
 go test -cover ./internal/jobs ./internal/fpm | awk '{print "    " $0}'
@@ -211,6 +218,8 @@ echo "==> allocation gate (hot benchmarks at -cpu=1 against the newest BENCH_*.j
         -bench '^(BenchmarkAnytimeTopK|BenchmarkRankAnalyze|BenchmarkSignificanceWY)$' ./internal/core
     go test -run=NONE -benchmem -cpu=1 -benchtime=200x \
         -bench '^(BenchmarkPermutationPass|BenchmarkPermutationPassSparse|BenchmarkWYAdjust)$' ./internal/permtest
+    go test -run=NONE -benchmem -cpu=1 -benchtime=200x \
+        -bench '^BenchmarkLatticeExpand$' ./internal/lattice
     go test -run=NONE -benchmem -cpu=1 -benchtime=200x \
         -bench '^(BenchmarkWindowAdvance|BenchmarkParseBatch|BenchmarkMonitorSnapshot)$' ./internal/monitor
     go test -run=NONE -benchmem -cpu=1 -benchtime=200x \
