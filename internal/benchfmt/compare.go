@@ -103,7 +103,9 @@ func pctChange(a, b float64) float64 {
 }
 
 // Newest returns the path of the newest BENCH_<date>.json snapshot in
-// dir. Dates are ISO 8601, so the newest sorts last by name.
+// dir. Dates are ISO 8601, and a day's later snapshots are named
+// BENCH_<date>T<HHMMSS>.json, which sort after its first ("T" after
+// "."), so the newest sorts last by name.
 func Newest(dir string) (string, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
 	if err != nil {

@@ -73,12 +73,14 @@ func TestNewestAndLoad(t *testing.T) {
 	if _, err := Newest(dir); err == nil {
 		t.Error("empty directory yielded a snapshot")
 	}
-	for _, date := range []string{"2026-08-08", "2026-10-17", "2025-12-31"} {
-		f, err := os.Create(filepath.Join(dir, "BENCH_"+date+".json"))
+	// A day's second snapshot is named by its UTC time too
+	// (scripts/bench.sh) and is that day's newest.
+	for _, name := range []string{"2026-08-08", "2026-10-17T091500", "2026-10-17", "2025-12-31"} {
+		f, err := os.Create(filepath.Join(dir, "BENCH_"+name+".json"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := &Report{Schema: Schema, Date: date, Benchmarks: []Result{{Package: "p", Name: "X", Procs: 1}}}
+		rep := &Report{Schema: Schema, Date: name[:10], Benchmarks: []Result{{Package: "p", Name: "X", Procs: 1}}}
 		if err := Write(f, rep); err != nil {
 			t.Fatal(err)
 		}
@@ -94,8 +96,8 @@ func TestNewestAndLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Date != "2026-10-17" || len(rep.Benchmarks) != 1 {
-		t.Errorf("newest snapshot = %s with %d benchmarks, want 2026-10-17 with 1", rep.Date, len(rep.Benchmarks))
+	if filepath.Base(path) != "BENCH_2026-10-17T091500.json" || rep.Date != "2026-10-17" || len(rep.Benchmarks) != 1 {
+		t.Errorf("newest snapshot = %s (%s, %d benchmarks), want BENCH_2026-10-17T091500.json with 1", path, rep.Date, len(rep.Benchmarks))
 	}
 
 	bad := filepath.Join(dir, "other.json")

@@ -17,7 +17,8 @@ import (
 // most frequent item first, each opening with its singleton), so the
 // cheap, high-support patterns stream out first, which is what an
 // interrupted mine wants to have finished. A deadline and/or a
-// pattern-count budget cut the stream short. Every pattern emitted
+// pattern-count budget cut the stream short, and the caller's
+// cancellation (AnytimeBudget.Done) aborts it. Every pattern emitted
 // before the cut carries its exact tally (budgets only truncate, they
 // never approximate), and the returned AnytimeInfo says why the mine
 // ended. The zero budget streams every frequent pattern.
@@ -67,6 +68,11 @@ type AnytimeBudget struct {
 	// MaxPatterns, when > 0, stops the mine after that many patterns
 	// have been emitted.
 	MaxPatterns int64
+	// Done, when non-nil, aborts the mine once closed: the caller's
+	// cancellation, typically a context's Done channel. It is polled as
+	// often as Deadline, and a canceled mine is an error, not a partial
+	// result.
+	Done <-chan struct{}
 }
 
 // AnytimeInfo reports how an anytime mine ended.
@@ -81,6 +87,10 @@ type AnytimeInfo struct {
 // typical emission rates (tens of ns per pattern) 512 patterns keep the
 // overshoot well under a millisecond while making time.Now cost noise.
 const deadlineCheckEvery = 512
+
+// errStreamCanceled is MineVisit's error when the budget's Done channel
+// closes before the mine finishes.
+var errStreamCanceled = errors.New("fpm: anytime mine canceled")
 
 // errAnytimeStop is the internal control-flow sentinel a spent budget
 // returns to unwind the search; MineVisit converts it back into a

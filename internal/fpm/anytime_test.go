@@ -263,6 +263,16 @@ func TestMineVisitAbortsOnError(t *testing.T) {
 	if count != 3 {
 		t.Fatalf("visited %d patterns after abort, want 3", count)
 	}
+	// A closed budget Done channel aborts the mine at its first poll.
+	done := make(chan struct{})
+	close(done)
+	count = 0
+	if _, err := MineVisit(db, 1, AnytimeBudget{Done: done}, func(FrequentPattern) error {
+		count++
+		return nil
+	}); !errors.Is(err, errStreamCanceled) || count != 0 {
+		t.Fatalf("canceled mine: err %v after %d patterns, want errStreamCanceled before any", err, count)
+	}
 }
 
 func TestMineVisitValidation(t *testing.T) {

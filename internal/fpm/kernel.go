@@ -36,7 +36,7 @@ type level struct {
 // allocation-free once its buffers reach their high-water marks.
 type kernel struct {
 	ctx      context.Context // nil on the stream, whose budget stops it
-	done     <-chan struct{} // ctx.Done(), polled at every node without taking ctx's lock
+	done     <-chan struct{} // ctx.Done() of a batch mine, polled at every node without taking ctx's lock
 	minCount int64
 	lay      Layout            // the mine's layout, shared by its workers
 	levels   []level           // levels[0] is the top-level list, shared by a mine's workers
@@ -137,9 +137,16 @@ func (k *kernel) emit(t Tally) error {
 		k.reason = ReasonBudget
 		return errAnytimeStop
 	}
-	if !k.budget.Deadline.IsZero() && k.count%deadlineCheckEvery == 0 && !time.Now().Before(k.budget.Deadline) {
-		k.reason = ReasonDeadline
-		return errAnytimeStop
+	if k.count%deadlineCheckEvery == 0 {
+		if !k.budget.Deadline.IsZero() && !time.Now().Before(k.budget.Deadline) {
+			k.reason = ReasonDeadline
+			return errAnytimeStop
+		}
+		select {
+		case <-k.budget.Done:
+			return errStreamCanceled
+		default:
+		}
 	}
 	k.count++
 	k.scratch = append(k.scratch[:0], k.prefix...)
@@ -176,7 +183,8 @@ func growWords(buf []uint64, n int) []uint64 {
 // pattern carries its exact tally: budgets truncate the stream, they
 // never distort it. The returned info says whether the stream is
 // complete (ReasonExhausted) or why it was cut. A visitor error aborts
-// the mine and is returned as-is.
+// the mine and is returned as-is, and so does a closed budget Done
+// channel, with an error of its own.
 func MineVisit(db *TxDB, minCount int64, budget AnytimeBudget, visit Visitor) (AnytimeInfo, error) {
 	if minCount < 1 {
 		return AnytimeInfo{}, fmt.Errorf("fpm: minCount %d < 1", minCount)

@@ -40,12 +40,12 @@ func RunAnalysis(ctx context.Context, data *dataset.Dataset, spec Spec, tr *Trac
 	return core.ExploreContext(ctx, db, spec.Support, core.Options{Miner: miner})
 }
 
-// analysisWork is the work of a full-analysis job (Submit): mine, or
-// reuse, the lattice through the result cache.
-type analysisWork Spec
+// prepare implements Work: an analysis spec is its own header.
+func (s Spec) prepare(*Engine) (Work, Spec, error) { return s, s, nil }
 
-func (w analysisWork) run(ctx context.Context, e *Engine, tr *Tracker) (any, bool, error) {
-	res, hit, err := e.analyzeCached(ctx, Spec(w), tr)
+// run implements Work: mine, or reuse, the lattice through the cache.
+func (s Spec) run(ctx context.Context, e *Engine, tr *Tracker) (any, bool, error) {
+	res, hit, err := e.analyzeCached(ctx, s, tr)
 	if res == nil {
 		return nil, hit, err // never box a nil pointer into the outcome
 	}

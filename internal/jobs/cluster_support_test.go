@@ -44,13 +44,24 @@ func TestSubmitRejectsDuplicateID(t *testing.T) {
 	}
 	// The non-adopted path must refuse to silently merge distinct
 	// submissions under one ID.
-	if _, err := e.submit("dup", sampleSpec(h), analysisWork(sampleSpec(h)), false); err == nil {
+	if _, err := e.submit("dup", sampleSpec(h), false); err == nil {
 		t.Fatalf("duplicate non-adopted id accepted")
 	}
 }
 
+// TestAdoptDoneServesSummaryAndRehydrates: the done record a peer's
+// engine logged and handed to its terminal hook, adopted by a second
+// engine, serves the summary at once and re-mines the full result on
+// demand.
 func TestAdoptDoneServesSummaryAndRehydrates(t *testing.T) {
-	e, h := testEngine(t, Config{Workers: 1})
+	var mu sync.Mutex
+	var terminal []Record
+	hook := func(_ *Job, rec Record) {
+		mu.Lock()
+		terminal = append(terminal, rec)
+		mu.Unlock()
+	}
+	e, h := testEngine(t, Config{Workers: 1, OnTerminal: hook})
 	// Mine once on the "dead peer" side to get a real summary.
 	donor, err := e.Submit(sampleSpec(h))
 	if err != nil {
@@ -61,6 +72,12 @@ func TestAdoptDoneServesSummaryAndRehydrates(t *testing.T) {
 	if sum == nil {
 		t.Fatal("donor job has no summary")
 	}
+	mu.Lock()
+	if len(terminal) != 1 || terminal[0].Type != RecDone || terminal[0].Result != sum || terminal[0].Spec == nil {
+		t.Fatalf("terminal hook records = %+v, want one done record with summary and recipe", terminal)
+	}
+	done := terminal[0]
+	mu.Unlock()
 
 	// Adopt it on a second engine sharing the registry (the replica).
 	e2, err := New(Config{Registry: e.reg})
@@ -72,13 +89,16 @@ func TestAdoptDoneServesSummaryAndRehydrates(t *testing.T) {
 		defer cancel()
 		_ = e2.Shutdown(ctx)
 	}()
-	job, err := e2.AdoptDone(donor.ID(), sampleSpec(h), sum)
-	if err != nil {
+	if err := e2.Adopt(done); err != nil {
 		t.Fatal(err)
 	}
+	job, ok := e2.Get(donor.ID())
+	if !ok {
+		t.Fatal("adopted job not installed")
+	}
 	st := job.Snapshot()
-	if st.State != StateDone || !st.Recovered {
-		t.Fatalf("adopted job = %+v, want recovered done", st)
+	if st.State != StateDone || !st.Recovered || st.Spec.Dataset != h {
+		t.Fatalf("adopted job = %+v, want recovered done with its header", st)
 	}
 	if job.Summary() != sum {
 		t.Fatalf("adopted job lost the summary")
@@ -92,9 +112,37 @@ func TestAdoptDoneServesSummaryAndRehydrates(t *testing.T) {
 		t.Fatalf("adopted rehydrate mined nothing")
 	}
 	// Adoption is idempotent.
-	again, err := e2.AdoptDone(donor.ID(), sampleSpec(h), sum)
-	if err != nil || again != job {
-		t.Fatalf("re-adoption = (%p, %v), want the existing job", again, err)
+	if err := e2.Adopt(done); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := e2.Get(donor.ID()); again != job {
+		t.Fatalf("re-adoption replaced the existing job")
+	}
+	// Failed and canceled records install nothing; a submitted record
+	// re-runs the job under its ID.
+	if err := e2.Adopt(Record{Type: RecFailed, Job: "gone", Error: "boom"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := e2.Get("gone"); ok {
+		t.Error("a failed record was installed")
+	}
+	// A stale submitted record leaves the adopted done job alone.
+	if err := e2.Adopt(donor.SubmittedRecord()); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := e2.Get(donor.ID()); again != job || e2.Stats().Submitted != 0 {
+		t.Fatalf("a stale submitted record re-ran an adopted done job")
+	}
+	spec := sampleSpec(h)
+	if err := e2.Adopt(Record{Type: RecSubmitted, Job: "rerun", Spec: &spec}); err != nil {
+		t.Fatal(err)
+	}
+	j, ok := e2.Get("rerun")
+	if !ok {
+		t.Fatal("adopted submitted record did not re-run the job")
+	}
+	if st := waitTerminal(t, j); st.State != StateDone {
+		t.Fatalf("re-run job = %s (%s), want done", st.State, st.Err)
 	}
 }
 
@@ -139,9 +187,9 @@ func TestConfigQueueSeam(t *testing.T) {
 func TestOnTerminalHookFires(t *testing.T) {
 	var mu sync.Mutex
 	var terminal []string
-	hook := func(j *Job) {
+	hook := func(j *Job, rec Record) {
 		mu.Lock()
-		terminal = append(terminal, j.ID()+":"+j.Snapshot().State.String())
+		terminal = append(terminal, j.ID()+":"+j.Snapshot().State.String()+":"+rec.Type)
 		mu.Unlock()
 	}
 	e, h := testEngine(t, Config{Workers: 1, OnTerminal: hook})
@@ -153,7 +201,7 @@ func TestOnTerminalHookFires(t *testing.T) {
 	mu.Lock()
 	got := append([]string(nil), terminal...)
 	mu.Unlock()
-	if len(got) != 1 || got[0] != job.ID()+":done" {
+	if len(got) != 1 || got[0] != job.ID()+":done:done" {
 		t.Fatalf("terminal hook calls = %v, want one done for %s", got, job.ID())
 	}
 }
@@ -161,9 +209,9 @@ func TestOnTerminalHookFires(t *testing.T) {
 func TestOnTerminalHookFiresForQueuedCancel(t *testing.T) {
 	var mu sync.Mutex
 	var terminal []string
-	hook := func(j *Job) {
+	hook := func(j *Job, rec Record) {
 		mu.Lock()
-		terminal = append(terminal, j.Snapshot().State.String())
+		terminal = append(terminal, j.Snapshot().State.String()+":"+rec.Type)
 		mu.Unlock()
 	}
 	gate := make(chan struct{})
@@ -192,7 +240,7 @@ func TestOnTerminalHookFiresForQueuedCancel(t *testing.T) {
 	mu.Lock()
 	sawCanceled := false
 	for _, s := range terminal {
-		if s == "canceled" {
+		if s == "canceled:canceled" {
 			sawCanceled = true
 		}
 	}

@@ -25,8 +25,8 @@ type Config struct {
 	QueueDepth int
 	// ResultCacheEntries bounds the result LRU; 128 when <= 0.
 	ResultCacheEntries int
-	// DefaultTimeout is the per-job deadline applied when a Spec carries
-	// none; 0 means no deadline.
+	// DefaultTimeout is the deadline of every job run on the worker pool;
+	// 0 means no deadline.
 	DefaultTimeout time.Duration
 	// Analyze runs one analysis; RunAnalysis when nil. Tests substitute
 	// controllable implementations, and it is the seam for alternative
@@ -58,11 +58,11 @@ type Config struct {
 	// serving layer uses to install weighted fair queueing. When nil a
 	// FIFO of QueueDepth is used; when non-nil QueueDepth is ignored.
 	Queue Queue
-	// OnTerminal, when non-nil, is called from the worker goroutine each
-	// time a job reaches a terminal state (done, failed, canceled) —
-	// after the terminal record is durably logged. The cluster layer uses
-	// it to replicate completion records to the dataset's other owners.
-	OnTerminal func(j *Job)
+	// OnTerminal, when non-nil, is called each time a job reaches a
+	// terminal state (done, failed, canceled), with the terminal record
+	// the engine logged — after that record is durably logged. The
+	// cluster layer replicates the record to the dataset's other owners.
+	OnTerminal func(j *Job, rec Record)
 }
 
 // Queue is the engine's pluggable job queue. Push never blocks (false
@@ -167,7 +167,7 @@ type Engine struct {
 	// onTerminal holds the terminal-state hook (Config.OnTerminal, or a
 	// later SetOnTerminal) behind an atomic so the serving layer can
 	// attach cluster replication after construction.
-	onTerminal atomic.Pointer[func(j *Job)]
+	onTerminal atomic.Pointer[func(j *Job, rec Record)]
 
 	busy       atomic.Int64
 	submitted  atomic.Int64
@@ -248,35 +248,49 @@ func (e *Engine) worker() {
 	}
 }
 
-// Submit enqueues a job for spec. It never blocks: a full queue returns
-// ErrQueueFull (the backpressure contract), a draining engine returns
-// ErrShuttingDown. With a store attached the submission is written ahead
-// — a submit the store cannot record is refused, so every acknowledged
-// job survives a crash.
-func (e *Engine) Submit(spec Spec) (*Job, error) {
-	return e.submit("", spec, analysisWork(spec), false)
+// Work is the spec of one job of any kind — Spec (an analysis),
+// ExploreSpec or SignificanceSpec — carrying its own run and the header
+// Spec that the write-ahead log and the status endpoint read.
+type Work interface {
+	// prepare normalizes the spec for submission and returns it with its
+	// header; explore and significance specs are validated here,
+	// analysis specs when they run.
+	prepare(e *Engine) (Work, Spec, error)
+	// run computes the job's outcome on a worker: a *core.Result,
+	// *ExploreOutcome or *SignificanceOutcome, never a nil pointer.
+	run(ctx context.Context, e *Engine, tr *Tracker) (out any, cacheHit bool, err error)
 }
 
-// SubmitAdopted enqueues a job under an externally minted ID — the
-// cluster layer mints IDs on the forwarding node so retried, hedged and
-// failed-over submissions land idempotently. Resubmitting an ID the
-// engine already holds returns the existing job unchanged.
-func (e *Engine) SubmitAdopted(id string, spec Spec) (*Job, error) {
+// Submit enqueues a job of any kind. It never blocks: a full queue
+// returns ErrQueueFull (the backpressure contract), a draining engine
+// returns ErrShuttingDown, and a bad explore or significance spec
+// returns an error wrapping ErrBadInput. With a store attached the
+// submission is written ahead — a submit the store cannot record is
+// refused, so every acknowledged job survives a crash.
+func (e *Engine) Submit(w Work) (*Job, error) { return e.submit("", w, false) }
+
+// SubmitAdopted is Submit under an externally minted ID — the serving
+// layer mints IDs before admission and forwarding, so retried, hedged
+// and failed-over submissions land idempotently: an ID the engine
+// already holds returns the existing job unchanged.
+func (e *Engine) SubmitAdopted(id string, w Work) (*Job, error) {
 	if id == "" {
 		return nil, fmt.Errorf("jobs: empty job id")
 	}
-	return e.submit(id, spec, analysisWork(spec), true)
+	return e.submit(id, w, true)
 }
 
-// submit is the one enqueue path for every job kind: it queues a job
-// that computes w under id, or under a fresh ID when id is empty; spec
-// is what the write-ahead log and status endpoints see. The job is
-// visible in the job table before the write-ahead append, so concurrent
-// duplicate submissions under one ID resolve to one winner under jobsMu;
-// adopted re-submissions return the existing job unchanged.
-func (e *Engine) submit(id string, spec Spec, w work, adopted bool) (*Job, error) {
+// submit is the one enqueue path for every job kind: it queues w under
+// id, or under a fresh ID when id is empty. The job is visible in the
+// job table before the write-ahead append, so concurrent duplicate
+// submissions under one ID resolve to one winner under jobsMu; adopted
+// re-submissions return the existing job unchanged.
+func (e *Engine) submit(id string, w Work, adopted bool) (*Job, error) {
+	w, spec, err := w.prepare(e)
+	if err != nil {
+		return nil, err
+	}
 	if id == "" {
-		var err error
 		if id, err = NewID(); err != nil {
 			return nil, err
 		}
@@ -304,8 +318,7 @@ func (e *Engine) submit(id string, spec Spec, w work, adopted bool) (*Job, error
 		e.jobsMu.Unlock()
 	}
 	if st := e.store.Load(); st != nil {
-		rec := Record{Type: RecSubmitted, Job: job.id, Time: job.created, Spec: &job.spec}
-		if err := st.Append(rec); err != nil {
+		if err := st.Append(job.SubmittedRecord()); err != nil {
 			undo()
 			e.storeErrs.Add(1)
 			e.rejected.Add(1)
@@ -324,32 +337,35 @@ func (e *Engine) submit(id string, spec Spec, w work, adopted bool) (*Job, error
 	return nil, ErrQueueFull
 }
 
-// AdoptDone installs a terminal done job reconstructed from a dead
-// peer's replicated record: the durable summary is immediately
-// servable, and the full result re-mines on demand through Rehydrate
-// (recompute spec attached) once the dataset replica is resident.
-// Idempotent: an ID the engine already holds is returned unchanged. The
-// adoption is logged, so it survives this node's own restarts.
-func (e *Engine) AdoptDone(id string, spec Spec, summary *ResultSummary) (*Job, error) {
-	if id == "" {
-		return nil, fmt.Errorf("jobs: empty job id")
+// Adopt re-homes a job from a record a dead peer logged and replicated.
+// A submitted record re-runs the job under its ID (SubmitAdopted). A
+// done record with a summary is folded as recovery folds a log line and
+// logged here: the summary serves at once, and Rehydrate re-mines the
+// full result once the dataset is resident. Other records install
+// nothing. Idempotent: an ID the engine already holds is left alone.
+func (e *Engine) Adopt(rec Record) error {
+	if rec.Job == "" {
+		return fmt.Errorf("jobs: empty job id")
 	}
-	now := time.Now()
-	specCopy := spec
-	job := &Job{
-		id: id, spec: spec, state: StateDone, recovered: true,
-		created: now, finished: now, summary: summary, recompute: &specCopy,
+	switch {
+	case rec.Type == RecSubmitted && rec.Spec != nil:
+		_, err := e.submit(rec.Job, *rec.Spec, true)
+		return err
+	case rec.Type != RecDone || rec.Result == nil:
+		return nil
 	}
+	job := &Job{id: rec.Job, created: rec.Time, recovered: true}
+	applyRecord(job, rec, nil)
 	e.jobsMu.Lock()
-	if existing, ok := e.jobs[id]; ok {
+	if _, ok := e.jobs[rec.Job]; ok {
 		e.jobsMu.Unlock()
-		return existing, nil
+		return nil
 	}
-	e.jobs[id] = job
+	e.jobs[rec.Job] = job
 	e.jobsMu.Unlock()
 	e.recovered.Add(1)
-	e.logRecord(Record{Type: RecDone, Job: id, Result: summary, Spec: &specCopy})
-	return job, nil
+	e.logRecord(rec)
+	return nil
 }
 
 // logRecord is the best-effort write-through: failures are counted, not
@@ -407,8 +423,7 @@ func (e *Engine) Cancel(id string) (Status, error) {
 	if canceledWhileQueued {
 		// A canceled-while-queued job never reaches run(), so its
 		// terminal record is written here.
-		e.logRecord(Record{Type: RecCanceled, Job: job.id, Error: "canceled while queued"})
-		e.notifyTerminal(job)
+		e.finish(job, Record{Type: RecCanceled, Job: job.id, Time: job.finished, Error: "canceled while queued"})
 	}
 	return job.Snapshot(), nil
 }
@@ -417,7 +432,7 @@ func (e *Engine) Cancel(id string) (Status, error) {
 // serving layer calls it after construction to wire admission release
 // and cluster replication; a hook given in Config.OnTerminal is
 // installed by New through the same path.
-func (e *Engine) SetOnTerminal(fn func(j *Job)) {
+func (e *Engine) SetOnTerminal(fn func(j *Job, rec Record)) {
 	if fn == nil {
 		e.onTerminal.Store(nil)
 		return
@@ -425,21 +440,13 @@ func (e *Engine) SetOnTerminal(fn func(j *Job)) {
 	e.onTerminal.Store(&fn)
 }
 
-// notifyTerminal invokes the OnTerminal hook, if configured.
-func (e *Engine) notifyTerminal(job *Job) {
+// finish logs a job's terminal record and hands it to the OnTerminal
+// hook, if configured.
+func (e *Engine) finish(job *Job, rec Record) {
+	e.logRecord(rec)
 	if fn := e.onTerminal.Load(); fn != nil {
-		(*fn)(job)
+		(*fn)(job, rec)
 	}
-}
-
-// work is what one job kind computes on a worker: analysisWork,
-// exploreWork or significanceWork, each a value of its kind's spec type.
-// run returns the job's outcome, never a nil pointer boxed in out. The
-// seam is an interface, not a closure, because a closure built inside
-// the context-free Submit* functions would call the kinds'
-// context-taking entry points, which divlint's ctxflow rejects.
-type work interface {
-	run(ctx context.Context, e *Engine, tr *Tracker) (out any, cacheHit bool, err error)
 }
 
 // run executes one dequeued job through the full lifecycle.
@@ -449,13 +456,9 @@ func (e *Engine) run(job *Job) {
 		job.mu.Unlock()
 		return
 	}
-	timeout := job.spec.Timeout
-	if timeout <= 0 {
-		timeout = e.cfg.DefaultTimeout
-	}
 	var ctx context.Context
 	var cancel context.CancelFunc
-	if timeout > 0 {
+	if timeout := e.cfg.DefaultTimeout; timeout > 0 {
 		ctx, cancel = context.WithTimeout(e.baseCtx, timeout)
 	} else {
 		ctx, cancel = context.WithCancel(e.baseCtx)
@@ -503,23 +506,22 @@ func (e *Engine) run(job *Job) {
 		job.summary = sum
 		job.cacheHit = cacheHit
 		e.completed.Add(1)
-		rec = Record{Type: RecDone, Job: job.id, Result: sum, CacheHit: cacheHit, Spec: recipe}
+		rec = Record{Type: RecDone, Job: job.id, Time: job.finished, Result: sum, CacheHit: cacheHit, Spec: recipe}
 	case errors.Is(err, context.Canceled) || (job.canceledByUser.Load() && ctx.Err() != nil):
 		job.state = StateCanceled
 		job.err = err
 		e.canceled.Add(1)
-		rec = Record{Type: RecCanceled, Job: job.id, Error: err.Error()}
+		rec = Record{Type: RecCanceled, Job: job.id, Time: job.finished, Error: err.Error()}
 	default:
 		// Deadline expiry and analysis errors are failures, not
 		// user-requested cancellations.
 		job.state = StateFailed
 		job.err = err
 		e.failed.Add(1)
-		rec = Record{Type: RecFailed, Job: job.id, Error: err.Error()}
+		rec = Record{Type: RecFailed, Job: job.id, Time: job.finished, Error: err.Error()}
 	}
 	job.mu.Unlock()
-	e.logRecord(rec)
-	e.notifyTerminal(job)
+	e.finish(job, rec)
 }
 
 // Analyze runs a spec synchronously through the same result cache the

@@ -63,6 +63,21 @@ func sampleSpec(h registry.Hash) Spec {
 	}
 }
 
+// outcomeOf returns a done job's outcome as a T, failing the test when
+// the job has none or one of another kind.
+func outcomeOf[T any](t *testing.T, j *Job) T {
+	t.Helper()
+	out, err := j.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, ok := out.(T)
+	if !ok {
+		t.Fatalf("job %s outcome is %T, want %T", j.ID(), out, v)
+	}
+	return v
+}
+
 // waitTerminal polls until the job reaches a terminal state.
 func waitTerminal(t *testing.T, j *Job) Status {
 	t.Helper()
@@ -93,11 +108,7 @@ func TestJobLifecycleDone(t *testing.T) {
 	if st.ProgressTotal == 0 || st.ProgressDone != st.ProgressTotal {
 		t.Errorf("progress %d/%d, want done == total > 0", st.ProgressDone, st.ProgressTotal)
 	}
-	res, err := job.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumPatterns() == 0 {
+	if res := outcomeOf[*core.Result](t, job); res.NumPatterns() == 0 {
 		t.Error("no frequent patterns mined")
 	}
 	if st.Started.Before(st.Created) || st.Finished.Before(st.Started) {

@@ -15,9 +15,8 @@ import (
 
 // The anytime exploration tier (DESIGN.md §14). Explore queries run
 // synchronously on the request goroutine — budgets keep them
-// interactive — or asynchronously through the normal job lifecycle
-// (SubmitExplore), in which case top-K refinements stream through the
-// partial-result Tracker and the final snapshot carries the completion
+// interactive — or asynchronously as a job (Engine.Submit), in which
+// case top-K refinements stream through the partial-result Tracker and the final snapshot carries the completion
 // reason. Expand/Drill navigation never mines at all: it is served by a
 // per-dataset lattice.Explorer, which lays out the frequent items'
 // covers on the first expand and turns a click on a pattern into one
@@ -43,6 +42,8 @@ type ExploreSpec struct {
 	SampleSeed int64
 	// Confidence for the error bounds (core.DefaultConfidence when 0).
 	Confidence float64
+	// Tenant is an async job's admission identity, as in Spec; never in CacheKey.
+	Tenant string
 }
 
 // CacheKey identifies the cached outcome for a spec. Budgets are
@@ -217,13 +218,14 @@ func (e *Engine) explore(ctx context.Context, spec ExploreSpec, tr *Tracker) (*E
 		return nil, err
 	}
 
-	budget := fpm.AnytimeBudget{MaxPatterns: spec.MaxPatterns}
+	// The surrounding context's deadline (job timeout, client timeout)
+	// tightens the budget, so reaching it still yields a partial
+	// outcome; its cancellation (DELETE, shutdown, a client gone) aborts
+	// the mine.
+	budget := fpm.AnytimeBudget{MaxPatterns: spec.MaxPatterns, Done: ctx.Done()}
 	if spec.BudgetMS > 0 {
 		budget.Deadline = time.Now().Add(time.Duration(spec.BudgetMS) * time.Millisecond)
 	}
-	// The surrounding context's deadline (job timeout, client timeout)
-	// tightens the budget; explicit cancellation between deadlines is not
-	// observed by the mine — budgets bound it already.
 	if d, ok := ctx.Deadline(); ok && (budget.Deadline.IsZero() || d.Before(budget.Deadline)) {
 		budget.Deadline = d
 	}
@@ -245,6 +247,9 @@ func (e *Engine) explore(ctx context.Context, spec ExploreSpec, tr *Tracker) (*E
 	}
 	res, err := core.ExploreTopKAnytime(sess.db, spec.Support, m, spec.TopK, core.ByAbsDivergence, opts)
 	if err != nil {
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
 		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
 	e.exploreMines.Add(1) // a refused question mined nothing
@@ -406,29 +411,22 @@ func partialPatterns(cat *fpm.Catalog, top []core.RankedEstimate) []PartialPatte
 	return out
 }
 
-// SubmitExplore enqueues an anytime exploration as an asynchronous job:
-// it runs on the worker pool, streams top-K refinements through the
-// job's partial-result snapshots, and finishes with a final snapshot
-// whose Reason field carries the completion reason. The job's Result()
-// is never populated; the outcome is read with Job.Explore().
-func (e *Engine) SubmitExplore(spec ExploreSpec) (*Job, error) {
-	if _, err := e.validateExplore(&spec); err != nil {
-		return nil, err
+// prepare implements Work: the header keeps the WAL records and status
+// endpoints meaningful for explore jobs.
+func (s ExploreSpec) prepare(e *Engine) (Work, Spec, error) {
+	if _, err := e.validateExplore(&s); err != nil {
+		return nil, Spec{}, err
 	}
-	// The synthesized Spec keeps the WAL records and status endpoints
-	// meaningful for explore jobs.
-	jspec := Spec{
-		Dataset: spec.Dataset, TruthCol: spec.TruthCol, PredCol: spec.PredCol,
-		Support: spec.Support, Metrics: []string{spec.Metric}, TopK: spec.TopK,
-	}
-	return e.submit("", jspec, exploreWork(spec), false)
+	return s, Spec{
+		Dataset: s.Dataset, TruthCol: s.TruthCol, PredCol: s.PredCol,
+		Support: s.Support, Metrics: []string{s.Metric}, TopK: s.TopK,
+		Tenant: s.Tenant,
+	}, nil
 }
 
-// exploreWork is the work of an explore job (SubmitExplore).
-type exploreWork ExploreSpec
-
-func (w exploreWork) run(ctx context.Context, e *Engine, tr *Tracker) (any, bool, error) {
-	out, err := e.explore(ctx, ExploreSpec(w), tr)
+// run implements Work, streaming the leaderboard through tr.
+func (s ExploreSpec) run(ctx context.Context, e *Engine, tr *Tracker) (any, bool, error) {
+	out, err := e.explore(ctx, s, tr)
 	if err != nil {
 		return nil, false, err
 	}

@@ -3,7 +3,10 @@ package jobs
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -198,7 +201,7 @@ func TestExpandPerformsNoMine(t *testing.T) {
 // completion reason.
 func TestSubmitExploreStreams(t *testing.T) {
 	e, h := testEngine(t, Config{Workers: 1})
-	job, err := e.SubmitExplore(sampleExploreSpec(h))
+	job, err := e.Submit(sampleExploreSpec(h))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,10 +209,7 @@ func TestSubmitExploreStreams(t *testing.T) {
 	if st.State != StateDone {
 		t.Fatalf("explore job ended %s (%s)", st.State, st.Err)
 	}
-	out, err := job.Explore()
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := outcomeOf[*ExploreOutcome](t, job)
 	if out.Reason != "exhausted" || len(out.Top) == 0 {
 		t.Fatalf("async outcome: %+v", out)
 	}
@@ -223,8 +223,8 @@ func TestSubmitExploreStreams(t *testing.T) {
 	if len(snap.Top) == 0 || snap.Patterns != out.Visited {
 		t.Fatalf("final snapshot: %+v", snap)
 	}
-	if _, err := job.Result(); err == nil {
-		t.Fatal("explore job served a full analysis result")
+	if spec := job.Spec(); spec.Metrics[0] != "ER" || spec.TopK != 10 || spec.Alpha != 0 {
+		t.Fatalf("explore job header = %+v", spec)
 	}
 }
 
@@ -289,5 +289,99 @@ func TestRefusedQueriesCountNoWork(t *testing.T) {
 	}
 	if st := e.ExploreStatsSnapshot(); st.Mines != 0 || st.Expands != 0 || st.Navigation.Expands != 0 || st.Navigation.Misses != 0 {
 		t.Fatalf("refused queries counted as work: mines %d, expands %d, navigation %+v", st.Mines, st.Expands, st.Navigation)
+	}
+}
+
+// binaryTable registers a seeded table of rows rows over attrs binary
+// attributes and random truth and pred columns: at a low support its
+// lattice is far too large to mine in seconds.
+func binaryTable(t *testing.T, reg *registry.Registry, rows, attrs int) registry.Hash {
+	t.Helper()
+	rng := rand.New(rand.NewSource(1))
+	var sb strings.Builder
+	for a := 0; a < attrs; a++ {
+		fmt.Fprintf(&sb, "a%d,", a)
+	}
+	sb.WriteString("truth,pred\n")
+	for r := 0; r < rows; r++ {
+		for a := 0; a < attrs+2; a++ {
+			sb.WriteByte("01"[rng.Intn(2)])
+			if a < attrs+1 {
+				sb.WriteByte(',')
+			}
+		}
+		sb.WriteByte('\n')
+	}
+	entry, _, err := reg.Register([]byte(sb.String()), dataset.CSVOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return entry.Hash
+}
+
+// startLongExplore submits an unbudgeted explore of a 3,000 × 24 binary
+// table at s = 0.002 to an engine whose job timeout is 3 s, and returns
+// once the job has run for 200 ms.
+func startLongExplore(t *testing.T) (*Engine, *Job) {
+	t.Helper()
+	reg := registry.New(0)
+	h := binaryTable(t, reg, 3000, 24)
+	e, err := New(Config{Registry: reg, Workers: 1, DefaultTimeout: 3 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := e.Submit(ExploreSpec{Dataset: h, TruthCol: "truth", PredCol: "pred", Support: 0.002, Metric: "ER"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for job.Snapshot().State == StateQueued {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(200 * time.Millisecond)
+	return e, job
+}
+
+// TestCancelStopsExploreMine: DELETE reaches the anytime mine. A
+// canceled unbudgeted explore ends canceled at once, instead of mining
+// on until its timeout cuts it and ending done.
+func TestCancelStopsExploreMine(t *testing.T) {
+	e, job := startLongExplore(t)
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = e.Shutdown(ctx)
+	}()
+	canceledAt := time.Now()
+	if _, err := e.Cancel(job.ID()); err != nil {
+		t.Fatal(err)
+	}
+	for !job.Snapshot().State.Terminal() && time.Since(canceledAt) < 5*time.Second {
+		time.Sleep(time.Millisecond)
+	}
+	st := job.Snapshot()
+	if took := st.Finished.Sub(canceledAt); st.State != StateCanceled || took > time.Second {
+		t.Fatalf("canceled explore ended %s (%q) %v after DELETE, want canceled within 1s", st.State, st.Err, took)
+	}
+	if !strings.Contains(st.Err, context.Canceled.Error()) {
+		t.Errorf("canceled explore's error = %q, want the context's", st.Err)
+	}
+}
+
+// TestShutdownDeadlineStopsExploreMine: Shutdown's deadline reaches the
+// anytime mine, so a drain under a 100 ms deadline returns at once
+// instead of waiting out the running explore's timeout.
+func TestShutdownDeadlineStopsExploreMine(t *testing.T) {
+	e, job := startLongExplore(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if err := e.Shutdown(ctx); err == nil {
+		t.Error("shutdown met its deadline despite a running explore")
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("shutdown with a 100ms deadline returned after %v, want within 1s", took)
+	}
+	if st := job.Snapshot(); st.State != StateCanceled {
+		t.Errorf("running explore ended %s (%q), want canceled by shutdown", st.State, st.Err)
 	}
 }

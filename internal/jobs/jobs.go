@@ -1,15 +1,17 @@
-// Package jobs is the asynchronous analysis-job engine: a bounded worker
-// pool runs DivExplorer explorations (mined by fpm.Parallel, the bitset
-// kernel) off the request goroutine, with a full job lifecycle
+// Package jobs is the asynchronous job engine: a bounded worker pool
+// runs DivExplorer jobs off the request goroutine, with a full job
+// lifecycle
 //
 //	queued → running → done | failed | canceled
 //
 // per-job context cancellation and deadline, a bounded queue with
-// explicit backpressure (ErrQueueFull instead of unbounded growth), an
-// LRU result cache keyed by the analysis inputs, and graceful drain on
-// shutdown. Datasets are referenced by content hash through
-// internal/registry, so identical uploads mine at most once and repeat
-// requests are served from the cache.
+// explicit backpressure (ErrQueueFull instead of unbounded growth), LRU
+// caches keyed by each question's inputs, and graceful drain on
+// shutdown. Every job kind — an analysis Spec (mined by fpm.Parallel,
+// the bitset kernel), an ExploreSpec or a SignificanceSpec — is one
+// Work, queued, logged, replicated and served one way. Datasets are
+// referenced by content hash through internal/registry, so identical
+// uploads mine at most once and repeat requests are served from cache.
 package jobs
 
 import (
@@ -21,7 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/registry"
 )
 
@@ -93,7 +94,8 @@ func (s State) Terminal() bool {
 // Spec describes one analysis: which dataset (by content hash), which
 // label columns, and the exploration parameters. Metrics, TopK, Epsilon
 // and Alpha shape the rendered report; the mined result depends only on
-// the dataset, the label columns and the support threshold.
+// the dataset, the label columns and the support threshold. A Spec is
+// also every job's header (Work).
 type Spec struct {
 	Dataset  registry.Hash
 	TruthCol string
@@ -103,8 +105,6 @@ type Spec struct {
 	Epsilon  float64
 	TopK     int
 	Alpha    float64
-	// Timeout overrides the engine's default per-job deadline when > 0.
-	Timeout time.Duration
 	// Tenant is the admission identity the submission arrived under. It
 	// shapes queueing and quotas only — never the mined result — so it is
 	// excluded from CacheKey: two tenants analyzing the same dataset share
@@ -116,22 +116,21 @@ type Spec struct {
 // inputs the mined lattice depends on — dataset hash, label columns,
 // support — so every analysis, significance query and rehydration of
 // the same mine shares one entry. What only shapes the rendered answer
-// (Metrics, Epsilon, TopK, Alpha), Timeout and the admission identity
-// (Tenant) are excluded; they are applied to the Result per request.
+// (Metrics, Epsilon, TopK, Alpha) and the admission identity (Tenant)
+// are excluded; they are applied to the Result per request.
 func (s Spec) CacheKey() string {
 	return cacheKey(string(s.Dataset), s.TruthCol, s.PredCol, ftoa(s.Support))
 }
 
 // Job is one submitted analysis, exploration or significance query.
-// All exported access goes through Snapshot and the outcome accessors;
-// the engine owns the mutable state.
+// All exported access goes through Snapshot, Result and Summary; the
+// engine owns the mutable state.
 type Job struct {
 	id   string
 	spec Spec
-	// work is what the job computes: analysisWork, exploreWork or
-	// significanceWork. Nil for jobs reconstructed from a store or an
-	// adopted done record, which never run here.
-	work work
+	// work is the spec the job runs. Nil for jobs reconstructed from a
+	// store or an adopted done record, which never run here.
+	work Work
 
 	mu    sync.Mutex
 	state State
@@ -148,9 +147,9 @@ type Job struct {
 	finished  time.Time
 	cancel    func() // non-nil only while running
 
-	// recompute, set during recovery from a v2 done record, is the spec
-	// to re-mine the full result from; rehydrateMu single-flights that
-	// re-mine so concurrent result fetches do not each run it.
+	// recompute, set from a v2 done record (replayed or adopted), is the
+	// spec to re-mine the full result from; rehydrateMu single-flights
+	// that re-mine so concurrent result fetches do not each run it.
 	// rehydrateCancel, non-nil only while that re-mine is in flight,
 	// aborts it — Cancel on a recovered done job must stop the re-mine
 	// instead of letting it complete and repopulate caches.
@@ -168,45 +167,35 @@ type Job struct {
 // ID returns the job's opaque identifier.
 func (j *Job) ID() string { return j.id }
 
-// Spec returns the submitted spec.
+// Spec returns the job's header spec: the analysis spec itself, or the
+// header an explore or significance spec derives (Work).
 func (j *Job) Spec() Spec { return j.spec }
 
-// Result returns the mined result once the job is done. For done jobs
-// recovered from the store only the summary survives; Result returns
-// ErrNoResult and callers fall back to Summary.
-func (j *Job) Result() (*core.Result, error) { return outcome[*core.Result](j) }
-
-// Explore returns the anytime-exploration outcome of a done explore
-// job (SubmitExplore). Analysis jobs and unfinished jobs have none.
-func (j *Job) Explore() (*ExploreOutcome, error) { return outcome[*ExploreOutcome](j) }
-
-// Significance returns the significance outcome of a done significance
-// job (SubmitSignificance). Other job kinds and unfinished jobs have
-// none.
-func (j *Job) Significance() (*SignificanceOutcome, error) {
-	return outcome[*SignificanceOutcome](j)
+// SubmittedRecord returns the record the engine logs when it accepts the
+// job. The cluster layer replicates this same record to the dataset's
+// other owners, which re-run the job from it (Engine.Adopt).
+func (j *Job) SubmittedRecord() Record {
+	return Record{Type: RecSubmitted, Job: j.id, Time: j.created, Spec: &j.spec}
 }
 
-// outcome returns a done job's outcome as a T. A done job without one
-// (recovered from the store) reports ErrNoResult; a job of another kind
-// reports that it has no T.
-func outcome[T any](j *Job) (T, error) {
+// Result returns a done job's outcome, whatever its kind: a
+// *core.Result for an analysis, an *ExploreOutcome or a
+// *SignificanceOutcome. A done job recovered from the store has none
+// until Rehydrate re-mines its result; Result then returns ErrNoResult
+// and callers fall back to Summary. A failed job returns its error.
+func (j *Job) Result() (any, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	var zero T
 	switch j.state {
 	case StateDone:
 		if j.out == nil {
-			return zero, fmt.Errorf("%w: job %s", ErrNoResult, j.id)
+			return nil, fmt.Errorf("%w: job %s", ErrNoResult, j.id)
 		}
-		if v, ok := j.out.(T); ok {
-			return v, nil
-		}
-		return zero, fmt.Errorf("jobs: job %s has no %T outcome", j.id, zero)
+		return j.out, nil
 	case StateFailed:
-		return zero, j.err
+		return nil, j.err
 	default:
-		return zero, fmt.Errorf("jobs: job %s is %s, not done", j.id, j.state)
+		return nil, fmt.Errorf("jobs: job %s is %s, not done", j.id, j.state)
 	}
 }
 

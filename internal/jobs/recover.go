@@ -94,6 +94,7 @@ func (e *Engine) RecoverFS(dir string, fsys faultfs.FS) (int, error) {
 
 // applyRecord folds one log record into the job being reconstructed.
 // Records arrive in log order, so the last state transition wins.
+// Adopt, which folds only done records, passes a nil rejected map.
 func applyRecord(j *Job, rec Record, rejected map[string]bool) {
 	switch rec.Type {
 	case RecSubmitted:
@@ -118,11 +119,12 @@ func applyRecord(j *Job, rec Record, rejected map[string]bool) {
 		j.cacheHit = rec.CacheHit
 		j.finished = rec.Time
 		// Schema v2 done records of analysis jobs carry the spec, the
-		// re-mine recipe; v1 records fold to summary-only. Earlier builds
-		// also wrote a spec, but no summary, for explore and significance
-		// jobs: re-mining it would answer a different question.
-		if rec.Result != nil {
-			j.recompute = rec.Spec
+		// re-mine recipe and the job's header; v1 records fold to
+		// summary-only. Earlier builds also wrote a spec, but no summary,
+		// for explore and significance jobs: re-mining it would answer a
+		// different question.
+		if rec.Result != nil && rec.Spec != nil {
+			j.spec, j.recompute = *rec.Spec, rec.Spec
 		}
 	case RecFailed:
 		j.state = StateFailed

@@ -48,10 +48,7 @@ func runDurableJob(t *testing.T, dir string) (string, *core.Result) {
 	if st := waitTerminal(t, job); st.State != StateDone {
 		t.Fatalf("job state = %s (err %q), want done", st.State, st.Err)
 	}
-	res, err := job.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := outcomeOf[*core.Result](t, job)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := e1.Shutdown(ctx); err != nil {

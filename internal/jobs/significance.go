@@ -61,10 +61,12 @@ type SignificanceSpec struct {
 	// Baseline additionally fits the max-entropy (independence-model)
 	// support baseline for each reported pattern.
 	Baseline bool
+	// Tenant is an async job's admission identity, as in Spec; never in CacheKey.
+	Tenant string
 }
 
-// CacheKey identifies the cached outcome for a spec. Every field
-// changes the answer, so every field is included; validateSignificance
+// CacheKey identifies the cached outcome for a spec. Every field but
+// Tenant changes the answer, so each is included; validateSignificance
 // normalizes the method-irrelevant permutation knobs first so
 // equivalent analytic specs collapse to one entry.
 func (s SignificanceSpec) CacheKey() string {
@@ -318,32 +320,22 @@ func (e *Engine) SignificanceStatsSnapshot() SignificanceStats {
 	}
 }
 
-// SubmitSignificance enqueues a significance query as an asynchronous
-// job: it runs on the worker pool, streams permutation progress through
-// the job's progress counters, and finishes with a final snapshot whose
-// Reason is "complete". The job's Result() is never populated; the
-// outcome is read with Job.Significance().
-func (e *Engine) SubmitSignificance(spec SignificanceSpec) (*Job, error) {
-	if _, err := e.validateSignificance(&spec); err != nil {
-		return nil, err
+// prepare implements Work. The header's Alpha is always set, which is
+// how recovery tells a significance job from an explore job.
+func (s SignificanceSpec) prepare(e *Engine) (Work, Spec, error) {
+	if _, err := e.validateSignificance(&s); err != nil {
+		return nil, Spec{}, err
 	}
-	// The synthesized Spec keeps the WAL records and status endpoints
-	// meaningful for significance jobs. Its Alpha is always set, which is
-	// how recovery tells a significance job from an explore job.
-	jspec := Spec{
-		Dataset: spec.Dataset, TruthCol: spec.TruthCol, PredCol: spec.PredCol,
-		Support: spec.Support, Metrics: []string{spec.Metric}, TopK: spec.TopK,
-		Alpha: spec.Alpha,
-	}
-	return e.submit("", jspec, significanceWork(spec), false)
+	return s, Spec{
+		Dataset: s.Dataset, TruthCol: s.TruthCol, PredCol: s.PredCol,
+		Support: s.Support, Metrics: []string{s.Metric}, TopK: s.TopK,
+		Alpha: s.Alpha, Tenant: s.Tenant,
+	}, nil
 }
 
-// significanceWork is the work of a significance job
-// (SubmitSignificance).
-type significanceWork SignificanceSpec
-
-func (w significanceWork) run(ctx context.Context, e *Engine, tr *Tracker) (any, bool, error) {
-	out, err := e.significance(ctx, SignificanceSpec(w), tr)
+// run implements Work, streaming permutation progress through tr.
+func (s SignificanceSpec) run(ctx context.Context, e *Engine, tr *Tracker) (any, bool, error) {
+	out, err := e.significance(ctx, s, tr)
 	if err != nil {
 		return nil, false, err
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/registry"
 )
@@ -193,7 +194,7 @@ func TestSignificanceUnknownDataset(t *testing.T) {
 
 func TestSubmitSignificanceLifecycle(t *testing.T) {
 	e, h := testEngine(t, Config{Workers: 2})
-	job, err := e.SubmitSignificance(sigSpec(h))
+	job, err := e.Submit(sigSpec(h))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,10 +202,7 @@ func TestSubmitSignificanceLifecycle(t *testing.T) {
 	if st.State != StateDone {
 		t.Fatalf("state %s (err %q)", st.State, st.Err)
 	}
-	out, err := job.Significance()
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := outcomeOf[*SignificanceOutcome](t, job)
 	if out.Method != MethodWY || out.Permutations != 200 || out.Hypotheses == 0 {
 		t.Fatalf("outcome: %+v", out)
 	}
@@ -213,26 +211,24 @@ func TestSubmitSignificanceLifecycle(t *testing.T) {
 	if snap == nil || snap.Reason != "complete" {
 		t.Fatalf("final snapshot: %+v", snap)
 	}
-	// A non-significance job refuses the accessor; a significance job
-	// refuses Result().
-	if _, err := job.Result(); err == nil {
-		t.Error("Result() on a significance job returned no error")
+	// The header keeps the spec's alpha: recovery tells the kinds apart
+	// by it. An analysis job's outcome is its mined result.
+	if spec := job.Spec(); spec.Alpha != 0.1 || spec.Metrics[0] != "FPR" {
+		t.Errorf("significance job header = %+v", spec)
 	}
 	plain, err := e.Submit(sampleSpec(h))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitTerminal(t, plain)
-	if _, err := plain.Significance(); err == nil {
-		t.Error("Significance() on an analysis job returned no error")
-	}
+	outcomeOf[*core.Result](t, plain)
 }
 
 func TestSubmitSignificanceValidatesEarly(t *testing.T) {
 	e, h := testEngine(t, Config{Workers: 1})
 	spec := sigSpec(h)
 	spec.Alpha = 2
-	if _, err := e.SubmitSignificance(spec); !errors.Is(err, ErrBadInput) {
+	if _, err := e.Submit(spec); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("bad alpha submitted: %v", err)
 	}
 }

@@ -60,7 +60,8 @@ const storeVersion = 2
 
 // Record is one write-ahead log entry. Spec is set on submitted records
 // and (since v2) on the done records of analysis jobs; at most one of
-// Snapshot and Result is set, depending on Type.
+// Snapshot and Result is set, depending on Type. Peers replicate and
+// adopt (Engine.Adopt) a job's submitted and terminal records unchanged.
 type Record struct {
 	V        int            `json:"v"`
 	Type     string         `json:"type"`

@@ -99,6 +99,72 @@ func TestAdmissionRateLimit429(t *testing.T) {
 	}
 }
 
+// TestAdmissionAsyncExploreAndSignificance: async /explore and
+// /significance jobs take the admitted path POST /jobs takes. A tenant
+// at its active-job cap gets 429 with Retry-After for each kind, its
+// jobs carry the tenant the fair queue orders by, and the grant frees
+// when the running job ends.
+func TestAdmissionAsyncExploreAndSignificance(t *testing.T) {
+	reg := registry.New(0)
+	release := make(chan struct{})
+	engine, err := jobs.New(jobs.Config{Registry: reg, Workers: 2, Analyze: gatedAnalyze(release)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl := admission.NewController(admission.Limits{},
+		map[string]admission.Limits{"greedy": {MaxActive: 1}}, nil)
+	s := newTestServer(t, Options{Registry: reg, Engine: engine, Admission: ctrl})
+	h := s.Handler()
+	hash := decode[datasetJSON](t, do(t, h, http.MethodPost, "/datasets", sampleCSV)).Hash
+	explore := fmt.Sprintf(`{"dataset":%q,"support":0.1,"async":true}`, hash)
+	significance := fmt.Sprintf(`{"dataset":%q,"support":0.1,"permutations":50,"async":true}`, hash)
+
+	// The significance job mines through the gated analysis, so it holds
+	// greedy's one slot until release.
+	w := doTenant(t, h, http.MethodPost, "/significance", significance, "greedy")
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("first async significance = %d: %s", w.Code, w.Body.String())
+	}
+	held := decode[jobJSON](t, w).ID
+	for _, c := range []struct{ path, body string }{
+		{"/explore", explore}, {"/significance", significance}, {"/jobs?support=0.1", sampleCSV},
+	} {
+		w := doTenant(t, h, http.MethodPost, c.path, c.body, "greedy")
+		if w.Code != http.StatusTooManyRequests || w.Header().Get("Retry-After") == "" {
+			t.Errorf("over-quota %s = %d (Retry-After %q): %s", c.path, w.Code, w.Header().Get("Retry-After"), w.Body.String())
+		}
+	}
+	if job, ok := engine.Get(held); !ok || job.Spec().Tenant != "greedy" {
+		t.Errorf("admitted job does not carry its tenant")
+	}
+	// Other tenants keep flowing.
+	w = doTenant(t, h, http.MethodPost, "/explore", explore, "polite")
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("polite async explore = %d: %s", w.Code, w.Body.String())
+	}
+	if st := pollJob(t, h, decode[jobJSON](t, w).ID); st.State != "done" {
+		t.Fatalf("polite explore job = %+v", st)
+	}
+
+	close(release)
+	if st := pollJob(t, h, held); st.State != "done" {
+		t.Fatalf("held job = %+v", st)
+	}
+	// Terminal release: greedy admits again once its job ends.
+	waitUntil(t, 5*time.Second, "quota slot released at terminal", func() bool {
+		return doTenant(t, h, http.MethodPost, "/explore", explore, "greedy").Code == http.StatusAccepted
+	})
+	var greedy *admission.TenantStats
+	for _, row := range ctrl.Stats() {
+		if row.Tenant == "greedy" {
+			greedy = &row
+		}
+	}
+	if greedy == nil || greedy.DeniedJobs < 3 || greedy.Admitted < 2 {
+		t.Errorf("greedy admission row = %+v, want >=3 denials and >=2 admissions", greedy)
+	}
+}
+
 // latencyOf returns a job's created→finished latency from its
 // timestamps.
 func latencyOf(t *testing.T, st jobJSON) time.Duration {

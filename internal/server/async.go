@@ -156,7 +156,7 @@ func (s *Server) handleDatasetDelete(w http.ResponseWriter, r *http.Request) {
 // one, otherwise forwarded with hedged retries; inline uploads travel
 // with the forward so the owner can register them.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	req, err := parseRequest(r)
+	spec, _, err := parseRequest(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -192,14 +192,13 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			csv = dataset.Canonicalize(body)
 		}
 	}
-	spec := req.spec(hash)
-	spec.Tenant = tenantOf(r)
-	id, err := jobs.NewID()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
+	spec.Dataset, spec.Tenant = hash, tenantOf(r)
 	if n := s.cluster; n != nil {
+		id, err := jobs.NewID()
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
 		specJSON, err := json.Marshal(spec)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, err.Error())
@@ -220,7 +219,21 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, ack)
 		return
 	}
-	job, err := s.submitLocal(id, spec, bytes)
+	s.acceptLocal(w, spec.Tenant, spec, bytes)
+}
+
+// acceptLocal is the one async submit of every job kind on this node:
+// POST /jobs single-node, and async /explore and /significance. It mints
+// an ID, admits work under tenant with a grant of the dataset's bytes
+// (submitLocal), and answers 202 with the job's status, or the refusal
+// mapped by writeSubmitError.
+func (s *Server) acceptLocal(w http.ResponseWriter, tenant string, work jobs.Work, bytes int64) {
+	id, err := jobs.NewID()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	job, err := s.submitLocal(id, tenant, work, bytes)
 	if err != nil {
 		writeSubmitError(w, err)
 		return
@@ -238,9 +251,10 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, jobToJSON(job.Snapshot()))
 }
 
-// handleJobResult implements GET /jobs/{id}/result, rendering the mined
-// result with the formatters the synchronous path uses. The format query
-// parameter may override the one given at submission.
+// handleJobResult implements GET /jobs/{id}/result. An analysis job's
+// mined result is rendered with the formatters the synchronous path
+// uses, in the format the query parameter names (json by default); an
+// explore or significance job's outcome is served as JSON.
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.engine.Get(r.PathValue("id"))
 	if !ok {
@@ -256,20 +270,17 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, msg)
 		return
 	}
-	// An explore or significance job's outcome is its result; neither has
-	// the full analysis payload the ladder below serves.
-	if out, xerr := job.Explore(); xerr == nil {
-		writeJSON(w, http.StatusOK, out)
-		return
-	}
-	if out, serr := job.Significance(); serr == nil {
-		writeJSON(w, http.StatusOK, out)
-		return
-	}
-	res, err := job.Result()
+	out, err := job.Result()
 	fromMemory := err == nil
-	switch {
-	case errors.Is(err, jobs.ErrNoResult):
+	var res *core.Result
+	switch out := out.(type) {
+	case *core.Result:
+		res = out
+	case nil:
+		if !errors.Is(err, jobs.ErrNoResult) {
+			writeError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
 		// The job was recovered from the store, so the full in-memory
 		// result did not survive the restart. Fallback chain: re-mine the
 		// full result from the re-pinned dataset, then the durable summary
@@ -289,11 +300,13 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusGone, err.Error())
 			return
 		}
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, err.Error())
+	default:
+		// An explore or significance job's outcome is its result; neither
+		// has the full analysis payload the ladder serves.
+		writeJSON(w, http.StatusOK, out)
 		return
 	}
-	req, err := renderRequest(st.Spec, r.URL.Query().Get("format"))
+	format, err := parseFormat(r.URL.Query().Get("format"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -303,7 +316,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		// Counted at render time so a bad format override is not a serve.
 		s.memoryHits.Add(1)
 	}
-	s.render(w, res, req)
+	s.render(w, res, st.Spec, format)
 }
 
 // degradedResultJSON is the summary-only fallback served from the result
@@ -315,34 +328,6 @@ type degradedResultJSON struct {
 	Degraded bool   `json:"degraded"`
 	Reason   string `json:"degraded_reason,omitempty"`
 	*jobs.ResultSummary
-}
-
-// renderRequest rebuilds rendering parameters from a job spec. Metric
-// names were validated at submission, so resolution cannot fail for
-// stored specs; the error path covers format overrides only.
-func renderRequest(spec jobs.Spec, format string) (analysisRequest, error) {
-	req := analysisRequest{
-		truthCol: spec.TruthCol,
-		predCol:  spec.PredCol,
-		support:  spec.Support,
-		topK:     spec.TopK,
-		eps:      spec.Epsilon,
-		alpha:    spec.Alpha,
-		format:   orDefault(format, "json"),
-	}
-	switch req.format {
-	case "json", "html", "csv":
-	default:
-		return req, errors.New("bad format " + req.format + " (want json, html or csv)")
-	}
-	for _, n := range spec.Metrics {
-		m, err := core.MetricByName(n)
-		if err != nil {
-			return req, err
-		}
-		req.metrics = append(req.metrics, m)
-	}
-	return req, nil
 }
 
 // handleJobCancel implements DELETE /jobs/{id}.

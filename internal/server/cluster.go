@@ -98,7 +98,7 @@ func (cl clusterLocal) RunJob(ctx context.Context, req cluster.JobRequest) (clus
 	} else if entry, ok := s.reg.Get(spec.Dataset); ok {
 		bytes = entry.Bytes
 	}
-	job, err := s.submitLocal(req.ID, spec, bytes)
+	job, err := s.submitLocal(req.ID, spec.Tenant, spec, bytes)
 	if err != nil {
 		if isRejection(err) {
 			// Definitive refusal: the forwarder must not hedge one
@@ -107,9 +107,9 @@ func (cl clusterLocal) RunJob(ctx context.Context, req cluster.JobRequest) (clus
 		}
 		return cluster.JobAck{}, err
 	}
-	// Hand the accepted record to the dataset's other owners so one of
+	// Hand the submitted record to the dataset's other owners so one of
 	// them can adopt the job if this node dies mid-mine.
-	s.replicateJobRecord(job)
+	s.replicate(job, job.SubmittedRecord())
 	return s.ackOf(job), nil
 }
 
@@ -136,45 +136,20 @@ func (cl clusterLocal) StoreReplica(origin cluster.NodeID, kind, key string, dat
 	return nil
 }
 
-// jobReplicaPayload is the serving-layer payload inside a replicated
-// cluster.JobRecord: the spec to (re-)run, the terminal state when the
-// record marks completion, and the durable summary for done jobs.
-type jobReplicaPayload struct {
-	Spec    jobs.Spec           `json:"spec"`
-	State   string              `json:"state,omitempty"`
-	Summary *jobs.ResultSummary `json:"summary,omitempty"`
-}
-
-// AdoptJob re-homes one job record from a dead peer. In-flight records
-// re-run the job here under its original ID; done records install the
-// durable summary with the full result re-mining lazily through the
-// rehydrate path; failed and canceled records need nothing — the job
-// finished, there is just nothing left to serve.
+// AdoptJob re-homes one job record from a dead peer: the jobs.Record
+// its engine logged, inside the cluster envelope, folded by
+// Engine.Adopt. Adoption bypasses admission: the origin already
+// admitted the tenant, and failover must not re-reject accepted work.
 func (cl clusterLocal) AdoptJob(origin cluster.NodeID, record []byte) error {
-	s := cl.s
-	var rec cluster.JobRecord
-	if err := json.Unmarshal(record, &rec); err != nil {
+	var env cluster.JobRecord
+	if err := json.Unmarshal(record, &env); err != nil {
 		return fmt.Errorf("server: bad adopted record from %s: %w", origin, err)
 	}
-	var pl jobReplicaPayload
-	if err := json.Unmarshal(rec.Payload, &pl); err != nil {
-		return fmt.Errorf("server: bad adopted payload for job %s: %w", rec.ID, err)
+	var rec jobs.Record
+	if err := json.Unmarshal(env.Payload, &rec); err != nil {
+		return fmt.Errorf("server: bad adopted payload for job %s: %w", env.ID, err)
 	}
-	if pl.Spec.Dataset == "" {
-		pl.Spec.Dataset = registry.Hash(rec.Dataset)
-	}
-	switch {
-	case !rec.Done:
-		// Adoption bypasses admission: the origin already admitted the
-		// tenant, and failover must not re-reject accepted work.
-		_, err := s.engine.SubmitAdopted(rec.ID, pl.Spec)
-		return err
-	case pl.State == jobs.StateDone.String() && pl.Summary != nil:
-		_, err := s.engine.AdoptDone(rec.ID, pl.Spec, pl.Summary)
-		return err
-	default:
-		return nil
-	}
+	return cl.s.engine.Adopt(rec)
 }
 
 // ackOf snapshots a job as the cluster acknowledgement shape.
@@ -186,15 +161,15 @@ func (s *Server) ackOf(j *jobs.Job) cluster.JobAck {
 	return ack
 }
 
-// submitLocal is the shared local submission path: admit the tenant,
-// then enqueue under a pre-minted ID so hedged duplicates merge. The
-// grant is released on enqueue failure and otherwise at terminal time
-// (jobTerminal).
-func (s *Server) submitLocal(id string, spec jobs.Spec, bytes int64) (*jobs.Job, error) {
-	if err := s.admitJob(id, spec.Tenant, bytes); err != nil {
+// submitLocal is the one admitted submission path of every job kind,
+// local or forwarded: admit the tenant, then enqueue under a pre-minted
+// ID so hedged duplicates merge. The grant is released on enqueue
+// failure and otherwise at terminal time (jobTerminal).
+func (s *Server) submitLocal(id, tenant string, work jobs.Work, bytes int64) (*jobs.Job, error) {
+	if err := s.admitJob(id, tenant, bytes); err != nil {
 		return nil, err
 	}
-	job, err := s.engine.SubmitAdopted(id, spec)
+	job, err := s.engine.SubmitAdopted(id, work)
 	if err != nil {
 		s.releaseJob(id)
 		return nil, err
@@ -252,57 +227,33 @@ func (s *Server) releaseJob(id string) {
 
 // jobTerminal is the engine's OnTerminal hook: release the admission
 // grant and replicate the terminal record to the dataset's other
-// owners, so an adopter knows the job needs no re-run (done records
-// additionally carry the summary and the re-mine recipe).
-func (s *Server) jobTerminal(j *jobs.Job) {
+// owners, so an adopter knows the job needs no re-run (a done record
+// additionally carries the summary and the re-mine recipe).
+func (s *Server) jobTerminal(j *jobs.Job, rec jobs.Record) {
 	s.releaseJob(j.ID())
-	s.replicateTerminalRecord(j)
+	s.replicate(j, rec)
 }
 
-// replicateJobRecord pushes a freshly accepted job's record to the
-// dataset's other owners, in the background — replication is an
-// availability optimization and must not sit on the submit path.
-func (s *Server) replicateJobRecord(j *jobs.Job) {
-	n := s.cluster
-	if n == nil {
-		return
-	}
-	spec := j.Spec()
-	payload, err := json.Marshal(jobReplicaPayload{Spec: spec})
-	if err != nil {
-		return
-	}
-	s.replicateRecord(n, cluster.JobRecord{ID: j.ID(), Dataset: string(spec.Dataset), Payload: payload})
-}
-
-// replicateTerminalRecord pushes a terminal job record to the dataset's
-// other owners. Done jobs carry the durable summary (immediately
-// servable on the adopter) and the spec (the lazy re-mine recipe);
-// failed and canceled jobs replicate a bare terminal marker so replicas
-// do not resurrect them after this node dies.
-func (s *Server) replicateTerminalRecord(j *jobs.Job) {
-	n := s.cluster
-	if n == nil {
-		return
-	}
-	st := j.Snapshot()
-	pl := jobReplicaPayload{Spec: st.Spec, State: st.State.String()}
-	if st.State == jobs.StateDone {
-		pl.Summary = j.Summary()
-	}
-	payload, err := json.Marshal(pl)
-	if err != nil {
-		return
-	}
-	s.replicateRecord(n, cluster.JobRecord{ID: j.ID(), Dataset: string(st.Spec.Dataset), Done: true, Payload: payload})
-}
-
+// replicate pushes a record the engine logged for j — the submitted
+// record on accept, the terminal record at the end — to the other owners
+// of j's dataset, in the background: replication is an availability
+// optimization and must not sit on the submit path.
+//
 // lint:ignore ctxflow replication outlives the request that triggered it; the fan-out is bounded by its own timeout, not the caller's
-func (s *Server) replicateRecord(n *cluster.Node, rec cluster.JobRecord) {
+func (s *Server) replicate(j *jobs.Job, rec jobs.Record) {
+	n := s.cluster
+	if n == nil {
+		return
+	}
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return
+	}
+	env := cluster.JobRecord{ID: rec.Job, Dataset: string(j.Spec().Dataset), Done: rec.Type != jobs.RecSubmitted, Payload: payload}
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), replicateTimeout)
 		defer cancel()
-		n.ReplicateJobRecord(ctx, rec)
+		n.ReplicateJobRecord(ctx, env)
 	}()
 }
 
@@ -339,12 +290,15 @@ func retryAfterSeconds(d time.Duration) string {
 
 // writeSubmitError maps job-submission failures — local or forwarded —
 // to HTTP statuses: admission denials and full queues are 429 with
-// Retry-After (the explicit backpressure contract), a draining engine
-// is 503, a definitive peer rejection surfaces as 429 so clients back
-// off, and an unreachable replica set is 502.
+// Retry-After (the explicit backpressure contract), a spec the engine
+// refuses is 400, a draining engine is 503, a definitive peer rejection
+// surfaces as 429 so clients back off, and an unreachable replica set
+// is 502.
 func writeSubmitError(w http.ResponseWriter, err error) {
 	var denied *admission.Denied
 	switch {
+	case errors.Is(err, jobs.ErrBadInput):
+		writeError(w, http.StatusBadRequest, err.Error())
 	case errors.As(err, &denied):
 		w.Header().Set("Retry-After", retryAfterSeconds(denied.RetryAfter))
 		writeError(w, http.StatusTooManyRequests, err.Error())

@@ -18,8 +18,9 @@ import (
 // max_patterns) bound the mine, sample_rows trades exactness for speed
 // with explicit confidence intervals, and an "expand" object navigates
 // the lattice from a named pattern without mining at all. "async": true
-// routes the exploration through the job engine instead; progress then
-// streams via the usual /jobs/{id}/partial and /jobs/{id}/events.
+// submits the exploration as a job, admitted per tenant as POST /jobs
+// is; progress then streams via the usual /jobs/{id}/partial and
+// /jobs/{id}/events.
 
 // exploreBody is the wire shape of a POST /explore request.
 type exploreBody struct {
@@ -160,7 +161,8 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	if req.expand != nil {
 		ds = req.expand.Dataset
 	}
-	if _, ok := s.reg.Get(ds); !ok {
+	entry, ok := s.reg.Get(ds)
+	if !ok {
 		writeError(w, http.StatusNotFound, "dataset "+string(ds)+" not registered")
 		return
 	}
@@ -175,8 +177,8 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.async {
-		job, err := s.engine.SubmitExplore(req.spec)
-		s.writeAccepted(w, r, job, err)
+		req.spec.Tenant = tenantOf(r)
+		s.acceptLocal(w, req.spec.Tenant, req.spec, entry.Bytes)
 		return
 	}
 	out, err := s.engine.Explore(r.Context(), req.spec)
@@ -185,19 +187,6 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-// writeAccepted answers an async /explore or /significance submission:
-// 202 with the job's status, or the submission error mapped to a status.
-func (s *Server) writeAccepted(w http.ResponseWriter, r *http.Request, job *jobs.Job, err error) {
-	switch {
-	case errors.Is(err, jobs.ErrQueueFull), errors.Is(err, jobs.ErrShuttingDown):
-		writeSubmitError(w, err)
-	case err != nil:
-		s.writeExploreError(w, r, err)
-	default:
-		writeJSON(w, http.StatusAccepted, jobToJSON(job.Snapshot()))
-	}
 }
 
 // writeExploreError maps explore/expand failures to HTTP statuses. The

@@ -21,6 +21,8 @@ import (
 type exploreEnv struct {
 	srv *Server
 	h   http.Handler
+	// tenant, when set, is the X-Tenant header of every request.
+	tenant string
 }
 
 func newExploreEnv(t *testing.T) *exploreEnv {
@@ -36,6 +38,9 @@ func newExploreEnv(t *testing.T) *exploreEnv {
 func (e *exploreEnv) do(t *testing.T, method, path, body string) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest(method, path, strings.NewReader(body))
+	if e.tenant != "" {
+		req.Header.Set(TenantHeader, e.tenant)
+	}
 	w := httptest.NewRecorder()
 	e.h.ServeHTTP(w, req)
 	return w
@@ -329,6 +334,35 @@ func TestExploreAsync(t *testing.T) {
 	}
 }
 
+// TestSyncExploreClientGone: a client that leaves a sync /explore
+// stops its mine. On a 3,000 × 24 binary table at s = 0.002 the
+// unbudgeted mine would run far longer than the test; the handler
+// answers 499 as soon as the stream sees the request canceled.
+func TestSyncExploreClientGone(t *testing.T) {
+	env := newExploreEnv(t)
+	hash := env.register(t, datagenCSV(t, 5, 3000, 24, 2))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := httptest.NewRequest(http.MethodPost, "/explore",
+		strings.NewReader(fmt.Sprintf(`{"dataset":%q,"support":0.002}`, hash))).WithContext(ctx)
+	w := httptest.NewRecorder()
+	served := make(chan struct{})
+	go func() {
+		env.h.ServeHTTP(w, req)
+		close(served)
+	}()
+	time.Sleep(200 * time.Millisecond)
+	cancel()
+	select {
+	case <-served:
+	case <-time.After(2 * time.Second):
+		t.Fatal("sync /explore kept mining after its client left")
+	}
+	if w.Code != 499 {
+		t.Fatalf("sync /explore with its client gone = %d: %s", w.Code, w.Body.String())
+	}
+}
+
 func TestExploreHTTPValidation(t *testing.T) {
 	env := newExploreEnv(t)
 	hash := env.register(t, sampleCSV)
@@ -342,6 +376,7 @@ func TestExploreHTTPValidation(t *testing.T) {
 		"missing dataset": {`{"support":0.1}`, http.StatusBadRequest},
 		"bad support":     {fmt.Sprintf(`{"dataset":%q,"support":1.5}`, hash), http.StatusBadRequest},
 		"bad metric":      {fmt.Sprintf(`{"dataset":%q,"metric":"nope"}`, hash), http.StatusBadRequest},
+		"async metric":    {fmt.Sprintf(`{"dataset":%q,"metric":"nope","async":true}`, hash), http.StatusBadRequest},
 		"negative budget": {fmt.Sprintf(`{"dataset":%q,"budget_ms":-1}`, hash), http.StatusBadRequest},
 		"bad confidence":  {fmt.Sprintf(`{"dataset":%q,"confidence":1}`, hash), http.StatusBadRequest},
 		"async expand":    {fmt.Sprintf(`{"dataset":%q,"async":true,"expand":{}}`, hash), http.StatusBadRequest},

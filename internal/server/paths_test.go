@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/admission"
 	"repro/internal/jobs"
 	"repro/internal/registry"
 )
@@ -24,8 +26,10 @@ var cacheHitField = regexp.MustCompile(`"cache_hit": (true|false)`)
 // TestCrossPathIdentical asks each kind of question three ways: the
 // synchronous endpoint, an async job's /jobs/{id}/result on a second
 // server that mines from cold, and a repeat of the synchronous request
-// served from the cache. The three bodies must be byte-identical apart
-// from the cache_hit field.
+// served from the cache. It asks them of two kinds of server: a plain
+// one, and one whose jobs pass a tenant's admission and drain through
+// the fair queue. Every body must be byte-identical to the plain
+// server's sync answer apart from the cache_hit field.
 func TestCrossPathIdentical(t *testing.T) {
 	csv := datagenCSV(t, 41, 600, 5, 3)
 	const query = "support=0.05&metric=FPR,FNR&eps=0.01&alpha=0.1&topk=7"
@@ -60,53 +64,88 @@ func TestCrossPathIdentical(t *testing.T) {
 			},
 		},
 	}
+	servers := []struct {
+		name string
+		new  func(t *testing.T) *exploreEnv
+	}{
+		{"plain", newExploreEnv},
+		{"admitted", newAdmittedEnv},
+	}
 	for _, c := range cases {
 		t.Run(c.kind, func(t *testing.T) {
-			a := newExploreEnv(t)
-			hash := a.register(t, csv)
-			path, body := c.sync(hash)
-			first := a.do(t, http.MethodPost, path, body)
-			if first.Code != http.StatusOK {
-				t.Fatalf("sync %s = %d: %s", path, first.Code, first.Body.String())
-			}
-			hits := a.statsz(t).Jobs.ResultCache.Hits
-			repeat := a.do(t, http.MethodPost, path, body)
-			if repeat.Code != http.StatusOK {
-				t.Fatalf("repeat %s = %d: %s", path, repeat.Code, repeat.Body.String())
-			}
-			if bytes.Contains(first.Body.Bytes(), []byte(`"cache_hit": true`)) ||
-				(c.kind != "analyze" && !bytes.Contains(repeat.Body.Bytes(), []byte(`"cache_hit": true`))) {
-				t.Fatalf("cache_hit: first %s, repeat %s", first.Body.String(), repeat.Body.String())
-			}
-			if c.kind == "analyze" && a.statsz(t).Jobs.ResultCache.Hits != hits+1 {
-				t.Fatal("repeated /analyze was not answered from the result cache")
-			}
+			var want []byte // the plain server's sync answer
+			for _, srv := range servers {
+				t.Run(srv.name, func(t *testing.T) {
+					a := srv.new(t)
+					hash := a.register(t, csv)
+					path, body := c.sync(hash)
+					first := a.do(t, http.MethodPost, path, body)
+					if first.Code != http.StatusOK {
+						t.Fatalf("sync %s = %d: %s", path, first.Code, first.Body.String())
+					}
+					hits := a.statsz(t).Jobs.ResultCache.Hits
+					repeat := a.do(t, http.MethodPost, path, body)
+					if repeat.Code != http.StatusOK {
+						t.Fatalf("repeat %s = %d: %s", path, repeat.Code, repeat.Body.String())
+					}
+					if bytes.Contains(first.Body.Bytes(), []byte(`"cache_hit": true`)) ||
+						(c.kind != "analyze" && !bytes.Contains(repeat.Body.Bytes(), []byte(`"cache_hit": true`))) {
+						t.Fatalf("cache_hit: first %s, repeat %s", first.Body.String(), repeat.Body.String())
+					}
+					if c.kind == "analyze" && a.statsz(t).Jobs.ResultCache.Hits != hits+1 {
+						t.Fatal("repeated /analyze was not answered from the result cache")
+					}
 
-			b := newExploreEnv(t)
-			b.register(t, csv)
-			path, body = c.async(hash)
-			w := b.do(t, http.MethodPost, path, body)
-			if w.Code != http.StatusAccepted {
-				t.Fatalf("async %s = %d: %s", path, w.Code, w.Body.String())
-			}
-			id := decode[jobJSON](t, w).ID
-			if st := pollJob(t, b.h, id); st.State != "done" {
-				t.Fatalf("async job: %+v", st)
-			}
-			async := b.do(t, http.MethodGet, "/jobs/"+id+"/result", "")
-			if async.Code != http.StatusOK {
-				t.Fatalf("GET /jobs/%s/result = %d: %s", id, async.Code, async.Body.String())
-			}
+					b := srv.new(t)
+					b.register(t, csv)
+					path, body = c.async(hash)
+					w := b.do(t, http.MethodPost, path, body)
+					if w.Code != http.StatusAccepted {
+						t.Fatalf("async %s = %d: %s", path, w.Code, w.Body.String())
+					}
+					id := decode[jobJSON](t, w).ID
+					if st := pollJob(t, b.h, id); st.State != "done" {
+						t.Fatalf("async job: %+v", st)
+					}
+					async := b.do(t, http.MethodGet, "/jobs/"+id+"/result", "")
+					if async.Code != http.StatusOK {
+						t.Fatalf("GET /jobs/%s/result = %d: %s", id, async.Code, async.Body.String())
+					}
+					if adm := b.statsz(t).Admission; b.tenant != "" && (len(adm) != 1 || adm[0].Tenant != b.tenant || adm[0].Admitted != 1) {
+						t.Errorf("the async job did not take the admitted path: admission rows %+v", adm)
+					}
 
-			want := cacheHitField.ReplaceAll(first.Body.Bytes(), nil)
-			for name, got := range map[string][]byte{"cached": repeat.Body.Bytes(), "async": async.Body.Bytes()} {
-				if got := cacheHitField.ReplaceAll(got, nil); !bytes.Equal(got, want) {
-					t.Errorf("%s answer differs from the sync one at byte %d:\nsync:  %s\n%s: %s",
-						name, firstDiff(got, want), want, name, got)
-				}
+					if want == nil {
+						want = cacheHitField.ReplaceAll(first.Body.Bytes(), nil)
+					}
+					for name, got := range map[string][]byte{"sync": first.Body.Bytes(), "cached": repeat.Body.Bytes(), "async": async.Body.Bytes()} {
+						if got := cacheHitField.ReplaceAll(got, nil); !bytes.Equal(got, want) {
+							t.Errorf("%s answer differs from the plain sync one at byte %d:\nwant: %s\n%s: %s",
+								name, firstDiff(got, want), want, name, got)
+						}
+					}
+				})
 			}
 		})
 	}
+}
+
+// newAdmittedEnv is newExploreEnv with admission control: its requests
+// carry a tenant, and its engine drains jobs through the fair queue.
+func newAdmittedEnv(t *testing.T) *exploreEnv {
+	t.Helper()
+	ctrl := admission.NewController(admission.Limits{MaxActive: 4}, nil, nil)
+	reg := registry.New(0)
+	engine, err := jobs.New(jobs.Config{Registry: reg, Queue: NewFairJobQueue(64, ctrl)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Options{Registry: reg, Engine: engine, Admission: ctrl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close(context.Background()) })
+	return &exploreEnv{srv: s, h: s.Handler(), tenant: "analyst"}
 }
 
 // rankedRow is the part of a ranked pattern that /analyze and /explore

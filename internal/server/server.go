@@ -53,7 +53,8 @@
 // the highest-priority live owner with hedged retries. Accepted and
 // completed job records replicate to the dataset's other owners, which
 // adopt them if the owner dies. With an admission controller attached
-// (Options.Admission; -tenant-quotas) POST /jobs is gated per tenant
+// (Options.Admission; -tenant-quotas) every async job — POST /jobs, and
+// /explore and /significance with "async": true — is gated per tenant
 // (X-Tenant header): quota or rate denials answer 429 with Retry-After,
 // and queued jobs drain by weighted fair queueing instead of FIFO.
 //
@@ -132,10 +133,11 @@ type Options struct {
 	// (sharing the engine's WAL store when one is attached) is created
 	// when nil.
 	Monitors *monitor.Manager
-	// Admission enforces per-tenant quotas and rate limits on job
-	// submissions (X-Tenant header); nil admits everything. The server
-	// claims the engine's OnTerminal hook to release grants (and to
-	// replicate terminal records when a cluster node is attached).
+	// Admission enforces per-tenant quotas and rate limits on async job
+	// submissions of every kind (X-Tenant header); nil admits
+	// everything. The server claims the engine's OnTerminal hook to
+	// release grants (and to replicate terminal records when a cluster
+	// node is attached).
 	Admission *admission.Controller
 }
 
@@ -150,8 +152,9 @@ type Server struct {
 	// dataset ownership and mounts the /internal/* peer endpoints.
 	cluster *cluster.Node
 
-	// admission, when non-nil, gates POST /jobs per tenant; admitted
-	// maps live job IDs to their grants for release at terminal time.
+	// admission, when non-nil, gates every async job per tenant;
+	// admitted maps live job IDs to their grants for release at
+	// terminal time.
 	admission *admission.Controller
 	admMu     sync.Mutex
 	admitted  map[string]admittedJob
@@ -347,86 +350,66 @@ func readSized(r io.Reader, size int) ([]byte, error) {
 	}
 }
 
-// analysisRequest carries the parsed query parameters.
-type analysisRequest struct {
-	truthCol, predCol string
-	support           float64
-	metrics           []core.Metric
-	topK              int
-	eps               float64
-	alpha             float64
-	format            string
-}
-
-func parseRequest(r *http.Request) (analysisRequest, error) {
+// parseRequest parses the query parameters /analyze and POST /jobs share
+// into an analysis spec, with Dataset left to the caller, and the
+// response format. Metric names are resolved to their canonical form.
+func parseRequest(r *http.Request) (jobs.Spec, string, error) {
 	q := r.URL.Query()
-	req := analysisRequest{
-		truthCol: orDefault(q.Get("truth"), "truth"),
-		predCol:  orDefault(q.Get("pred"), "pred"),
-		support:  0.05,
-		topK:     10,
-		format:   orDefault(q.Get("format"), "json"),
+	spec := jobs.Spec{
+		TruthCol: orDefault(q.Get("truth"), "truth"),
+		PredCol:  orDefault(q.Get("pred"), "pred"),
+		Support:  0.05,
+		TopK:     10,
 	}
 	if s := q.Get("support"); s != "" {
 		v, err := strconv.ParseFloat(s, 64)
 		if err != nil || v < 0 || v > 1 {
-			return req, fmt.Errorf("bad support %q", s)
+			return spec, "", fmt.Errorf("bad support %q", s)
 		}
-		req.support = v
+		spec.Support = v
 	}
 	if s := q.Get("topk"); s != "" {
 		v, err := strconv.Atoi(s)
 		if err != nil || v < 1 {
-			return req, fmt.Errorf("bad topk %q", s)
+			return spec, "", fmt.Errorf("bad topk %q", s)
 		}
-		req.topK = v
+		spec.TopK = v
 	}
 	if s := q.Get("eps"); s != "" {
 		v, err := strconv.ParseFloat(s, 64)
 		if err != nil || v < 0 {
-			return req, fmt.Errorf("bad eps %q", s)
+			return spec, "", fmt.Errorf("bad eps %q", s)
 		}
-		req.eps = v
+		spec.Epsilon = v
 	}
 	if s := q.Get("alpha"); s != "" {
 		v, err := strconv.ParseFloat(s, 64)
 		if err != nil || v <= 0 || v >= 1 {
-			return req, fmt.Errorf("bad alpha %q", s)
+			return spec, "", fmt.Errorf("bad alpha %q", s)
 		}
-		req.alpha = v
+		spec.Alpha = v
 	}
 	names := orDefault(q.Get("metric"), "FPR,FNR")
 	for _, n := range strings.Split(names, ",") {
 		m, err := core.MetricByName(strings.TrimSpace(n))
 		if err != nil {
-			return req, err
+			return spec, "", err
 		}
-		req.metrics = append(req.metrics, m)
+		spec.Metrics = append(spec.Metrics, m.Name)
 	}
-	switch req.format {
-	case "json", "html", "csv":
-	default:
-		return req, fmt.Errorf("bad format %q (want json, html or csv)", req.format)
-	}
-	return req, nil
+	format, err := parseFormat(q.Get("format"))
+	return spec, format, err
 }
 
-// spec converts the parsed request into a job spec for dataset h.
-func (req analysisRequest) spec(h registry.Hash) jobs.Spec {
-	names := make([]string, len(req.metrics))
-	for i, m := range req.metrics {
-		names[i] = m.Name
+// parseFormat checks a response format: "json" (the default when
+// empty), "html" or "csv".
+func parseFormat(format string) (string, error) {
+	format = orDefault(format, "json")
+	switch format {
+	case "json", "html", "csv":
+		return format, nil
 	}
-	return jobs.Spec{
-		Dataset:  h,
-		TruthCol: req.truthCol,
-		PredCol:  req.predCol,
-		Support:  req.support,
-		Metrics:  names,
-		Epsilon:  req.eps,
-		TopK:     req.topK,
-		Alpha:    req.alpha,
-	}
+	return "", fmt.Errorf("bad format %q (want json, html or csv)", format)
 }
 
 func orDefault(s, def string) string {
@@ -483,7 +466,7 @@ type responseJSON struct {
 // result cache, so a repeated upload skips both parsing and mining. The
 // request context cancels the mine when the client disconnects.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	req, err := parseRequest(r)
+	spec, format, err := parseRequest(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -497,12 +480,13 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	res, err := s.engine.Analyze(r.Context(), req.spec(entry.Hash))
+	spec.Dataset = entry.Hash
+	res, err := s.engine.Analyze(r.Context(), spec)
 	if err != nil {
 		s.writeAnalysisError(w, r, err)
 		return
 	}
-	s.render(w, res, req)
+	s.render(w, res, spec, format)
 }
 
 // writeAnalysisError maps analysis failures to HTTP statuses.
@@ -518,15 +502,25 @@ func (s *Server) writeAnalysisError(w http.ResponseWriter, r *http.Request, err 
 	}
 }
 
-// render writes the result in the requested format.
-func (s *Server) render(w http.ResponseWriter, res *core.Result, req analysisRequest) {
-	switch req.format {
+// render writes an analysis spec's result in format, for sync and async
+// requests alike.
+func (s *Server) render(w http.ResponseWriter, res *core.Result, spec jobs.Spec, format string) {
+	metrics := make([]core.Metric, len(spec.Metrics))
+	for i, n := range spec.Metrics {
+		m, err := core.MetricByName(n) // validated when the spec was parsed
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
+		metrics[i] = m
+	}
+	switch format {
 	case "html":
 		out, err := htmlreport.Render(res, htmlreport.Config{
-			Metrics:  req.metrics,
-			TopK:     req.topK,
-			Epsilon:  req.eps,
-			FDRLevel: req.alpha,
+			Metrics:  metrics,
+			TopK:     spec.TopK,
+			Epsilon:  spec.Epsilon,
+			FDRLevel: spec.Alpha,
 		})
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, err.Error())
@@ -536,22 +530,24 @@ func (s *Server) render(w http.ResponseWriter, res *core.Result, req analysisReq
 		_, _ = w.Write(out) // nothing to do if the client went away
 	case "csv":
 		w.Header().Set("Content-Type", "text/csv")
-		if err := res.WriteCSV(w, req.metrics[0], core.ByDivergence); err != nil {
+		if err := res.WriteCSV(w, metrics[0], core.ByDivergence); err != nil {
 			writeError(w, http.StatusInternalServerError, err.Error())
 		}
 	default:
-		writeJSON(w, http.StatusOK, buildJSON(res, req))
+		writeJSON(w, http.StatusOK, buildJSON(res, spec, metrics))
 	}
 }
 
-func buildJSON(res *core.Result, req analysisRequest) responseJSON {
+// buildJSON is the JSON report of an analysis spec's result over its
+// resolved metrics.
+func buildJSON(res *core.Result, spec jobs.Spec, metrics []core.Metric) responseJSON {
 	resp := responseJSON{
 		Rows:     res.DB.NumRows(),
 		Attrs:    res.DB.Catalog.NumAttrs(),
 		Patterns: res.NumPatterns(),
 		Support:  res.MinSup,
 	}
-	for _, m := range req.metrics {
+	for _, m := range metrics {
 		mj := metricJSON{Metric: m.Name, OverallRate: res.GlobalRate(m)}
 		toJSON := func(rk core.Ranked) patternJSON {
 			return patternJSON{
@@ -563,18 +559,18 @@ func buildJSON(res *core.Result, req analysisRequest) responseJSON {
 				PValue:     res.PValue(rk.Tally, m),
 			}
 		}
-		for _, rk := range res.TopK(m, req.topK, core.ByAbsDivergence) {
+		for _, rk := range res.TopK(m, spec.TopK, core.ByAbsDivergence) {
 			mj.Top = append(mj.Top, toJSON(rk))
 		}
-		if req.eps > 0 {
-			for _, rk := range res.TopKPruned(m, req.eps, req.topK, core.ByAbsDivergence) {
+		if spec.Epsilon > 0 {
+			for _, rk := range res.TopKPruned(m, spec.Epsilon, spec.TopK, core.ByAbsDivergence) {
 				mj.Pruned = append(mj.Pruned, toJSON(rk))
 			}
 		}
-		if req.alpha > 0 {
-			sig := res.SignificantPatterns(m, req.alpha, core.ByAbsDivergence)
+		if spec.Alpha > 0 {
+			sig := res.SignificantPatterns(m, spec.Alpha, core.ByAbsDivergence)
 			for i, s := range sig {
-				if i == req.topK {
+				if i == spec.TopK {
 					break
 				}
 				mj.Significant = append(mj.Significant, toJSON(s.Ranked))

@@ -14,9 +14,9 @@ import (
 // multiple-testing control over every mined pattern: Westfall–Young
 // max-T permutation FWER control ("wy", the default), permutation FDR
 // ("perm-fdr"), or the analytic Benjamini–Hochberg pass ("bh").
-// "async": true routes the query through the job engine; permutation
-// progress then streams via /jobs/{id} and the final leaderboard via
-// /jobs/{id}/partial and /jobs/{id}/result.
+// "async": true submits the query as a job, admitted per tenant as
+// POST /jobs is; permutation progress then streams via /jobs/{id} and
+// the final leaderboard via /jobs/{id}/partial and /jobs/{id}/result.
 
 // significanceBody is the wire shape of a POST /significance request.
 type significanceBody struct {
@@ -115,14 +115,15 @@ func (s *Server) handleSignificance(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if _, ok := s.reg.Get(req.spec.Dataset); !ok {
+	entry, ok := s.reg.Get(req.spec.Dataset)
+	if !ok {
 		writeError(w, http.StatusNotFound, "dataset "+string(req.spec.Dataset)+" not registered")
 		return
 	}
 
 	if req.async {
-		job, err := s.engine.SubmitSignificance(req.spec)
-		s.writeAccepted(w, r, job, err)
+		req.spec.Tenant = tenantOf(r)
+		s.acceptLocal(w, req.spec.Tenant, req.spec, entry.Bytes)
 		return
 	}
 	out, err := s.engine.Significance(r.Context(), req.spec)

@@ -67,7 +67,10 @@
 #                                        fired)
 #
 # — and writes them as BENCH_<date>.json (schema divex-bench/v1, see
-# internal/benchfmt) in the repository root. Committing the file after a
+# internal/benchfmt) in the repository root. When that day's snapshot
+# already exists it is kept, and the new one is named
+# BENCH_<date>T<HHMMSS>.json by the UTC time of the run; benchfmt.Newest
+# still picks it, since "T" sorts after ".". Committing the file after a
 # perf-relevant change extends the trajectory README.md plots and moves
 # the baseline of verify.sh's allocation gate (cmd/benchfmt -compare),
 # which reads the newest snapshot; an unchanged workload regenerates
@@ -85,6 +88,9 @@ cd "$(dirname "$0")/.."
 date="${BENCH_DATE:-$(date +%F)}"
 benchtime="${BENCH_TIME:-1s}"
 out="BENCH_${date}.json"
+if [[ -e "${out}" ]]; then
+    out="BENCH_${date}T$(date -u +%H%M%S).json"
+fi
 
 echo "==> benchmarks (-benchtime ${benchtime}, -benchmem, -cpu=1)"
 {

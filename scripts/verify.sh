@@ -77,7 +77,11 @@
 #                                  fresh input generation on top of the
 #                                  checked-in seed corpus (one target
 #                                  per package per run, as go test
-#                                  requires), FuzzMinersAgree (bitset
+#                                  requires; each new interesting input
+#                                  is minimized for 100 runs at most, so
+#                                  the budget goes to fresh inputs, not
+#                                  to the default 60 s minimizer),
+#                                  FuzzMinersAgree (bitset
 #                                  kernel vs. BruteForce),
 #                                  FuzzCoverFold (both cover forms vs.
 #                                  TallyOf under relabelings),
@@ -193,16 +197,16 @@ go test -race -count=2 ./internal/admission/...
 go test -race -run 'Admission|FairQueue' ./internal/server
 
 echo "==> fuzz smoke (10s per target)"
-go test -run=NONE -fuzz='^FuzzParseCSV$' -fuzztime=10s ./internal/dataset
-go test -run=NONE -fuzz='^FuzzDecodeCSV$' -fuzztime=10s ./internal/dataset
-go test -run=NONE -fuzz='^FuzzDiscretize$' -fuzztime=10s ./internal/discretize
-go test -run=NONE -fuzz='^FuzzParseEvent$' -fuzztime=10s ./internal/monitor
-go test -run=NONE -fuzz='^FuzzParseSpec$' -fuzztime=10s ./internal/monitor
-go test -run=NONE -fuzz='^FuzzExploreRequest$' -fuzztime=10s ./internal/server
-go test -run=NONE -fuzz='^FuzzSignificanceRequest$' -fuzztime=10s ./internal/server
-go test -run=NONE -fuzz='^FuzzMinersAgree$' -fuzztime=10s ./internal/fpm
-go test -run=NONE -fuzz='^FuzzCoverFold$' -fuzztime=10s ./internal/fpm
-go test -run=NONE -fuzz='^FuzzScanLog$' -fuzztime=10s ./internal/jobs
+go test -run=NONE -fuzz='^FuzzParseCSV$' -fuzztime=10s -fuzzminimizetime=100x ./internal/dataset
+go test -run=NONE -fuzz='^FuzzDecodeCSV$' -fuzztime=10s -fuzzminimizetime=100x ./internal/dataset
+go test -run=NONE -fuzz='^FuzzDiscretize$' -fuzztime=10s -fuzzminimizetime=100x ./internal/discretize
+go test -run=NONE -fuzz='^FuzzParseEvent$' -fuzztime=10s -fuzzminimizetime=100x ./internal/monitor
+go test -run=NONE -fuzz='^FuzzParseSpec$' -fuzztime=10s -fuzzminimizetime=100x ./internal/monitor
+go test -run=NONE -fuzz='^FuzzExploreRequest$' -fuzztime=10s -fuzzminimizetime=100x ./internal/server
+go test -run=NONE -fuzz='^FuzzSignificanceRequest$' -fuzztime=10s -fuzzminimizetime=100x ./internal/server
+go test -run=NONE -fuzz='^FuzzMinersAgree$' -fuzztime=10s -fuzzminimizetime=100x ./internal/fpm
+go test -run=NONE -fuzz='^FuzzCoverFold$' -fuzztime=10s -fuzzminimizetime=100x ./internal/fpm
+go test -run=NONE -fuzz='^FuzzScanLog$' -fuzztime=10s -fuzzminimizetime=100x ./internal/jobs
 
 echo "==> coverage summary (jobs, fpm)"
 go test -cover ./internal/jobs ./internal/fpm | awk '{print "    " $0}'
