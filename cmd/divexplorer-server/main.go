@@ -20,9 +20,10 @@
 // owner with hedged retries, accepted work replicates to the other
 // owners, and a dead node's jobs are adopted by a surviving replica
 // (phi-accrual failure detection over gossip heartbeats). With
-// -tenant-quotas, per-tenant admission control (X-Tenant header) gates
-// POST /jobs with quota/rate 429s and replaces the FIFO job queue with
-// weighted fair queueing. See DESIGN.md §16.
+// -tenant-quotas, the job engine admits every async job per tenant
+// (X-Tenant header) — POST /jobs and async /explore and /significance —
+// answering quota and rate denials with 429, and drains its queue by
+// weighted fair queueing instead of FIFO. See DESIGN.md §16.
 //
 //	divexplorer-server -addr :8080 -workers 4 -job-timeout 5m
 //	divexplorer-server -store-dir /var/lib/divexplorer -snapshot-every 2s
@@ -110,23 +111,21 @@ func main() {
 		log.Printf("dataset spill tier %s attached (%d files, %d bytes resident)",
 			*spillDir, st.Files, st.Bytes)
 	}
-	// Per-tenant admission: quota/rate gate on POST /jobs plus weighted
-	// fair queueing in place of the engine's FIFO.
+	// Per-tenant admission: the engine gates every async job on quotas
+	// and rate limits and queues by weighted fair queueing.
 	var ctrl *admission.Controller
-	var queue jobs.Queue
 	if *tenantQuotas != "" {
 		defaults, perTenant, err := admission.ParseLimits(*tenantQuotas)
 		if err != nil {
 			log.Fatalf("parsing -tenant-quotas: %v", err)
 		}
 		ctrl = admission.NewController(defaults, perTenant, nil)
-		queue = server.NewFairJobQueue(*queueDepth, ctrl)
 		log.Printf("admission control on (%d tenant overrides, weighted fair queueing)", len(perTenant))
 	}
 	engine, err := jobs.New(jobs.Config{
 		Registry:                 reg,
 		Workers:                  *workers,
-		Queue:                    queue,
+		Admission:                ctrl,
 		QueueDepth:               *queueDepth,
 		ResultCacheEntries:       *resultCache,
 		DefaultTimeout:           *jobTimeout,
@@ -164,7 +163,6 @@ func main() {
 		Registry:     reg,
 		Engine:       engine,
 		Monitors:     monitors,
-		Admission:    ctrl,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -1,10 +1,11 @@
 // Package admission is the multi-tenant admission-control layer: it
 // decides, per tenant, whether a job submission may enter the engine at
 // all (token-bucket rate limits, active-job and byte quotas) and in
-// what order admitted work is served (weighted fair queueing). The
-// serving layer consults a Controller before enqueueing and surfaces a
-// denial as HTTP 429 with a Retry-After hint; the FairQueue replaces
-// the engine's FIFO so one tenant's burst cannot starve the others.
+// what order admitted work is served (weighted fair queueing). The job
+// engine consults a Controller in its submit, before it logs and queues
+// a job, and the serving layer surfaces a denial as HTTP 429 with a
+// Retry-After hint; the FairQueue replaces the engine's FIFO so one
+// tenant's burst cannot starve the others.
 //
 // The package is self-contained — no imports from the jobs or server
 // layers — so its tests and the chaos harness can exercise admission
@@ -182,9 +183,9 @@ func (c *Controller) Admit(tenant string, bytes int64) error {
 	return nil
 }
 
-// Release returns a previously admitted job's slot and bytes. The
-// serving layer calls it when the job reaches a terminal state (or when
-// the enqueue that followed admission failed).
+// Release returns a previously admitted job's slot and bytes. The job
+// engine calls it when the job reaches a terminal state (or when the
+// log append or enqueue that followed admission failed).
 func (c *Controller) Release(tenant string, bytes int64) {
 	if tenant == "" {
 		tenant = DefaultTenant

@@ -32,8 +32,6 @@ type Options struct {
 	// ReplicationFactor is how many owners each content hash has
 	// (DefaultReplication when <= 0; clamped to the cluster size).
 	ReplicationFactor int
-	// VirtualNodes per member on the placement ring.
-	VirtualNodes int
 	// HeartbeatEvery is the gossip cadence; <= 0 disables the background
 	// loop (tests call Tick themselves).
 	HeartbeatEvery time.Duration
@@ -189,7 +187,7 @@ func NewNode(opts Options) (*Node, error) {
 		seed = opts.Clock.Now().UnixNano()
 	}
 
-	ring := NewRing(opts.VirtualNodes)
+	ring := NewRing(DefaultVirtualNodes)
 	ring.Add(opts.Self)
 	for _, p := range opts.Peers {
 		ring.Add(p)

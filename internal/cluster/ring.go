@@ -41,12 +41,9 @@ type Ring struct {
 	members map[NodeID]bool
 }
 
-// NewRing builds an empty ring with vnodes virtual points per member
-// (DefaultVirtualNodes when <= 0).
+// NewRing builds an empty ring with vnodes (> 0) virtual points per
+// member.
 func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
 	return &Ring{vnodes: vnodes, members: make(map[NodeID]bool)}
 }
 

@@ -44,7 +44,7 @@ func TestSubmitRejectsDuplicateID(t *testing.T) {
 	}
 	// The non-adopted path must refuse to silently merge distinct
 	// submissions under one ID.
-	if _, err := e.submit("dup", sampleSpec(h), false); err == nil {
+	if _, err := e.submit("dup", sampleSpec(h), false, true); err == nil {
 		t.Fatalf("duplicate non-adopted id accepted")
 	}
 }
@@ -143,44 +143,6 @@ func TestAdoptDoneServesSummaryAndRehydrates(t *testing.T) {
 	}
 	if st := waitTerminal(t, j); st.State != StateDone {
 		t.Fatalf("re-run job = %s (%s), want done", st.State, st.Err)
-	}
-}
-
-// countingQueue wraps the default FIFO to prove the engine drives the
-// configured Queue implementation.
-type countingQueue struct {
-	inner  Queue
-	pushes int64
-	mu     sync.Mutex
-}
-
-func (q *countingQueue) Push(j *Job) bool {
-	q.mu.Lock()
-	q.pushes++
-	q.mu.Unlock()
-	return q.inner.Push(j)
-}
-func (q *countingQueue) Pop() (*Job, bool) { return q.inner.Pop() }
-func (q *countingQueue) Len() int          { return q.inner.Len() }
-func (q *countingQueue) Cap() int          { return q.inner.Cap() }
-func (q *countingQueue) Close()            { q.inner.Close() }
-
-func TestConfigQueueSeam(t *testing.T) {
-	q := &countingQueue{inner: chanQueue{ch: make(chan *Job, 8)}}
-	e, h := testEngine(t, Config{Workers: 1, Queue: q})
-	job, err := e.Submit(sampleSpec(h))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitTerminal(t, job)
-	q.mu.Lock()
-	pushes := q.pushes
-	q.mu.Unlock()
-	if pushes != 1 {
-		t.Fatalf("custom queue saw %d pushes, want 1", pushes)
-	}
-	if st := e.Stats(); st.QueueCap != 8 {
-		t.Fatalf("stats read the default queue, not the configured one: %+v", st)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/core"
 	"repro/internal/registry"
 )
@@ -23,6 +24,10 @@ type Config struct {
 	// QueueDepth bounds the number of queued (not yet running) jobs;
 	// 64 when <= 0. A full queue rejects with ErrQueueFull.
 	QueueDepth int
+	// Admission, when non-nil, admits every submitted job against its
+	// tenant's quotas and rate limit (a refusal is an *admission.Denied)
+	// and drains the queue by weighted fair queueing instead of FIFO.
+	Admission *admission.Controller
 	// ResultCacheEntries bounds the result LRU; 128 when <= 0.
 	ResultCacheEntries int
 	// DefaultTimeout is the deadline of every job run on the worker pool;
@@ -54,10 +59,6 @@ type Config struct {
 	// MaxPermutations caps the label permutations one significance query
 	// may run — B sampled, or n! in exhaustive mode; 100000 when <= 0.
 	MaxPermutations int
-	// Queue replaces the default FIFO channel queue — the seam the
-	// serving layer uses to install weighted fair queueing. When nil a
-	// FIFO of QueueDepth is used; when non-nil QueueDepth is ignored.
-	Queue Queue
 	// OnTerminal, when non-nil, is called each time a job reaches a
 	// terminal state (done, failed, canceled), with the terminal record
 	// the engine logged — after that record is durably logged. The
@@ -65,11 +66,12 @@ type Config struct {
 	OnTerminal func(j *Job, rec Record)
 }
 
-// Queue is the engine's pluggable job queue. Push never blocks (false
-// sheds load — the ErrQueueFull contract); Pop blocks until an item or
-// Close, then drains the backlog before reporting false. The engine
-// guarantees no Push is issued after Close.
-type Queue interface {
+// jobQueue is the engine's job queue: a FIFO channel, or a fair queue
+// when admission is on. Push never blocks (false sheds load — the
+// ErrQueueFull contract); Pop blocks until an item or Close, then
+// drains the backlog before reporting false. The engine issues no Push
+// after Close.
+type jobQueue interface {
 	Push(j *Job) bool
 	Pop() (*Job, bool)
 	Len() int
@@ -97,6 +99,11 @@ func (q chanQueue) Pop() (*Job, bool) {
 func (q chanQueue) Len() int { return len(q.ch) }
 func (q chanQueue) Cap() int { return cap(q.ch) }
 func (q chanQueue) Close()   { close(q.ch) }
+
+// fairQueue drains tenants in proportion to their admission weights.
+type fairQueue struct{ *admission.FairQueue[*Job] }
+
+func (q fairQueue) Push(j *Job) bool { return q.FairQueue.Push(j.spec.Tenant, j) }
 
 // Stats is a point-in-time snapshot of the engine counters for /statsz.
 type Stats struct {
@@ -139,7 +146,7 @@ type Engine struct {
 
 	mu       sync.RWMutex // guards queue-close vs. submit
 	draining bool
-	queue    Queue
+	queue    jobQueue
 
 	jobsMu sync.Mutex
 	jobs   map[string]*Job
@@ -190,9 +197,10 @@ func New(cfg Config) (*Engine, error) {
 	if analyze == nil {
 		analyze = RunAnalysis
 	}
-	queue := cfg.Queue
-	if queue == nil {
-		queue = chanQueue{ch: make(chan *Job, positiveOr(cfg.QueueDepth, 64))}
+	depth := positiveOr(cfg.QueueDepth, 64)
+	var queue jobQueue = chanQueue{ch: make(chan *Job, depth)}
+	if ctrl := cfg.Admission; ctrl != nil {
+		queue = fairQueue{admission.NewFairQueue[*Job](depth, ctrl.Weight)}
 	}
 	// lint:ignore ctxflow the engine root context outlives any caller request; it is canceled by Engine.Close, not by whoever happened to construct the engine
 	ctx, cancel := context.WithCancel(context.Background())
@@ -263,29 +271,31 @@ type Work interface {
 
 // Submit enqueues a job of any kind. It never blocks: a full queue
 // returns ErrQueueFull (the backpressure contract), a draining engine
-// returns ErrShuttingDown, and a bad explore or significance spec
-// returns an error wrapping ErrBadInput. With a store attached the
-// submission is written ahead — a submit the store cannot record is
-// refused, so every acknowledged job survives a crash.
-func (e *Engine) Submit(w Work) (*Job, error) { return e.submit("", w, false) }
+// returns ErrShuttingDown, a bad explore or significance spec returns an
+// error wrapping ErrBadInput, and an admission refusal is an
+// *admission.Denied. With a store attached the submission is written
+// ahead — a submit the store cannot record is refused, so every
+// acknowledged job survives a crash.
+func (e *Engine) Submit(w Work) (*Job, error) { return e.submit("", w, false, true) }
 
-// SubmitAdopted is Submit under an externally minted ID — the serving
-// layer mints IDs before admission and forwarding, so retried, hedged
-// and failed-over submissions land idempotently: an ID the engine
-// already holds returns the existing job unchanged.
+// SubmitAdopted is Submit under an externally minted ID — the cluster
+// layer mints IDs before forwarding, so retried, hedged and failed-over
+// submissions land idempotently: an ID the engine already holds returns
+// the existing job unchanged and charges no admission.
 func (e *Engine) SubmitAdopted(id string, w Work) (*Job, error) {
 	if id == "" {
 		return nil, fmt.Errorf("jobs: empty job id")
 	}
-	return e.submit(id, w, true)
+	return e.submit(id, w, true, true)
 }
 
-// submit is the one enqueue path for every job kind: it queues w under
-// id, or under a fresh ID when id is empty. The job is visible in the
-// job table before the write-ahead append, so concurrent duplicate
+// submit is the one enqueue path for every job kind: validate w, insert
+// it under id (a fresh ID when empty), admit it when admit is set, log
+// it ahead and queue it. The job is visible in the job table before
+// admission and the write-ahead append, so concurrent duplicate
 // submissions under one ID resolve to one winner under jobsMu; adopted
-// re-submissions return the existing job unchanged.
-func (e *Engine) submit(id string, w Work, adopted bool) (*Job, error) {
+// re-submissions return the existing job unchanged and charge nothing.
+func (e *Engine) submit(id string, w Work, adopted, admit bool) (*Job, error) {
 	w, spec, err := w.prepare(e)
 	if err != nil {
 		return nil, err
@@ -316,6 +326,19 @@ func (e *Engine) submit(id string, w Work, adopted bool) (*Job, error) {
 		e.jobsMu.Lock()
 		delete(e.jobs, job.id)
 		e.jobsMu.Unlock()
+		e.release(job)
+	}
+	if ctrl := e.cfg.Admission; ctrl != nil && admit {
+		// The grant: one active slot, plus the dataset's bytes when it is
+		// resident.
+		if entry, ok := e.reg.Get(spec.Dataset); ok {
+			job.grantBytes = entry.Bytes
+		}
+		if err := ctrl.Admit(spec.Tenant, job.grantBytes); err != nil {
+			undo()
+			return nil, err
+		}
+		job.granted.Store(true)
 	}
 	if st := e.store.Load(); st != nil {
 		if err := st.Append(job.SubmittedRecord()); err != nil {
@@ -337,8 +360,20 @@ func (e *Engine) submit(id string, w Work, adopted bool) (*Job, error) {
 	return nil, ErrQueueFull
 }
 
+// release returns job's admission grant, if it holds one. The swap
+// makes it exactly once whichever path ends the job.
+func (e *Engine) release(job *Job) {
+	if job.granted.Swap(false) {
+		e.cfg.Admission.Release(job.spec.Tenant, job.grantBytes)
+	}
+}
+
+// Admission returns the configured admission controller, or nil.
+func (e *Engine) Admission() *admission.Controller { return e.cfg.Admission }
+
 // Adopt re-homes a job from a record a dead peer logged and replicated.
-// A submitted record re-runs the job under its ID (SubmitAdopted). A
+// A submitted record re-runs the job under its ID, without admission:
+// the origin admitted it, and failover must not refuse accepted work. A
 // done record with a summary is folded as recovery folds a log line and
 // logged here: the summary serves at once, and Rehydrate re-mines the
 // full result once the dataset is resident. Other records install
@@ -349,7 +384,7 @@ func (e *Engine) Adopt(rec Record) error {
 	}
 	switch {
 	case rec.Type == RecSubmitted && rec.Spec != nil:
-		_, err := e.submit(rec.Job, *rec.Spec, true)
+		_, err := e.submit(rec.Job, *rec.Spec, true, false)
 		return err
 	case rec.Type != RecDone || rec.Result == nil:
 		return nil
@@ -429,9 +464,9 @@ func (e *Engine) Cancel(id string) (Status, error) {
 }
 
 // SetOnTerminal installs (or replaces) the terminal-state hook. The
-// serving layer calls it after construction to wire admission release
-// and cluster replication; a hook given in Config.OnTerminal is
-// installed by New through the same path.
+// serving layer calls it after construction to wire cluster
+// replication; a hook given in Config.OnTerminal is installed by New
+// through the same path.
 func (e *Engine) SetOnTerminal(fn func(j *Job, rec Record)) {
 	if fn == nil {
 		e.onTerminal.Store(nil)
@@ -440,10 +475,11 @@ func (e *Engine) SetOnTerminal(fn func(j *Job, rec Record)) {
 	e.onTerminal.Store(&fn)
 }
 
-// finish logs a job's terminal record and hands it to the OnTerminal
-// hook, if configured.
+// finish logs a job's terminal record, releases its admission grant and
+// hands the record to the OnTerminal hook, if configured.
 func (e *Engine) finish(job *Job, rec Record) {
 	e.logRecord(rec)
+	e.release(job)
 	if fn := e.onTerminal.Load(); fn != nil {
 		(*fn)(job, rec)
 	}
@@ -454,6 +490,9 @@ func (e *Engine) run(job *Job) {
 	job.mu.Lock()
 	if job.state != StateQueued { // canceled while queued
 		job.mu.Unlock()
+		// Cancel's finish released the grant, unless it ran before submit
+		// charged one.
+		e.release(job)
 		return
 	}
 	var ctx context.Context

@@ -9,9 +9,13 @@
 // caches keyed by each question's inputs, and graceful drain on
 // shutdown. Every job kind — an analysis Spec (mined by fpm.Parallel,
 // the bitset kernel), an ExploreSpec or a SignificanceSpec — is one
-// Work, queued, logged, replicated and served one way. Datasets are
-// referenced by content hash through internal/registry, so identical
-// uploads mine at most once and repeat requests are served from cache.
+// Work, submitted, logged, replicated and served one way. Submit
+// validates the spec, admits it against its tenant's quotas when an
+// admission controller is configured (releasing the grant when the job
+// ends), logs it ahead and queues it, FIFO or weighted-fair. Datasets
+// are referenced by content hash through internal/registry, so
+// identical uploads mine at most once and repeat requests are served
+// from cache.
 package jobs
 
 import (
@@ -162,6 +166,11 @@ type Job struct {
 	progressTotal atomic.Int64
 
 	canceledByUser atomic.Bool
+
+	// granted is set while the job holds an admission grant of grantBytes
+	// for spec.Tenant: from submit until the job ends.
+	granted    atomic.Bool
+	grantBytes int64
 }
 
 // ID returns the job's opaque identifier.

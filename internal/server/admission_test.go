@@ -26,13 +26,13 @@ import (
 func TestAdmissionTenantQuota429(t *testing.T) {
 	reg := registry.New(0)
 	release := make(chan struct{})
-	engine, err := jobs.New(jobs.Config{Registry: reg, Workers: 4, Analyze: gatedAnalyze(release)})
+	ctrl := admission.NewController(admission.Limits{},
+		map[string]admission.Limits{"greedy": {MaxActive: 2}}, nil)
+	engine, err := jobs.New(jobs.Config{Registry: reg, Workers: 4, Analyze: gatedAnalyze(release), Admission: ctrl})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl := admission.NewController(admission.Limits{},
-		map[string]admission.Limits{"greedy": {MaxActive: 2}}, nil)
-	h := newTestServer(t, Options{Registry: reg, Engine: engine, Admission: ctrl}).Handler()
+	h := newTestServer(t, Options{Registry: reg, Engine: engine}).Handler()
 
 	var ids []string
 	for i, tenant := range []string{"greedy", "greedy", "polite"} {
@@ -83,7 +83,12 @@ func TestAdmissionTenantQuota429(t *testing.T) {
 func TestAdmissionRateLimit429(t *testing.T) {
 	ctrl := admission.NewController(admission.Limits{},
 		map[string]admission.Limits{"bursty": {JobsPerSec: 0.5, Burst: 1}}, nil)
-	h := newTestServer(t, Options{Admission: ctrl}).Handler()
+	reg := registry.New(0)
+	engine, err := jobs.New(jobs.Config{Registry: reg, Admission: ctrl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newTestServer(t, Options{Registry: reg, Engine: engine}).Handler()
 
 	w := doTenant(t, h, http.MethodPost, "/jobs?support=0.1", sampleCSV, "bursty")
 	if w.Code != http.StatusAccepted {
@@ -107,13 +112,13 @@ func TestAdmissionRateLimit429(t *testing.T) {
 func TestAdmissionAsyncExploreAndSignificance(t *testing.T) {
 	reg := registry.New(0)
 	release := make(chan struct{})
-	engine, err := jobs.New(jobs.Config{Registry: reg, Workers: 2, Analyze: gatedAnalyze(release)})
+	ctrl := admission.NewController(admission.Limits{},
+		map[string]admission.Limits{"greedy": {MaxActive: 1}}, nil)
+	engine, err := jobs.New(jobs.Config{Registry: reg, Workers: 2, Analyze: gatedAnalyze(release), Admission: ctrl})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl := admission.NewController(admission.Limits{},
-		map[string]admission.Limits{"greedy": {MaxActive: 1}}, nil)
-	s := newTestServer(t, Options{Registry: reg, Engine: engine, Admission: ctrl})
+	s := newTestServer(t, Options{Registry: reg, Engine: engine})
 	h := s.Handler()
 	hash := decode[datasetJSON](t, do(t, h, http.MethodPost, "/datasets", sampleCSV)).Hash
 	explore := fmt.Sprintf(`{"dataset":%q,"support":0.1,"async":true}`, hash)
@@ -165,6 +170,37 @@ func TestAdmissionAsyncExploreAndSignificance(t *testing.T) {
 	}
 }
 
+// TestAdmissionRefusedSpecChargesNothing: the engine validates a spec
+// before it admits it, so a spec refused with 400 spends none of the
+// tenant's budget and the tenant's next valid job is admitted.
+func TestAdmissionRefusedSpecChargesNothing(t *testing.T) {
+	ctrl := admission.NewController(admission.Limits{},
+		map[string]admission.Limits{"careful": {JobsPerSec: 0.01, Burst: 1}}, nil)
+	reg := registry.New(0)
+	engine, err := jobs.New(jobs.Config{Registry: reg, Admission: ctrl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newTestServer(t, Options{Registry: reg, Engine: engine}).Handler()
+	hash := decode[datasetJSON](t, do(t, h, http.MethodPost, "/datasets", sampleCSV)).Hash
+
+	bad := fmt.Sprintf(`{"dataset":%q,"support":0.1,"metric":"nope","async":true}`, hash)
+	for _, path := range []string{"/explore", "/significance"} {
+		if w := doTenant(t, h, http.MethodPost, path, bad, "careful"); w.Code != http.StatusBadRequest {
+			t.Fatalf("bad-metric async %s = %d: %s", path, w.Code, w.Body.String())
+		}
+	}
+	w := doTenant(t, h, http.MethodPost, "/explore", fmt.Sprintf(`{"dataset":%q,"support":0.1,"async":true}`, hash), "careful")
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("valid async explore = %d (Retry-After %q): %s", w.Code, w.Header().Get("Retry-After"), w.Body.String())
+	}
+	rows := decode[statszJSON](t, do(t, h, http.MethodGet, "/statsz", "")).Admission
+	if len(rows) != 1 || rows[0].Tenant != "careful" || rows[0].Admitted != 1 ||
+		rows[0].DeniedRate != 0 || rows[0].DeniedJobs != 0 || rows[0].DeniedBytes != 0 {
+		t.Errorf("admission rows = %+v, want careful admitted 1 and denied nothing", rows)
+	}
+}
+
 // latencyOf returns a job's created→finished latency from its
 // timestamps.
 func latencyOf(t *testing.T, st jobJSON) time.Duration {
@@ -197,9 +233,10 @@ func TestAdmissionFairQueueIsolation(t *testing.T) {
 	reg := registry.New(0)
 	ctrl := admission.NewController(admission.Limits{}, nil, nil)
 	engine, err := jobs.New(jobs.Config{
-		Registry: reg,
-		Workers:  1,
-		Queue:    NewFairJobQueue(128, ctrl),
+		Registry:   reg,
+		Workers:    1,
+		QueueDepth: 128,
+		Admission:  ctrl,
 		Analyze: func(ctx context.Context, data *dataset.Dataset, spec jobs.Spec, tr *jobs.Tracker) (*core.Result, error) {
 			select {
 			case <-time.After(jobDelay):
@@ -212,7 +249,7 @@ func TestAdmissionFairQueueIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := newTestServer(t, Options{Registry: reg, Engine: engine, Admission: ctrl}).Handler()
+	h := newTestServer(t, Options{Registry: reg, Engine: engine}).Handler()
 	hash := decode[datasetJSON](t, do(t, h, http.MethodPost, "/datasets", sampleCSV)).Hash
 
 	// Distinct supports keep every job's cache key distinct, so each one

@@ -163,19 +163,14 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	var hash registry.Hash
 	var csv []byte // canonical upload bytes, carried on cross-node forwards
-	var bytes int64
 	if h := r.URL.Query().Get("dataset"); h != "" {
-		entry, ok := s.reg.Get(registry.Hash(h))
-		if !ok && s.cluster == nil {
+		if _, ok := s.reg.Get(registry.Hash(h)); !ok && s.cluster == nil {
 			// Clustered, the dataset may be resident on its owner even
 			// when this node has never seen it; single-node it is a 404.
 			writeError(w, http.StatusNotFound, "dataset "+h+" not registered")
 			return
 		}
 		hash = registry.Hash(h)
-		if ok {
-			bytes = entry.Bytes
-		}
 	} else {
 		body, ok := s.readBody(w, r)
 		if !ok {
@@ -187,7 +182,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		hash = entry.Hash
-		bytes = entry.Bytes
 		if s.cluster != nil {
 			csv = dataset.Canonicalize(body)
 		}
@@ -208,7 +202,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			ID: id, SpecJSON: specJSON, Dataset: string(hash), Tenant: spec.Tenant, CSV: csv,
 		})
 		if err != nil {
-			writeSubmitError(w, err)
+			writeSubmitError(w, err, false)
 			return
 		}
 		if job, ok := s.engine.Get(ack.ID); ok && ack.Node == n.Self() {
@@ -219,23 +213,17 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, ack)
 		return
 	}
-	s.acceptLocal(w, spec.Tenant, spec, bytes)
+	s.acceptLocal(w, spec)
 }
 
 // acceptLocal is the one async submit of every job kind on this node:
-// POST /jobs single-node, and async /explore and /significance. It mints
-// an ID, admits work under tenant with a grant of the dataset's bytes
-// (submitLocal), and answers 202 with the job's status, or the refusal
-// mapped by writeSubmitError.
-func (s *Server) acceptLocal(w http.ResponseWriter, tenant string, work jobs.Work, bytes int64) {
-	id, err := jobs.NewID()
+// POST /jobs single-node, and async /explore and /significance. The
+// engine validates, admits and queues work; the answer is 202 with the
+// job's status, or the refusal mapped by writeSubmitError.
+func (s *Server) acceptLocal(w http.ResponseWriter, work jobs.Work) {
+	job, err := s.engine.Submit(work)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	job, err := s.submitLocal(id, tenant, work, bytes)
-	if err != nil {
-		writeSubmitError(w, err)
+		writeSubmitError(w, err, false)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, jobToJSON(job.Snapshot()))
@@ -396,8 +384,8 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 		cs := s.cluster.Stats()
 		out.Cluster = &cs
 	}
-	if s.admission != nil {
-		out.Admission = s.admission.Stats()
+	if ctrl := s.engine.Admission(); ctrl != nil {
+		out.Admission = ctrl.Stats()
 	}
 	writeJSON(w, http.StatusOK, out)
 }

@@ -6,8 +6,7 @@
 // need from a concrete node — running a forwarded job on the local
 // engine, storing verified replica payloads in the registry, adopting a
 // dead peer's jobs — plus the HTTP endpoints peers deliver into and the
-// admission bookkeeping shared by the single-node and clustered submit
-// paths.
+// mapping of submit refusals to HTTP statuses both sides share.
 
 package server
 
@@ -45,9 +44,12 @@ func tenantOf(r *http.Request) string {
 // AttachCluster wires a cluster node into the server: handleJobSubmit
 // starts routing by dataset ownership, Handler mounts the /internal/*
 // peer endpoints, and terminal jobs replicate their records to the
-// dataset's other owners. Call it after cluster.NewNode (whose Local
-// side is ClusterLocal) and before Handler.
-func (s *Server) AttachCluster(n *cluster.Node) { s.cluster = n }
+// dataset's other owners (the engine's OnTerminal hook). Call it after
+// cluster.NewNode (whose Local side is ClusterLocal) and before Handler.
+func (s *Server) AttachCluster(n *cluster.Node) {
+	s.cluster = n
+	s.engine.SetOnTerminal(s.replicate)
+}
 
 // Cluster returns the attached cluster node, or nil when single-node.
 func (s *Server) Cluster() *cluster.Node { return s.cluster }
@@ -60,9 +62,10 @@ func (s *Server) ClusterLocal() cluster.Local { return clusterLocal{s} }
 type clusterLocal struct{ s *Server }
 
 // RunJob is the terminal hop of a forward (or a local submission routed
-// through the cluster layer): register the carried CSV if any, admit
-// the tenant, and enqueue under the forwarder-minted ID. Idempotent in
-// req.ID — hedged duplicates are acknowledged with the existing job.
+// through the cluster layer): register the carried CSV if any, and
+// submit under the forwarder-minted ID, which the engine admits.
+// Idempotent in req.ID — hedged duplicates are acknowledged with the
+// existing job.
 func (cl clusterLocal) RunJob(ctx context.Context, req cluster.JobRequest) (cluster.JobAck, error) {
 	s := cl.s
 	if req.ID == "" {
@@ -79,7 +82,6 @@ func (cl clusterLocal) RunJob(ctx context.Context, req cluster.JobRequest) (clus
 		spec.Dataset = registry.Hash(req.Dataset)
 	}
 	spec.Tenant = req.Tenant
-	var bytes int64
 	if len(req.CSV) > 0 {
 		entry, existed, err := s.reg.Register(req.CSV, csvOptions())
 		if err != nil {
@@ -94,11 +96,8 @@ func (cl clusterLocal) RunJob(ctx context.Context, req cluster.JobRequest) (clus
 			// replica that later adopts this job can actually re-mine it.
 			s.replicateSpill(entry.Hash, dataset.Canonicalize(req.CSV))
 		}
-		bytes = entry.Bytes
-	} else if entry, ok := s.reg.Get(spec.Dataset); ok {
-		bytes = entry.Bytes
 	}
-	job, err := s.submitLocal(req.ID, spec.Tenant, spec, bytes)
+	job, err := s.engine.SubmitAdopted(req.ID, spec)
 	if err != nil {
 		if isRejection(err) {
 			// Definitive refusal: the forwarder must not hedge one
@@ -161,79 +160,6 @@ func (s *Server) ackOf(j *jobs.Job) cluster.JobAck {
 	return ack
 }
 
-// submitLocal is the one admitted submission path of every job kind,
-// local or forwarded: admit the tenant, then enqueue under a pre-minted
-// ID so hedged duplicates merge. The grant is released on enqueue
-// failure and otherwise at terminal time (jobTerminal).
-func (s *Server) submitLocal(id, tenant string, work jobs.Work, bytes int64) (*jobs.Job, error) {
-	if err := s.admitJob(id, tenant, bytes); err != nil {
-		return nil, err
-	}
-	job, err := s.engine.SubmitAdopted(id, work)
-	if err != nil {
-		s.releaseJob(id)
-		return nil, err
-	}
-	return job, nil
-}
-
-// admittedJob records one admission grant for release at terminal time.
-type admittedJob struct {
-	tenant string
-	bytes  int64
-}
-
-// admitJob charges (tenant, bytes) against the admission controller and
-// records the grant under the job ID. Duplicate IDs (hedged forwards)
-// are admitted once. No controller means everything is admitted.
-func (s *Server) admitJob(id, tenant string, bytes int64) error {
-	if s.admission == nil {
-		return nil
-	}
-	s.admMu.Lock()
-	if _, dup := s.admitted[id]; dup {
-		s.admMu.Unlock()
-		return nil
-	}
-	s.admMu.Unlock()
-	if err := s.admission.Admit(tenant, bytes); err != nil {
-		return err
-	}
-	s.admMu.Lock()
-	if _, dup := s.admitted[id]; dup {
-		// A concurrent duplicate won the race; fold this grant back.
-		s.admMu.Unlock()
-		s.admission.Release(tenant, bytes)
-		return nil
-	}
-	s.admitted[id] = admittedJob{tenant: tenant, bytes: bytes}
-	s.admMu.Unlock()
-	return nil
-}
-
-// releaseJob returns the job's admission grant, if one was recorded.
-func (s *Server) releaseJob(id string) {
-	if s.admission == nil {
-		return
-	}
-	s.admMu.Lock()
-	grant, ok := s.admitted[id]
-	delete(s.admitted, id)
-	s.admMu.Unlock()
-	if ok {
-		s.admission.Release(grant.tenant, grant.bytes)
-	}
-}
-
-// jobTerminal is the engine's OnTerminal hook: release the admission
-// grant and replicate the terminal record to the dataset's other
-// owners, so an adopter knows the job needs no re-run (a done record
-// additionally carries the summary and the re-mine recipe).
-func (s *Server) jobTerminal(j *jobs.Job, rec jobs.Record) {
-	s.releaseJob(j.ID())
-	s.replicate(j, rec)
-}
-
 // replicate pushes a record the engine logged for j — the submitted
 // record on accept, the terminal record at the end — to the other owners
 // of j's dataset, in the background: replication is an availability
@@ -242,9 +168,6 @@ func (s *Server) jobTerminal(j *jobs.Job, rec jobs.Record) {
 // lint:ignore ctxflow replication outlives the request that triggered it; the fan-out is bounded by its own timeout, not the caller's
 func (s *Server) replicate(j *jobs.Job, rec jobs.Record) {
 	n := s.cluster
-	if n == nil {
-		return
-	}
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return
@@ -288,13 +211,15 @@ func retryAfterSeconds(d time.Duration) string {
 	return strconv.Itoa(secs)
 }
 
-// writeSubmitError maps job-submission failures — local or forwarded —
-// to HTTP statuses: admission denials and full queues are 429 with
-// Retry-After (the explicit backpressure contract), a spec the engine
-// refuses is 400, a draining engine is 503, a definitive peer rejection
-// surfaces as 429 so clients back off, and an unreachable replica set
-// is 502.
-func writeSubmitError(w http.ResponseWriter, err error) {
+// writeSubmitError maps a job submission's refusal, local or forwarded,
+// to HTTP: admission denials and full queues are 429 with Retry-After
+// (the explicit backpressure contract), a spec the engine refuses is
+// 400, and a draining engine is 503. The cluster errors depend on who
+// asked. A client (peer false) gets 429 for a definitive peer rejection,
+// so it backs off, and 502 for an unreachable replica set. A forwarding
+// peer (peer true) gets 400 for a rejection and 500 for anything else,
+// which its transport reads as "stop" and "try the next replica".
+func writeSubmitError(w http.ResponseWriter, err error, peer bool) {
 	var denied *admission.Denied
 	switch {
 	case errors.Is(err, jobs.ErrBadInput):
@@ -307,6 +232,10 @@ func writeSubmitError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, jobs.ErrShuttingDown):
 		writeError(w, http.StatusServiceUnavailable, err.Error())
+	case peer && errors.Is(err, cluster.ErrPeerRejected):
+		writeError(w, http.StatusBadRequest, err.Error())
+	case peer:
+		writeError(w, http.StatusInternalServerError, err.Error())
 	case errors.Is(err, cluster.ErrPeerRejected):
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, err.Error())
@@ -353,21 +282,7 @@ func (s *Server) handleForwardedJob(w http.ResponseWriter, r *http.Request) {
 	}
 	ack, err := s.cluster.HandleForwardJob(r.Context(), req)
 	if err != nil {
-		var denied *admission.Denied
-		switch {
-		case errors.As(err, &denied):
-			w.Header().Set("Retry-After", retryAfterSeconds(denied.RetryAfter))
-			writeError(w, http.StatusTooManyRequests, err.Error())
-		case errors.Is(err, jobs.ErrQueueFull):
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, err.Error())
-		case errors.Is(err, jobs.ErrShuttingDown):
-			writeError(w, http.StatusServiceUnavailable, err.Error())
-		case errors.Is(err, cluster.ErrPeerRejected):
-			writeError(w, http.StatusBadRequest, err.Error())
-		default:
-			writeError(w, http.StatusInternalServerError, err.Error())
-		}
+		writeSubmitError(w, err, true)
 		return
 	}
 	writeJSON(w, http.StatusOK, ack)
@@ -376,10 +291,17 @@ func (s *Server) handleForwardedJob(w http.ResponseWriter, r *http.Request) {
 // handleReplicate implements POST /internal/replicate: one chunk of a
 // streaming replica payload. Resume acks (offset mismatch) are 200 with
 // the receiver's high-water mark; verification failures are definitive
-// 4xx rejections.
+// 4xx rejections. A payload may total no more than the largest upload
+// this server accepts, so a sender cannot grow its assembly buffer past
+// that.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	var chunk cluster.ReplicaChunk
 	if !s.decodeInternal(w, r, &chunk) {
+		return
+	}
+	if chunk.Total > s.maxBody {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("%v: replica payload of %d bytes exceeds the %d-byte limit",
+			cluster.ErrPeerRejected, chunk.Total, s.maxBody))
 		return
 	}
 	ack, err := s.cluster.HandleReplicate(chunk)
@@ -389,27 +311,3 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, ack)
 }
-
-// NewFairJobQueue builds a jobs.Queue that drains tenants by weighted
-// fair queueing (internal/admission) instead of global FIFO, so one
-// tenant's burst cannot starve the others. Weights come from ctrl's
-// per-tenant limits; a nil ctrl gives every tenant weight 1. Install it
-// via jobs.Config.Queue.
-func NewFairJobQueue(capacity int, ctrl *admission.Controller) jobs.Queue {
-	var weightOf func(string) float64
-	if ctrl != nil {
-		weightOf = ctrl.Weight
-	}
-	return fairJobQueue{q: admission.NewFairQueue[*jobs.Job](capacity, weightOf)}
-}
-
-// fairJobQueue adapts admission.FairQueue to the engine's Queue seam.
-type fairJobQueue struct {
-	q *admission.FairQueue[*jobs.Job]
-}
-
-func (f fairJobQueue) Push(j *jobs.Job) bool  { return f.q.Push(j.Spec().Tenant, j) }
-func (f fairJobQueue) Pop() (*jobs.Job, bool) { return f.q.Pop() }
-func (f fairJobQueue) Len() int               { return f.q.Len() }
-func (f fairJobQueue) Cap() int               { return f.q.Cap() }
-func (f fairJobQueue) Close()                 { f.q.Close() }

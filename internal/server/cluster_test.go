@@ -7,6 +7,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -72,16 +73,16 @@ func newClusterEnv(t *testing.T, seed int64, cfg envConfig, ids ...cluster.NodeI
 				peers = append(peers, p)
 			}
 		}
-		reg := registry.New(0)
-		engine, err := jobs.New(jobs.Config{Registry: reg, Workers: 2, Analyze: cfg.analyze})
-		if err != nil {
-			t.Fatalf("engine(%s): %v", id, err)
-		}
 		var ctrl *admission.Controller
 		if cfg.admission != nil {
 			ctrl = cfg.admission(id)
 		}
-		s := newTestServer(t, Options{Registry: reg, Engine: engine, Admission: ctrl})
+		reg := registry.New(0)
+		engine, err := jobs.New(jobs.Config{Registry: reg, Workers: 2, Analyze: cfg.analyze, Admission: ctrl})
+		if err != nil {
+			t.Fatalf("engine(%s): %v", id, err)
+		}
+		s := newTestServer(t, Options{Registry: reg, Engine: engine})
 		var clk cluster.Clock
 		if cfg.clock != nil {
 			clk = cfg.clock(id)
@@ -319,6 +320,30 @@ func TestClusterForwardAdmissionDenied(t *testing.T) {
 	waitUntil(t, 5*time.Second, "quota slot released at terminal", func() bool {
 		return doTenant(t, h, http.MethodPost, "/jobs?support=0.4", sampleCSV, "greedy").Code == http.StatusAccepted
 	})
+}
+
+// TestClusterReplicateBoundsTotal: POST /internal/replicate refuses a
+// chunk whose declared total exceeds the largest upload the server
+// accepts, so no sender can grow its assembly buffer past that; a
+// payload at the limit still assembles.
+func TestClusterReplicateBoundsTotal(t *testing.T) {
+	env := newClusterEnv(t, 16, envConfig{}, "n1", "n2")
+	post := func(c cluster.ReplicaChunk) *httptest.ResponseRecorder {
+		body, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return do(t, env.handlers["n1"], http.MethodPost, cluster.ReplicatePath, string(body))
+	}
+	chunk := cluster.ReplicaChunk{Origin: "n2", Kind: cluster.ReplicaSpill, Key: "k", Total: DefaultMaxBodyBytes + 1, Data: []byte("abc")}
+	if w := post(chunk); w.Code != http.StatusBadRequest {
+		t.Fatalf("oversized replica chunk = %d: %s", w.Code, w.Body.String())
+	}
+	chunk.Total = DefaultMaxBodyBytes
+	w := post(chunk)
+	if w.Code != http.StatusOK || decode[cluster.ReplicaAck](t, w).Have != 3 {
+		t.Fatalf("replica chunk at the limit = %d: %s", w.Code, w.Body.String())
+	}
 }
 
 // TestClusterHTTPTransportEndToEnd drives two full servers over real

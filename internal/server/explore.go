@@ -161,8 +161,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	if req.expand != nil {
 		ds = req.expand.Dataset
 	}
-	entry, ok := s.reg.Get(ds)
-	if !ok {
+	if _, ok := s.reg.Get(ds); !ok {
 		writeError(w, http.StatusNotFound, "dataset "+string(ds)+" not registered")
 		return
 	}
@@ -178,7 +177,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.async {
 		req.spec.Tenant = tenantOf(r)
-		s.acceptLocal(w, req.spec.Tenant, req.spec, entry.Bytes)
+		s.acceptLocal(w, req.spec)
 		return
 	}
 	out, err := s.engine.Explore(r.Context(), req.spec)

@@ -136,11 +136,11 @@ func newAdmittedEnv(t *testing.T) *exploreEnv {
 	t.Helper()
 	ctrl := admission.NewController(admission.Limits{MaxActive: 4}, nil, nil)
 	reg := registry.New(0)
-	engine, err := jobs.New(jobs.Config{Registry: reg, Queue: NewFairJobQueue(64, ctrl)})
+	engine, err := jobs.New(jobs.Config{Registry: reg, Admission: ctrl})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Options{Registry: reg, Engine: engine, Admission: ctrl})
+	s, err := New(Options{Registry: reg, Engine: engine})
 	if err != nil {
 		t.Fatal(err)
 	}

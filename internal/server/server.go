@@ -52,11 +52,12 @@
 // ring: an owner runs the job locally, any other node forwards it to
 // the highest-priority live owner with hedged retries. Accepted and
 // completed job records replicate to the dataset's other owners, which
-// adopt them if the owner dies. With an admission controller attached
-// (Options.Admission; -tenant-quotas) every async job — POST /jobs, and
-// /explore and /significance with "async": true — is gated per tenant
-// (X-Tenant header): quota or rate denials answer 429 with Retry-After,
-// and queued jobs drain by weighted fair queueing instead of FIFO.
+// adopt them if the owner dies. With an admission controller on the
+// engine (jobs.Config.Admission; -tenant-quotas) every async job — POST
+// /jobs, and /explore and /significance with "async": true — is gated
+// per tenant (X-Tenant header) inside the engine's submit: quota or
+// rate denials answer 429 with Retry-After, and queued jobs drain by
+// weighted fair queueing instead of FIFO.
 //
 // With a job store attached (divexplorer-server -store-dir) every job
 // lifecycle transition is written through to disk and replayed on boot,
@@ -98,10 +99,8 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
-	"repro/internal/admission"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/htmlreport"
@@ -133,12 +132,6 @@ type Options struct {
 	// (sharing the engine's WAL store when one is attached) is created
 	// when nil.
 	Monitors *monitor.Manager
-	// Admission enforces per-tenant quotas and rate limits on async job
-	// submissions of every kind (X-Tenant header); nil admits
-	// everything. The server claims the engine's OnTerminal hook to
-	// release grants (and to replicate terminal records when a cluster
-	// node is attached).
-	Admission *admission.Controller
 }
 
 // Server ties the dataset registry and the job engine to HTTP handlers.
@@ -151,13 +144,6 @@ type Server struct {
 	// cluster, when non-nil (AttachCluster), routes job submissions by
 	// dataset ownership and mounts the /internal/* peer endpoints.
 	cluster *cluster.Node
-
-	// admission, when non-nil, gates every async job per tenant;
-	// admitted maps live job IDs to their grants for release at
-	// terminal time.
-	admission *admission.Controller
-	admMu     sync.Mutex
-	admitted  map[string]admittedJob
 
 	// Degradation-ladder counters for /statsz: results served straight
 	// from the in-memory job result (the top rung), results served as a
@@ -193,18 +179,7 @@ func New(opts Options) (*Server, error) {
 	if monitors == nil {
 		monitors = monitor.NewManager(monitor.Config{Store: engine.Store()})
 	}
-	s := &Server{
-		maxBody:   maxBody,
-		reg:       reg,
-		engine:    engine,
-		monitors:  monitors,
-		admission: opts.Admission,
-		admitted:  make(map[string]admittedJob),
-	}
-	// The server owns the terminal hook: admission release plus cluster
-	// replication (both no-ops until the corresponding piece is wired).
-	engine.SetOnTerminal(s.jobTerminal)
-	return s, nil
+	return &Server{maxBody: maxBody, reg: reg, engine: engine, monitors: monitors}, nil
 }
 
 // Engine returns the server's job engine (for shutdown wiring).

@@ -115,15 +115,14 @@ func (s *Server) handleSignificance(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	entry, ok := s.reg.Get(req.spec.Dataset)
-	if !ok {
+	if _, ok := s.reg.Get(req.spec.Dataset); !ok {
 		writeError(w, http.StatusNotFound, "dataset "+string(req.spec.Dataset)+" not registered")
 		return
 	}
 
 	if req.async {
 		req.spec.Tenant = tenantOf(r)
-		s.acceptLocal(w, req.spec.Tenant, req.spec, entry.Bytes)
+		s.acceptLocal(w, req.spec)
 		return
 	}
 	out, err := s.engine.Significance(r.Context(), req.spec)

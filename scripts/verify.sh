@@ -72,7 +72,12 @@
 #   6f. admission tier             per-tenant quotas, token-bucket rate
 #                                  limits (429 + Retry-After) and the
 #                                  weighted-fair-queue isolation test
-#                                  under -race
+#                                  under -race, plus the engine's own
+#                                  admission tests twice (every job's
+#                                  grant released exactly once on every
+#                                  path that ends it, duplicates and
+#                                  adoptions charged nothing, the fair
+#                                  queue's drain order)
 #   7. fuzz smoke                  each native fuzz target for 10s of
 #                                  fresh input generation on top of the
 #                                  checked-in seed corpus (one target
@@ -93,10 +98,15 @@
 #                                  encoding/json parser it replaced),
 #                                  FuzzParseSpec (the monitor-spec
 #                                  decoder: no panic, accepted specs
-#                                  round-trip) and FuzzScanLog (the WAL
+#                                  round-trip), FuzzScanLog (the WAL
 #                                  replay scan: its valid prefix ends a
 #                                  line and rescans to the same records,
 #                                  and only the last line is dropped)
+#                                  and FuzzReplicateChunks (the replica
+#                                  stream's chunk assembly: what it
+#                                  accepts is the sent bytes in order,
+#                                  verified for its kind, every ack
+#                                  within the declared total)
 #                                  included
 #   8. coverage summary            per-package statement coverage for
 #                                  the durability layer (internal/jobs)
@@ -195,6 +205,7 @@ go test -race -count=2 -run 'Cluster' ./internal/server
 echo "==> admission tier (tenant quotas + weighted fair queueing, -count=2)"
 go test -race -count=2 ./internal/admission/...
 go test -race -run 'Admission|FairQueue' ./internal/server
+go test -race -count=2 -run 'Admission|FairQueue' ./internal/jobs
 
 echo "==> fuzz smoke (10s per target)"
 go test -run=NONE -fuzz='^FuzzParseCSV$' -fuzztime=10s -fuzzminimizetime=100x ./internal/dataset
@@ -207,6 +218,7 @@ go test -run=NONE -fuzz='^FuzzSignificanceRequest$' -fuzztime=10s -fuzzminimizet
 go test -run=NONE -fuzz='^FuzzMinersAgree$' -fuzztime=10s -fuzzminimizetime=100x ./internal/fpm
 go test -run=NONE -fuzz='^FuzzCoverFold$' -fuzztime=10s -fuzzminimizetime=100x ./internal/fpm
 go test -run=NONE -fuzz='^FuzzScanLog$' -fuzztime=10s -fuzzminimizetime=100x ./internal/jobs
+go test -run=NONE -fuzz='^FuzzReplicateChunks$' -fuzztime=10s -fuzzminimizetime=100x ./internal/cluster
 
 echo "==> coverage summary (jobs, fpm)"
 go test -cover ./internal/jobs ./internal/fpm | awk '{print "    " $0}'
