@@ -16,10 +16,11 @@
 //
 // With -node-id and -peers the server joins a fault-tolerant cluster:
 // datasets and jobs are placed on a consistent-hash ring (-replication
-// owners per content hash), submits on a non-owner are forwarded to an
-// owner with hedged retries, accepted work replicates to the other
-// owners, and a dead node's jobs are adopted by a surviving replica
-// (phi-accrual failure detection over gossip heartbeats). With
+// owners per content hash), async submits of every kind on a non-owner
+// are forwarded to an owner with hedged retries, accepted work
+// replicates to the other owners, and a dead node's jobs are adopted by
+// a surviving replica as their own kind (phi-accrual failure detection
+// over gossip heartbeats). With
 // -tenant-quotas, the job engine admits every async job per tenant
 // (X-Tenant header) — POST /jobs and async /explore and /significance —
 // answering quota and rate denials with 429, and drains its queue by

@@ -33,8 +33,11 @@
 //     an owner is unreachable. Replication streams byte payloads in
 //     resumable chunks and verifies the content hash on receive. When a
 //     peer is declared dead, the highest-priority live replica adopts
-//     the dead node's handed-off job records and re-mines them through
-//     the job engine's existing rehydrate path.
+//     the dead node's handed-off job records: the serving layer re-runs
+//     a submitted record as its own job kind, or serves a done record's
+//     summary or outcome. The layer itself never parses a job: a forward
+//     carries an opaque spec and kind, a replicated record an opaque
+//     payload, both placed by their dataset hash.
 //
 // Everything above the Transport interface is deterministic given a
 // seeded transport and an injected clock, which is what makes the chaos

@@ -327,7 +327,7 @@ func TestDeadPeerJobsAdoptedByElectedReplicaOnly(t *testing.T) {
 
 	// b owns key (primary); replicate a job record from b to its peers.
 	key := ownerOf(t, nodes["b"], "b")
-	rec := JobRecord{ID: "job-77", Dataset: key, Done: false, Payload: json.RawMessage(`{"spec":1}`)}
+	rec := JobRecord{ID: "job-77", Dataset: key, Payload: json.RawMessage(`{"spec":1}`)}
 	nodes["b"].ReplicateJobRecord(context.Background(), rec)
 
 	// Everyone heartbeats for a while, then b goes dark.

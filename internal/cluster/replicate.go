@@ -14,7 +14,6 @@ import (
 type JobRecord struct {
 	ID      string          `json:"id"`
 	Dataset string          `json:"dataset"`
-	Done    bool            `json:"done"`
 	Payload json.RawMessage `json:"payload"`
 }
 
@@ -191,8 +190,8 @@ func (n *Node) ReplicateSpill(ctx context.Context, hash string, data []byte) {
 
 // ReplicateJobRecord pushes one job record to the other owners of its
 // dataset, so a replica can adopt the job if this node dies. Called on
-// submission accept (Done=false) and again at completion (Done=true,
-// payload now carrying the re-mine recipe).
+// submission accept and again when the job ends, whose record
+// supersedes the first in the receivers' handoff tables.
 func (n *Node) ReplicateJobRecord(ctx context.Context, rec JobRecord) {
 	data, err := json.Marshal(rec)
 	if err != nil {

@@ -37,13 +37,15 @@ type Heartbeat struct {
 type JobRequest struct {
 	// ID is the cluster-wide job identifier, minted by the forwarder.
 	ID string `json:"id"`
-	// SpecJSON is the jobs.Spec, serialized by the serving layer. The
-	// cluster layer never looks inside — placement uses Dataset below.
+	// Kind names the job's kind, which the serving layer defines; empty
+	// for an analysis.
+	Kind string `json:"kind,omitempty"`
+	// SpecJSON is the job's spec of that kind, tenant included,
+	// serialized by the serving layer. The cluster layer never looks
+	// inside — placement uses Dataset below.
 	SpecJSON []byte `json:"spec"`
-	// Dataset is the content hash the job mines; placement key.
+	// Dataset is the content hash the job reads; placement key.
 	Dataset string `json:"dataset"`
-	// Tenant propagates admission identity to the owner.
-	Tenant string `json:"tenant,omitempty"`
 	// CSV carries the raw upload when the job was submitted with an
 	// inline body; the owner registers it before mining. Empty when the
 	// dataset is expected to be resident (or replicated) on the owner.

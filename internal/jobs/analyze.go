@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/fpm"
+	"repro/internal/registry"
 )
 
 // AnalyzeFunc runs one analysis over an already-parsed dataset. tr may
@@ -40,8 +41,22 @@ func RunAnalysis(ctx context.Context, data *dataset.Dataset, spec Spec, tr *Trac
 	return core.ExploreContext(ctx, db, spec.Support, core.Options{Miner: miner})
 }
 
-// prepare implements Work: an analysis spec is its own header.
-func (s Spec) prepare(*Engine) (Work, Spec, error) { return s, s, nil }
+// Source implements Work.
+func (s Spec) Source() (registry.Hash, string) { return s.Dataset, s.Tenant }
+
+// prepare implements Work: an analysis spec is validated when it runs.
+func (s Spec) prepare(*Engine) (Work, error) { return s, nil }
+
+// record implements Work. A full Result is too large to log, so a done
+// record carries its summary, with the spec as the recipe Rehydrate
+// re-mines it from.
+func (s Spec) record(out any) Record {
+	rec := Record{Spec: &s}
+	if res, ok := out.(*core.Result); ok {
+		rec.Result = summarize(res, s)
+	}
+	return rec
+}
 
 // run implements Work: mine, or reuse, the lattice through the cache.
 func (s Spec) run(ctx context.Context, e *Engine, tr *Tracker) (any, bool, error) {

@@ -3,6 +3,7 @@ package jobs
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -61,7 +62,8 @@ func TestAdoptDoneServesSummaryAndRehydrates(t *testing.T) {
 		terminal = append(terminal, rec)
 		mu.Unlock()
 	}
-	e, h := testEngine(t, Config{Workers: 1, OnTerminal: hook})
+	e, h := testEngine(t, Config{Workers: 1})
+	e.SetOnTerminal(hook)
 	// Mine once on the "dead peer" side to get a real summary.
 	donor, err := e.Submit(sampleSpec(h))
 	if err != nil {
@@ -97,7 +99,7 @@ func TestAdoptDoneServesSummaryAndRehydrates(t *testing.T) {
 		t.Fatal("adopted job not installed")
 	}
 	st := job.Snapshot()
-	if st.State != StateDone || !st.Recovered || st.Spec.Dataset != h {
+	if st.State != StateDone || !st.Recovered || st.Dataset != h {
 		t.Fatalf("adopted job = %+v, want recovered done with its header", st)
 	}
 	if job.Summary() != sum {
@@ -154,7 +156,8 @@ func TestOnTerminalHookFires(t *testing.T) {
 		terminal = append(terminal, j.ID()+":"+j.Snapshot().State.String()+":"+rec.Type)
 		mu.Unlock()
 	}
-	e, h := testEngine(t, Config{Workers: 1, OnTerminal: hook})
+	e, h := testEngine(t, Config{Workers: 1})
+	e.SetOnTerminal(hook)
 	job, err := e.Submit(sampleSpec(h))
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +184,8 @@ func TestOnTerminalHookFiresForQueuedCancel(t *testing.T) {
 		<-gate
 		return nil, ctx.Err()
 	}
-	e, h := testEngine(t, Config{Workers: 1, OnTerminal: hook, Analyze: block})
+	e, h := testEngine(t, Config{Workers: 1, Analyze: block})
+	e.SetOnTerminal(hook)
 	// First job occupies the lone worker; the second stays queued.
 	blocker, err := e.Submit(sampleSpec(h))
 	if err != nil {
@@ -284,5 +288,82 @@ func TestCancelAbortsMidRehydrate(t *testing.T) {
 	}
 	if st := e.Stats(); st.Rehydrated != 0 {
 		t.Fatalf("canceled rehydrate counted as a rehydration: %+v", st)
+	}
+}
+
+// TestAdoptRecordsOfEveryKind: the records an explore and a significance
+// job's engine logged, adopted by a second engine, keep their kind. The
+// done records serve the logged outcomes unchanged, with no re-run; the
+// submitted records re-run each job as its own kind.
+func TestAdoptRecordsOfEveryKind(t *testing.T) {
+	var mu sync.Mutex
+	records := make(map[string][]Record)
+	e, h := testEngine(t, Config{Workers: 1})
+	e.SetOnTerminal(func(j *Job, rec Record) {
+		mu.Lock()
+		records[j.ID()] = append(records[j.ID()], rec)
+		mu.Unlock()
+	})
+	e2, err := New(Config{Registry: e.reg, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = e2.Shutdown(ctx)
+	})
+	for _, w := range []Work{sampleExploreSpec(h), sigSpec(h)} {
+		donor, err := e.Submit(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitTerminal(t, donor); st.State != StateDone {
+			t.Fatalf("%T job ended %s (%s)", w, st.State, st.Err)
+		}
+		want, _ := donor.Result()
+		mu.Lock()
+		done := records[donor.ID()][0]
+		mu.Unlock()
+		if done.Type != RecDone || done.Spec != nil || done.Result != nil || !reflect.DeepEqual(done.work(), donor.Work()) {
+			t.Fatalf("%T done record = %+v, want the work and its outcome", w, done)
+		}
+
+		if err := e2.Adopt(done); err != nil {
+			t.Fatal(err)
+		}
+		adopted, ok := e2.Get(donor.ID())
+		if !ok {
+			t.Fatalf("%T done record installed nothing", w)
+		}
+		got, err := adopted.Result()
+		if err != nil || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(adopted.Work(), donor.Work()) {
+			t.Fatalf("%T adopted outcome %+v (err %v), want %+v", w, got, err, want)
+		}
+		if st := adopted.Snapshot(); !st.Recovered || st.Dataset != h {
+			t.Errorf("%T adopted status = %+v, want recovered on %s", w, st, h)
+		}
+
+		rerun := donor.SubmittedRecord()
+		rerun.Job = "rerun-" + donor.ID()
+		if err := e2.Adopt(rerun); err != nil {
+			t.Fatal(err)
+		}
+		j, ok := e2.Get(rerun.Job)
+		if !ok {
+			t.Fatalf("%T submitted record did not re-run", w)
+		}
+		if st := waitTerminal(t, j); st.State != StateDone {
+			t.Fatalf("%T re-run ended %s (%s)", w, st.State, st.Err)
+		}
+		if out, _ := j.Result(); reflect.TypeOf(out) != reflect.TypeOf(want) {
+			t.Errorf("%T re-run outcome is a %T, want a %T", w, out, want)
+		}
+	}
+	// Only the re-runs computed anything: the adopted done jobs serve
+	// what their records logged.
+	if st := e2.Stats(); st.Submitted != 2 || st.Significance.Runs != 1 || st.Explore.Mines != 1 {
+		t.Errorf("adopting engine: %d submitted, %d significance runs, %d explore mines; want 2, 1, 1",
+			st.Submitted, st.Significance.Runs, st.Explore.Mines)
 	}
 }

@@ -59,11 +59,6 @@ type Config struct {
 	// MaxPermutations caps the label permutations one significance query
 	// may run — B sampled, or n! in exhaustive mode; 100000 when <= 0.
 	MaxPermutations int
-	// OnTerminal, when non-nil, is called each time a job reaches a
-	// terminal state (done, failed, canceled), with the terminal record
-	// the engine logged — after that record is durably logged. The
-	// cluster layer replicates the record to the dataset's other owners.
-	OnTerminal func(j *Job, rec Record)
 }
 
 // jobQueue is the engine's job queue: a FIFO channel, or a fair queue
@@ -103,7 +98,10 @@ func (q chanQueue) Close()   { close(q.ch) }
 // fairQueue drains tenants in proportion to their admission weights.
 type fairQueue struct{ *admission.FairQueue[*Job] }
 
-func (q fairQueue) Push(j *Job) bool { return q.FairQueue.Push(j.spec.Tenant, j) }
+func (q fairQueue) Push(j *Job) bool {
+	_, tenant := j.source()
+	return q.FairQueue.Push(tenant, j)
+}
 
 // Stats is a point-in-time snapshot of the engine counters for /statsz.
 type Stats struct {
@@ -171,9 +169,9 @@ type Engine struct {
 	sigRuns    atomic.Int64
 	sigPerms   atomic.Int64
 
-	// onTerminal holds the terminal-state hook (Config.OnTerminal, or a
-	// later SetOnTerminal) behind an atomic so the serving layer can
-	// attach cluster replication after construction.
+	// onTerminal holds the terminal-state hook (SetOnTerminal) behind an
+	// atomic so the serving layer can attach cluster replication after
+	// construction.
 	onTerminal atomic.Pointer[func(j *Job, rec Record)]
 
 	busy       atomic.Int64
@@ -221,9 +219,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Store != nil {
 		e.store.Store(cfg.Store)
 	}
-	if cfg.OnTerminal != nil {
-		e.SetOnTerminal(cfg.OnTerminal)
-	}
 	for i := 0; i < workers; i++ {
 		e.wg.Add(1)
 		go e.worker()
@@ -257,16 +252,23 @@ func (e *Engine) worker() {
 }
 
 // Work is the spec of one job of any kind — Spec (an analysis),
-// ExploreSpec or SignificanceSpec — carrying its own run and the header
-// Spec that the write-ahead log and the status endpoint read.
+// ExploreSpec or SignificanceSpec. The engine holds, logs, replicates
+// and adopts each kind as its own spec.
 type Work interface {
-	// prepare normalizes the spec for submission and returns it with its
-	// header; explore and significance specs are validated here,
-	// analysis specs when they run.
-	prepare(e *Engine) (Work, Spec, error)
+	// Source returns the dataset the job reads, which places it in a
+	// cluster, and the tenant it is admitted under.
+	Source() (dataset registry.Hash, tenant string)
+	// prepare normalizes the spec for submission; explore and
+	// significance specs are validated here, analysis specs when they
+	// run.
+	prepare(e *Engine) (Work, error)
 	// run computes the job's outcome on a worker: a *core.Result,
 	// *ExploreOutcome or *SignificanceOutcome, never a nil pointer.
 	run(ctx context.Context, e *Engine, tr *Tracker) (out any, cacheHit bool, err error)
+	// record returns a record carrying the spec under its kind and, when
+	// out is an outcome of the kind, what serves it after a restart: an
+	// analysis's summary, or the explore or significance outcome itself.
+	record(out any) Record
 }
 
 // Submit enqueues a job of any kind. It never blocks: a full queue
@@ -277,6 +279,13 @@ type Work interface {
 // ahead — a submit the store cannot record is refused, so every
 // acknowledged job survives a crash.
 func (e *Engine) Submit(w Work) (*Job, error) { return e.submit("", w, false, true) }
+
+// Validate checks w as Submit does, without submitting it: a bad
+// explore or significance spec returns an error wrapping ErrBadInput.
+func (e *Engine) Validate(w Work) error {
+	_, err := w.prepare(e)
+	return err
+}
 
 // SubmitAdopted is Submit under an externally minted ID — the cluster
 // layer mints IDs before forwarding, so retried, hedged and failed-over
@@ -296,7 +305,7 @@ func (e *Engine) SubmitAdopted(id string, w Work) (*Job, error) {
 // submissions under one ID resolve to one winner under jobsMu; adopted
 // re-submissions return the existing job unchanged and charge nothing.
 func (e *Engine) submit(id string, w Work, adopted, admit bool) (*Job, error) {
-	w, spec, err := w.prepare(e)
+	w, err := w.prepare(e)
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +314,7 @@ func (e *Engine) submit(id string, w Work, adopted, admit bool) (*Job, error) {
 			return nil, err
 		}
 	}
-	job := &Job{id: id, spec: spec, work: w, state: StateQueued, created: time.Now()}
+	job := &Job{id: id, work: w, state: StateQueued, created: time.Now()}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.draining {
@@ -331,10 +340,11 @@ func (e *Engine) submit(id string, w Work, adopted, admit bool) (*Job, error) {
 	if ctrl := e.cfg.Admission; ctrl != nil && admit {
 		// The grant: one active slot, plus the dataset's bytes when it is
 		// resident.
-		if entry, ok := e.reg.Get(spec.Dataset); ok {
+		dataset, tenant := w.Source()
+		if entry, ok := e.reg.Get(dataset); ok {
 			job.grantBytes = entry.Bytes
 		}
-		if err := ctrl.Admit(spec.Tenant, job.grantBytes); err != nil {
+		if err := ctrl.Admit(tenant, job.grantBytes); err != nil {
 			undo()
 			return nil, err
 		}
@@ -364,7 +374,8 @@ func (e *Engine) submit(id string, w Work, adopted, admit bool) (*Job, error) {
 // makes it exactly once whichever path ends the job.
 func (e *Engine) release(job *Job) {
 	if job.granted.Swap(false) {
-		e.cfg.Admission.Release(job.spec.Tenant, job.grantBytes)
+		_, tenant := job.source()
+		e.cfg.Admission.Release(tenant, job.grantBytes)
 	}
 }
 
@@ -372,25 +383,30 @@ func (e *Engine) release(job *Job) {
 func (e *Engine) Admission() *admission.Controller { return e.cfg.Admission }
 
 // Adopt re-homes a job from a record a dead peer logged and replicated.
-// A submitted record re-runs the job under its ID, without admission:
-// the origin admitted it, and failover must not refuse accepted work. A
-// done record with a summary is folded as recovery folds a log line and
-// logged here: the summary serves at once, and Rehydrate re-mines the
-// full result once the dataset is resident. Other records install
-// nothing. Idempotent: an ID the engine already holds is left alone.
+// A submitted record re-runs the job under its ID and its own kind,
+// without admission: the origin admitted it, and failover must not
+// refuse accepted work. A done record is folded as recovery folds a log
+// line and logged here when it serves something: an explore or
+// significance outcome serves as it was first served, and an analysis's
+// summary serves at once while Rehydrate re-mines the full result once
+// the dataset is resident. Other records install nothing. Idempotent: an
+// ID the engine already holds is left alone.
 func (e *Engine) Adopt(rec Record) error {
 	if rec.Job == "" {
 		return fmt.Errorf("jobs: empty job id")
 	}
-	switch {
-	case rec.Type == RecSubmitted && rec.Spec != nil:
-		_, err := e.submit(rec.Job, *rec.Spec, true, false)
+	switch w := rec.work(); {
+	case rec.Type == RecSubmitted && w != nil:
+		_, err := e.submit(rec.Job, w, true, false)
 		return err
-	case rec.Type != RecDone || rec.Result == nil:
+	case rec.Type != RecDone:
 		return nil
 	}
 	job := &Job{id: rec.Job, created: rec.Time, recovered: true}
 	applyRecord(job, rec, nil)
+	if job.summary == nil && job.out == nil {
+		return nil
+	}
 	e.jobsMu.Lock()
 	if _, ok := e.jobs[rec.Job]; ok {
 		e.jobsMu.Unlock()
@@ -463,10 +479,11 @@ func (e *Engine) Cancel(id string) (Status, error) {
 	return job.Snapshot(), nil
 }
 
-// SetOnTerminal installs (or replaces) the terminal-state hook. The
-// serving layer calls it after construction to wire cluster
-// replication; a hook given in Config.OnTerminal is installed by New
-// through the same path.
+// SetOnTerminal installs (or replaces) the terminal-state hook: fn is
+// called each time a job reaches a terminal state (done, failed,
+// canceled), with the terminal record the engine logged, after that
+// record is durably logged. The serving layer calls it after
+// construction to replicate the record to the dataset's other owners.
 func (e *Engine) SetOnTerminal(fn func(j *Job, rec Record)) {
 	if fn == nil {
 		e.onTerminal.Store(nil)
@@ -522,19 +539,16 @@ func (e *Engine) run(job *Job) {
 
 	out, cacheHit, err := job.work.run(ctx, e, tr)
 
-	// Only an analysis leaves a durable summary and a re-mine recipe (the
-	// spec on its done record, schema v2); explore and significance
-	// outcomes are not kept across restarts. Summarize outside the job
-	// lock: it ranks the whole lattice, and status polls must not stall
-	// behind it.
-	var sum *ResultSummary
-	var recipe *Spec
-	if res, ok := out.(*core.Result); ok && err == nil {
-		sum = summarize(res, job.spec)
-		recipe = &job.spec
+	// The done record carries the work and what serves it after a restart
+	// (Work.record): an analysis's summary, its work the re-mine recipe,
+	// or an explore or significance outcome itself. Build it outside the
+	// job lock: an analysis summary ranks the whole lattice, and status
+	// polls must not stall behind it.
+	var rec Record
+	if err == nil {
+		rec = job.work.record(out)
 	}
 
-	var rec Record
 	job.mu.Lock()
 	job.finished = time.Now()
 	job.cancel = nil
@@ -542,10 +556,10 @@ func (e *Engine) run(job *Job) {
 	case err == nil:
 		job.state = StateDone
 		job.out = out
-		job.summary = sum
+		job.summary = rec.Result
 		job.cacheHit = cacheHit
 		e.completed.Add(1)
-		rec = Record{Type: RecDone, Job: job.id, Time: job.finished, Result: sum, CacheHit: cacheHit, Spec: recipe}
+		rec.Type, rec.Job, rec.Time, rec.CacheHit = RecDone, job.id, job.finished, cacheHit
 	case errors.Is(err, context.Canceled) || (job.canceledByUser.Load() && ctx.Err() != nil):
 		job.state = StateCanceled
 		job.err = err

@@ -411,17 +411,19 @@ func partialPatterns(cat *fpm.Catalog, top []core.RankedEstimate) []PartialPatte
 	return out
 }
 
-// prepare implements Work: the header keeps the WAL records and status
-// endpoints meaningful for explore jobs.
-func (s ExploreSpec) prepare(e *Engine) (Work, Spec, error) {
-	if _, err := e.validateExplore(&s); err != nil {
-		return nil, Spec{}, err
-	}
-	return s, Spec{
-		Dataset: s.Dataset, TruthCol: s.TruthCol, PredCol: s.PredCol,
-		Support: s.Support, Metrics: []string{s.Metric}, TopK: s.TopK,
-		Tenant: s.Tenant,
-	}, nil
+// Source implements Work.
+func (s ExploreSpec) Source() (registry.Hash, string) { return s.Dataset, s.Tenant }
+
+// prepare implements Work: validate and normalize.
+func (s ExploreSpec) prepare(e *Engine) (Work, error) {
+	_, err := e.validateExplore(&s)
+	return s, err
+}
+
+// record implements Work: the outcome is small enough to log whole.
+func (s ExploreSpec) record(out any) Record {
+	o, _ := out.(*ExploreOutcome)
+	return Record{Explore: &s, ExploreOutcome: o}
 }
 
 // run implements Work, streaming the leaderboard through tr.

@@ -223,8 +223,9 @@ func TestSubmitExploreStreams(t *testing.T) {
 	if len(snap.Top) == 0 || snap.Patterns != out.Visited {
 		t.Fatalf("final snapshot: %+v", snap)
 	}
-	if spec := job.Spec(); spec.Metrics[0] != "ER" || spec.TopK != 10 || spec.Alpha != 0 {
-		t.Fatalf("explore job header = %+v", spec)
+	// The job holds its own normalized spec, which has no alpha.
+	if spec, ok := job.Work().(ExploreSpec); !ok || spec.Metric != "ER" || spec.TopK != 10 {
+		t.Fatalf("explore job work = %#v", job.Work())
 	}
 }
 

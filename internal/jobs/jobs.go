@@ -9,10 +9,13 @@
 // caches keyed by each question's inputs, and graceful drain on
 // shutdown. Every job kind — an analysis Spec (mined by fpm.Parallel,
 // the bitset kernel), an ExploreSpec or a SignificanceSpec — is one
-// Work, submitted, logged, replicated and served one way. Submit
-// validates the spec, admits it against its tenant's quotas when an
-// admission controller is configured (releasing the grant when the job
-// ends), logs it ahead and queues it, FIFO or weighted-fair. Datasets
+// Work, submitted, logged, replicated, adopted and recovered one way,
+// under its own spec. Submit validates the spec, admits it against its
+// tenant's quotas when an admission controller is configured (releasing
+// the grant when the job ends), logs it ahead and queues it, FIFO or
+// weighted-fair. A done record logs what serves the job after a restart:
+// an analysis's summary and recipe, or an explore or significance
+// outcome itself. Datasets
 // are referenced by content hash through internal/registry, so
 // identical uploads mine at most once and repeat requests are served
 // from cache.
@@ -98,8 +101,7 @@ func (s State) Terminal() bool {
 // Spec describes one analysis: which dataset (by content hash), which
 // label columns, and the exploration parameters. Metrics, TopK, Epsilon
 // and Alpha shape the rendered report; the mined result depends only on
-// the dataset, the label columns and the support threshold. A Spec is
-// also every job's header (Work).
+// the dataset, the label columns and the support threshold.
 type Spec struct {
 	Dataset  registry.Hash
 	TruthCol string
@@ -130,18 +132,19 @@ func (s Spec) CacheKey() string {
 // All exported access goes through Snapshot, Result and Summary; the
 // engine owns the mutable state.
 type Job struct {
-	id   string
-	spec Spec
-	// work is the spec the job runs. Nil for jobs reconstructed from a
-	// store or an adopted done record, which never run here.
+	id string
+	// work is the job's spec, of its kind; set before the job is
+	// published and never changed. Nil only for a job recovered from a
+	// log that holds no record carrying it.
 	work Work
 
 	mu    sync.Mutex
 	state State
 	err   error
 	// out is a done job's outcome: a *core.Result, *ExploreOutcome or
-	// *SignificanceOutcome, never a nil pointer. A done job recovered from
-	// the store has none until Rehydrate re-mines its result.
+	// *SignificanceOutcome, never a nil pointer. A recovered or adopted
+	// explore or significance job has the outcome its done record logged;
+	// an analysis has none until Rehydrate re-mines its result.
 	out       any
 	summary   *ResultSummary
 	recovered bool
@@ -168,7 +171,7 @@ type Job struct {
 	canceledByUser atomic.Bool
 
 	// granted is set while the job holds an admission grant of grantBytes
-	// for spec.Tenant: from submit until the job ends.
+	// for its work's tenant: from submit until the job ends.
 	granted    atomic.Bool
 	grantBytes int64
 }
@@ -176,20 +179,33 @@ type Job struct {
 // ID returns the job's opaque identifier.
 func (j *Job) ID() string { return j.id }
 
-// Spec returns the job's header spec: the analysis spec itself, or the
-// header an explore or significance spec derives (Work).
-func (j *Job) Spec() Spec { return j.spec }
+// Work returns the job's spec, of its kind: a Spec, ExploreSpec or
+// SignificanceSpec, normalized as it was submitted.
+func (j *Job) Work() Work { return j.work }
+
+// source returns the dataset and tenant of the job's work, empty for a
+// job recovered without it.
+func (j *Job) source() (registry.Hash, string) {
+	if j.work == nil {
+		return "", ""
+	}
+	return j.work.Source()
+}
 
 // SubmittedRecord returns the record the engine logs when it accepts the
-// job. The cluster layer replicates this same record to the dataset's
-// other owners, which re-run the job from it (Engine.Adopt).
+// job, carrying its work under its kind. The cluster layer replicates
+// this same record to the dataset's other owners, which re-run the job
+// from it (Engine.Adopt).
 func (j *Job) SubmittedRecord() Record {
-	return Record{Type: RecSubmitted, Job: j.id, Time: j.created, Spec: &j.spec}
+	rec := j.work.record(nil)
+	rec.Type, rec.Job, rec.Time = RecSubmitted, j.id, j.created
+	return rec
 }
 
 // Result returns a done job's outcome, whatever its kind: a
 // *core.Result for an analysis, an *ExploreOutcome or a
-// *SignificanceOutcome. A done job recovered from the store has none
+// *SignificanceOutcome. A recovered explore or significance job returns
+// the outcome its done record logged. A recovered analysis has none
 // until Rehydrate re-mines its result; Result then returns ErrNoResult
 // and callers fall back to Summary. A failed job returns its error.
 func (j *Job) Result() (any, error) {
@@ -208,8 +224,8 @@ func (j *Job) Result() (any, error) {
 	}
 }
 
-// Summary returns the durable result digest, nil until the job is done.
-// It is the only result representation that survives a restart.
+// Summary returns an analysis's durable result digest, nil until the
+// job is done and for the other kinds.
 func (j *Job) Summary() *ResultSummary {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -241,8 +257,9 @@ func (j *Job) Recovered() bool {
 
 // Status is an immutable snapshot of a job's externally visible state.
 type Status struct {
-	ID        string
-	Spec      Spec
+	ID string
+	// Dataset is the content hash the job's work reads.
+	Dataset   registry.Hash
 	State     State
 	Err       string
 	CacheHit  bool
@@ -260,9 +277,10 @@ type Status struct {
 func (j *Job) Snapshot() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	dataset, _ := j.source()
 	st := Status{
 		ID:            j.id,
-		Spec:          j.spec,
+		Dataset:       dataset,
 		State:         j.state,
 		CacheHit:      j.cacheHit,
 		Recovered:     j.recovered,

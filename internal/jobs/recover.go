@@ -15,10 +15,12 @@ import (
 // startup path of a durable server. After Recover:
 //
 //   - jobs whose log reached a terminal state are visible with their
-//     recorded outcome; done jobs carry the durable result summary and,
-//     when their done record was written in schema v2, the spec needed
-//     to re-mine the full result on demand (Rehydrate) — the last
-//     persisted partial snapshot, if any, is reattached;
+//     recorded outcome. A done explore or significance job (schema v3)
+//     serves the outcome its done record logged; a done analysis carries
+//     the durable result summary and, when its done record was written
+//     in schema v2 or later, the spec needed to re-mine the full result
+//     on demand (Rehydrate). The last persisted partial snapshot, if
+//     any, is reattached;
 //   - jobs the previous process left queued or running are re-marked
 //     failed with ErrInterrupted — visible and explained, never
 //     silently lost — and the re-mark is itself written to the log so
@@ -98,10 +100,7 @@ func (e *Engine) RecoverFS(dir string, fsys faultfs.FS) (int, error) {
 func applyRecord(j *Job, rec Record, rejected map[string]bool) {
 	switch rec.Type {
 	case RecSubmitted:
-		if rec.Spec != nil {
-			j.spec = *rec.Spec
-		}
-		j.created = rec.Time
+		j.work, j.created = rec.work(), rec.Time
 	case RecRejected:
 		rejected[rec.Job] = true
 	case RecRunning:
@@ -118,13 +117,19 @@ func applyRecord(j *Job, rec Record, rejected map[string]bool) {
 		j.summary = rec.Result
 		j.cacheHit = rec.CacheHit
 		j.finished = rec.Time
-		// Schema v2 done records of analysis jobs carry the spec, the
-		// re-mine recipe and the job's header; v1 records fold to
-		// summary-only. Earlier builds also wrote a spec, but no summary,
-		// for explore and significance jobs: re-mining it would answer a
+		// A done record serves with the work beside it. Since v2 an
+		// analysis's is its spec, the re-mine recipe; v1 records fold to
+		// summary-only. Since v3 an explore or significance job's carries
+		// its outcome. A v2 build wrote an analysis-shaped spec, but no
+		// summary, for those two kinds: re-mining it would answer a
 		// different question.
-		if rec.Result != nil && rec.Spec != nil {
-			j.spec, j.recompute = *rec.Spec, rec.Spec
+		switch {
+		case rec.Result != nil && rec.Spec != nil:
+			j.work, j.recompute = *rec.Spec, rec.Spec
+		case rec.Explore != nil && rec.ExploreOutcome != nil:
+			j.work, j.out = *rec.Explore, rec.ExploreOutcome
+		case rec.Significance != nil && rec.SignificanceOutcome != nil:
+			j.work, j.out = *rec.Significance, rec.SignificanceOutcome
 		}
 	case RecFailed:
 		j.state = StateFailed
@@ -139,22 +144,22 @@ func applyRecord(j *Job, rec Record, rejected map[string]bool) {
 	// forward-compatible with additive changes.
 }
 
-// Rehydrate re-mines the full result of a done job that was recovered
-// from the store — the lazy half of full-result durability. The done
-// record's spec (schema v2) names the dataset by content hash; if the
-// registry still holds it, the exploration re-runs through the shared
-// result cache and the result is pinned back onto the job, so the first
-// GET /jobs/{id}/result after a restart pays the mine and every later
-// one is free. Mining is deterministic (the parallel miner canonicalizes
-// and sorts its output), so the rehydrated result renders byte-identical
-// to the pre-crash response.
+// Rehydrate re-mines the full result of a done analysis job that was
+// recovered from the store — the lazy half of full-result durability.
+// The done record's spec (schema v2) names the dataset by content hash;
+// if the registry still holds it, the exploration re-runs through the
+// shared result cache and the result is pinned back onto the job, so
+// the first GET /jobs/{id}/result after a restart pays the mine and
+// every later one is free. Mining is deterministic (the parallel miner
+// canonicalizes and sorts its output), so the rehydrated result renders
+// byte-identical to the pre-crash response.
 //
 // Failure modes, in the order the server's fallback chain meets them:
 // a job that is not done fails outright; a job with no recipe (a v1
-// done record, or an explore or significance job, whose outcome is not
-// kept across restarts) returns ErrNoResult; an evicted or
-// never-re-registered dataset returns ErrDatasetGone. For v1 records and
-// a gone dataset the durable summary is still servable.
+// done record, or an explore or significance job, whose outcome is its
+// result) returns ErrNoResult; an evicted or never-re-registered
+// dataset returns ErrDatasetGone. For v1 records and a gone dataset the
+// durable summary is still servable.
 func (e *Engine) Rehydrate(ctx context.Context, job *Job) (*core.Result, error) {
 	job.mu.Lock()
 	state := job.state
@@ -169,7 +174,7 @@ func (e *Engine) Rehydrate(ctx context.Context, job *Job) (*core.Result, error) 
 		return res, nil
 	}
 	if spec == nil {
-		return nil, fmt.Errorf("%w: job %s %s", ErrNoResult, job.id, noRecipe(job.spec, summary))
+		return nil, fmt.Errorf("%w: job %s %s", ErrNoResult, job.id, noRecipe(job.work, summary))
 	}
 
 	job.rehydrateMu.Lock()
@@ -204,18 +209,27 @@ func (e *Engine) Rehydrate(ctx context.Context, job *Job) (*core.Result, error) 
 	return res, nil
 }
 
-// noRecipe says why a done job has no re-mine recipe. Analysis jobs
-// write one next to their summary, so a summary alone is a v1 done
-// record. Explore and significance jobs write neither; of their
-// synthesized specs only the significance one sets Alpha.
-func noRecipe(spec Spec, summary *ResultSummary) string {
+// noRecipe says why a done job has no re-mine recipe. Only analyses
+// re-mine: an explore or significance job's outcome is its result. An
+// analysis writes a recipe next to its summary, so a summary alone is a
+// v1 done record. A v2 build logged the other two kinds under an
+// analysis-shaped spec with neither, and of those specs only the
+// significance one set Alpha.
+func noRecipe(w Work, summary *ResultSummary) string {
+	switch w.(type) {
+	case ExploreSpec:
+		return "is an explore job: its outcome is its result"
+	case SignificanceSpec:
+		return "is a significance job: its outcome is its result"
+	}
+	spec, _ := w.(Spec)
 	switch {
 	case summary != nil:
 		return "has no recompute spec (v1 done record)"
 	case spec.Alpha > 0:
-		return "is a significance job: its outcome is not kept across restarts"
+		return "is a significance job logged by a v2 build: its outcome was not kept"
 	default:
-		return "is an explore job: its outcome is not kept across restarts"
+		return "is an explore job logged by a v2 build: its outcome was not kept"
 	}
 }
 

@@ -346,7 +346,7 @@ func TestQueueFullClosesWriteAheadRecord(t *testing.T) {
 		t.Fatalf("Recover returned %d jobs, want 2 (the refused one dropped)", n)
 	}
 	for _, j := range e2.snapshotJobs() {
-		if j.Spec().TruthCol == "rejected" {
+		if j.Work().(Spec).TruthCol == "rejected" {
 			t.Error("refused submission resurrected by recovery")
 		}
 	}

@@ -320,17 +320,19 @@ func (e *Engine) SignificanceStatsSnapshot() SignificanceStats {
 	}
 }
 
-// prepare implements Work. The header's Alpha is always set, which is
-// how recovery tells a significance job from an explore job.
-func (s SignificanceSpec) prepare(e *Engine) (Work, Spec, error) {
-	if _, err := e.validateSignificance(&s); err != nil {
-		return nil, Spec{}, err
-	}
-	return s, Spec{
-		Dataset: s.Dataset, TruthCol: s.TruthCol, PredCol: s.PredCol,
-		Support: s.Support, Metrics: []string{s.Metric}, TopK: s.TopK,
-		Alpha: s.Alpha, Tenant: s.Tenant,
-	}, nil
+// Source implements Work.
+func (s SignificanceSpec) Source() (registry.Hash, string) { return s.Dataset, s.Tenant }
+
+// prepare implements Work: validate and normalize.
+func (s SignificanceSpec) prepare(e *Engine) (Work, error) {
+	_, err := e.validateSignificance(&s)
+	return s, err
+}
+
+// record implements Work: the outcome is small enough to log whole.
+func (s SignificanceSpec) record(out any) Record {
+	o, _ := out.(*SignificanceOutcome)
+	return Record{Significance: &s, SignificanceOutcome: o}
 }
 
 // run implements Work, streaming permutation progress through tr.

@@ -211,10 +211,10 @@ func TestSubmitSignificanceLifecycle(t *testing.T) {
 	if snap == nil || snap.Reason != "complete" {
 		t.Fatalf("final snapshot: %+v", snap)
 	}
-	// The header keeps the spec's alpha: recovery tells the kinds apart
-	// by it. An analysis job's outcome is its mined result.
-	if spec := job.Spec(); spec.Alpha != 0.1 || spec.Metrics[0] != "FPR" {
-		t.Errorf("significance job header = %+v", spec)
+	// The job holds its own normalized spec. An analysis job's outcome
+	// is its mined result.
+	if spec, ok := job.Work().(SignificanceSpec); !ok || spec.Alpha != 0.1 || spec.Metric != "FPR" || spec.TopK != 10 {
+		t.Errorf("significance job work = %#v", job.Work())
 	}
 	plain, err := e.Submit(sampleSpec(h))
 	if err != nil {

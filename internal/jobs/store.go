@@ -18,7 +18,7 @@ import (
 // written through to the store as one JSON line, so replaying the log
 // reconstructs the externally visible history of every job.
 const (
-	// RecSubmitted opens a job's history and carries its spec.
+	// RecSubmitted opens a job's history and carries its work.
 	RecSubmitted = "submitted"
 	// RecRejected closes the history of a submission that never ran
 	// (queue full while the submitted record was already written).
@@ -28,7 +28,8 @@ const (
 	RecRunning = "running"
 	// RecSnapshot carries a partial-result snapshot of a running mine.
 	RecSnapshot = "snapshot"
-	// RecDone closes a successful job and carries its result summary.
+	// RecDone closes a successful job and carries its work and what
+	// serves it after a restart: a summary or an outcome.
 	RecDone = "done"
 	// RecFailed and RecCanceled close unsuccessful jobs.
 	RecFailed   = "failed"
@@ -56,25 +57,50 @@ const (
 //     restart (Engine.Rehydrate). v1 logs replay unchanged: their done
 //     records have no spec, so those jobs fold to summary-only exactly
 //     as before, and unknown future record types are skipped.
-const storeVersion = 2
+//   - v3: every kind's submitted and done records carry its own spec:
+//     Spec for an analysis (whose records are v2's), Explore or
+//     Significance for the other kinds, whose done records also carry
+//     the outcome (ExploreOutcome, SignificanceOutcome) that then serves
+//     after a restart. v2 logged those two kinds under an
+//     analysis-shaped Spec with no summary; they replay as before.
+const storeVersion = 3
 
-// Record is one write-ahead log entry. Spec is set on submitted records
-// and (since v2) on the done records of analysis jobs; at most one of
-// Snapshot and Result is set, depending on Type. Peers replicate and
-// adopt (Engine.Adopt) a job's submitted and terminal records unchanged.
+// Record is one write-ahead log entry. A submitted record and a done
+// record carry the job's work under its kind — Spec, Explore or
+// Significance — and a done record adds what serves it after a restart:
+// an analysis's Result summary, or the outcome of the other kinds. A
+// snapshot record carries Snapshot. Peers replicate and adopt
+// (Engine.Adopt) a job's submitted and terminal records unchanged.
 type Record struct {
-	V        int            `json:"v"`
-	Type     string         `json:"type"`
-	Job      string         `json:"job"`
-	Time     time.Time      `json:"time"`
-	Spec     *Spec          `json:"spec,omitempty"`
-	Snapshot *Snapshot      `json:"snapshot,omitempty"`
-	Result   *ResultSummary `json:"result,omitempty"`
-	Error    string         `json:"error,omitempty"`
-	CacheHit bool           `json:"cache_hit,omitempty"`
+	V                   int                  `json:"v"`
+	Type                string               `json:"type"`
+	Job                 string               `json:"job"`
+	Time                time.Time            `json:"time"`
+	Spec                *Spec                `json:"spec,omitempty"`
+	Explore             *ExploreSpec         `json:"explore,omitempty"`
+	Significance        *SignificanceSpec    `json:"significance,omitempty"`
+	Snapshot            *Snapshot            `json:"snapshot,omitempty"`
+	Result              *ResultSummary       `json:"result,omitempty"`
+	ExploreOutcome      *ExploreOutcome      `json:"explore_outcome,omitempty"`
+	SignificanceOutcome *SignificanceOutcome `json:"significance_outcome,omitempty"`
+	Error               string               `json:"error,omitempty"`
+	CacheHit            bool                 `json:"cache_hit,omitempty"`
 	// Monitor carries the validated monitor spec on monitor_created
 	// records (opaque to this package; owned by internal/monitor).
 	Monitor json.RawMessage `json:"monitor,omitempty"`
+}
+
+// work returns the work the record carries, of whichever kind, or nil.
+func (r Record) work() Work {
+	switch {
+	case r.Explore != nil:
+		return *r.Explore
+	case r.Significance != nil:
+		return *r.Significance
+	case r.Spec != nil:
+		return *r.Spec
+	}
+	return nil
 }
 
 // MonitorRecord reports whether the record belongs to the monitor

@@ -419,16 +419,26 @@ func TestScanLogEngineLog(t *testing.T) {
 }
 
 // FuzzScanLog: on any bytes, scanLog never panics and keeps
-// checkScanLog's contract. The seeds are a three-record log and its
-// damaged variants, short so the budget goes to new inputs;
-// TestScanLogEngineLog runs the same checks on a real engine's log.
+// checkScanLog's contract. The seeds are a three-record v2 log, a v3 log
+// of each kind's submitted and done records, and their damaged
+// variants, short so the budget goes to new inputs; TestScanLogEngineLog
+// runs the same checks on a real engine's log.
 func FuzzScanLog(f *testing.F) {
-	log := []byte(`{"v":2,"type":"submitted","job":"a","time":"2026-01-01T00:00:00Z","spec":{"dataset":"d","support":0.1}}
+	v2 := []byte(`{"v":2,"type":"submitted","job":"a","time":"2026-01-01T00:00:00Z","spec":{"dataset":"d","support":0.1}}
 {"v":2,"type":"running","job":"a","time":"2026-01-01T00:00:01Z"}
 {"v":2,"type":"done","job":"a","time":"2026-01-01T00:00:02Z"}
 `)
-	for _, tc := range scanLogCases(log) {
-		f.Add(tc.raw)
+	v3 := []byte(`{"v":3,"type":"submitted","job":"a","time":"2026-01-01T00:00:00Z","spec":{"Dataset":"d","Support":0.1}}
+{"v":3,"type":"done","job":"a","time":"2026-01-01T00:00:01Z","spec":{"Dataset":"d","Support":0.1},"result":{"rows":4}}
+{"v":3,"type":"submitted","job":"b","time":"2026-01-01T00:00:02Z","explore":{"Dataset":"d","Metric":"ER","TopK":2}}
+{"v":3,"type":"done","job":"b","time":"2026-01-01T00:00:03Z","explore":{"Dataset":"d","Metric":"ER","TopK":2},"explore_outcome":{"reason":"exhausted","top":[{"itemset":["a=1"],"divergence":0.5}]}}
+{"v":3,"type":"submitted","job":"c","time":"2026-01-01T00:00:04Z","significance":{"Dataset":"d","Method":"wy","Alpha":0.05}}
+{"v":3,"type":"done","job":"c","time":"2026-01-01T00:00:05Z","significance":{"Dataset":"d","Method":"wy","Alpha":0.05},"significance_outcome":{"method":"wy","alpha":0.05,"top":[{"itemset":["a=1"],"p":0.01,"adj_p":0.02}]}}
+`)
+	for _, log := range [][]byte{v2, v3} {
+		for _, tc := range scanLogCases(log) {
+			f.Add(tc.raw)
+		}
 	}
 	f.Fuzz(checkScanLog)
 }

@@ -139,7 +139,9 @@ func TestAdmissionAsyncExploreAndSignificance(t *testing.T) {
 			t.Errorf("over-quota %s = %d (Retry-After %q): %s", c.path, w.Code, w.Header().Get("Retry-After"), w.Body.String())
 		}
 	}
-	if job, ok := engine.Get(held); !ok || job.Spec().Tenant != "greedy" {
+	if job, ok := engine.Get(held); !ok {
+		t.Errorf("admitted job %s not held", held)
+	} else if _, tenant := job.Work().Source(); tenant != "greedy" {
 		t.Errorf("admitted job does not carry its tenant")
 	}
 	// Other tenants keep flowing.

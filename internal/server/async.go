@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 	"time"
@@ -62,7 +61,7 @@ func jobToJSON(st jobs.Status) jobJSON {
 	j := jobJSON{
 		ID:        st.ID,
 		State:     st.State.String(),
-		Dataset:   string(st.Spec.Dataset),
+		Dataset:   string(st.Dataset),
 		Error:     st.Err,
 		CacheHit:  st.CacheHit,
 		Recovered: st.Recovered,
@@ -149,28 +148,16 @@ func (s *Server) handleDatasetDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJobSubmit implements POST /jobs: submit by registered dataset
-// hash (?dataset=...) or by inline CSV body. A full queue (or an
-// admission denial) answers 429 — the explicit backpressure contract —
-// rather than blocking the client. With a cluster node attached the
-// submission routes to the dataset's owners: locally when this node is
-// one, otherwise forwarded with hedged retries; inline uploads travel
-// with the forward so the owner can register them.
+// hash (?dataset=...) or by inline CSV body.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	spec, _, err := parseRequest(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	var hash registry.Hash
-	var csv []byte // canonical upload bytes, carried on cross-node forwards
+	var upload []byte
 	if h := r.URL.Query().Get("dataset"); h != "" {
-		if _, ok := s.reg.Get(registry.Hash(h)); !ok && s.cluster == nil {
-			// Clustered, the dataset may be resident on its owner even
-			// when this node has never seen it; single-node it is a 404.
-			writeError(w, http.StatusNotFound, "dataset "+h+" not registered")
-			return
-		}
-		hash = registry.Hash(h)
+		spec.Dataset = registry.Hash(h)
 	} else {
 		body, ok := s.readBody(w, r)
 		if !ok {
@@ -181,52 +168,64 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		hash = entry.Hash
-		if s.cluster != nil {
-			csv = dataset.Canonicalize(body)
-		}
+		spec.Dataset, upload = entry.Hash, body
 	}
-	spec.Dataset, spec.Tenant = hash, tenantOf(r)
-	if n := s.cluster; n != nil {
-		id, err := jobs.NewID()
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
+	spec.Tenant = tenantOf(r)
+	s.submitAsync(w, r, spec, upload)
+}
+
+// submitAsync is the one async submit of every job kind: POST /jobs,
+// and /explore and /significance with "async": true. The engine
+// validates, admits and queues the work; the answer is 202 with the
+// job's status, or the refusal mapped by writeSubmitError. Single-node,
+// work on a dataset not registered here is a 404, unless the request
+// uploaded it. With a cluster node attached the ring routes the work to
+// its dataset's owners, which may hold a dataset this node has never
+// seen: it runs here when this node is one, and is otherwise forwarded
+// with hedged retries, the upload's canonical bytes travelling with it
+// so the owner can register them. A spec the engine refuses is a 400
+// here, before any forward: an owner's refusal reaches a client through
+// the transport as a peer rejection.
+func (s *Server) submitAsync(w http.ResponseWriter, r *http.Request, work jobs.Work, upload []byte) {
+	n := s.cluster
+	if n == nil {
+		if ds, _ := work.Source(); upload == nil {
+			if _, ok := s.reg.Get(ds); !ok {
+				writeError(w, http.StatusNotFound, "dataset "+string(ds)+" not registered")
+				return
+			}
 		}
-		specJSON, err := json.Marshal(spec)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		ack, err := n.SubmitJob(r.Context(), cluster.JobRequest{
-			ID: id, SpecJSON: specJSON, Dataset: string(hash), Tenant: spec.Tenant, CSV: csv,
-		})
+		job, err := s.engine.Submit(work)
 		if err != nil {
 			writeSubmitError(w, err, false)
 			return
 		}
-		if job, ok := s.engine.Get(ack.ID); ok && ack.Node == n.Self() {
-			writeJSON(w, http.StatusAccepted, jobToJSON(job.Snapshot()))
-			return
-		}
-		// The job landed on a peer; the ack names the owning node.
-		writeJSON(w, http.StatusAccepted, ack)
+		writeJSON(w, http.StatusAccepted, jobToJSON(job.Snapshot()))
 		return
 	}
-	s.acceptLocal(w, spec)
-}
-
-// acceptLocal is the one async submit of every job kind on this node:
-// POST /jobs single-node, and async /explore and /significance. The
-// engine validates, admits and queues work; the answer is 202 with the
-// job's status, or the refusal mapped by writeSubmitError.
-func (s *Server) acceptLocal(w http.ResponseWriter, work jobs.Work) {
-	job, err := s.engine.Submit(work)
+	if err := s.engine.Validate(work); err != nil {
+		writeSubmitError(w, err, false)
+		return
+	}
+	req, err := forwardOf(work)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	if upload != nil {
+		req.CSV = dataset.Canonicalize(upload)
+	}
+	ack, err := n.SubmitJob(r.Context(), req)
 	if err != nil {
 		writeSubmitError(w, err, false)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, jobToJSON(job.Snapshot()))
+	if job, ok := s.engine.Get(ack.ID); ok && ack.Node == n.Self() {
+		writeJSON(w, http.StatusAccepted, jobToJSON(job.Snapshot()))
+		return
+	}
+	// The job landed on a peer; the ack names the owning node.
+	writeJSON(w, http.StatusAccepted, ack)
 }
 
 // handleJobStatus implements GET /jobs/{id}.
@@ -289,7 +288,8 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	default:
-		// An explore or significance job's outcome is its result; neither
+		// An explore or significance job's outcome is its result, served as
+		// it was first served after a restart or an adoption too; neither
 		// has the full analysis payload the ladder serves.
 		writeJSON(w, http.StatusOK, out)
 		return
@@ -304,7 +304,8 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		// Counted at render time so a bad format override is not a serve.
 		s.memoryHits.Add(1)
 	}
-	s.render(w, res, st.Spec, format)
+	spec, _ := job.Work().(jobs.Spec) // a mined result is an analysis's
+	s.render(w, res, spec, format)
 }
 
 // degradedResultJSON is the summary-only fallback served from the result

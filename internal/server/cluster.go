@@ -3,10 +3,11 @@
 // The cluster layer owns placement (consistent-hash ring), failure
 // detection (phi-accrual gossip), forwarding (hedged retries) and
 // replica streaming; this file supplies everything those mechanisms
-// need from a concrete node — running a forwarded job on the local
-// engine, storing verified replica payloads in the registry, adopting a
-// dead peer's jobs — plus the HTTP endpoints peers deliver into and the
-// mapping of submit refusals to HTTP statuses both sides share.
+// need from a concrete node — the forward's encoding of a job of any
+// kind, running a forwarded job on the local engine, storing verified
+// replica payloads in the registry, adopting a dead peer's jobs — plus
+// the HTTP endpoints peers deliver into and the mapping of submit
+// refusals to HTTP statuses both sides share.
 
 package server
 
@@ -41,11 +42,12 @@ func tenantOf(r *http.Request) string {
 	return strings.TrimSpace(r.Header.Get(TenantHeader))
 }
 
-// AttachCluster wires a cluster node into the server: handleJobSubmit
-// starts routing by dataset ownership, Handler mounts the /internal/*
-// peer endpoints, and terminal jobs replicate their records to the
-// dataset's other owners (the engine's OnTerminal hook). Call it after
-// cluster.NewNode (whose Local side is ClusterLocal) and before Handler.
+// AttachCluster wires a cluster node into the server: async submits of
+// every kind start routing by dataset ownership, Handler mounts the
+// /internal/* peer endpoints, and terminal jobs replicate their records
+// to the dataset's other owners (the engine's terminal hook). Call it
+// after cluster.NewNode (whose Local side is ClusterLocal) and before
+// Handler.
 func (s *Server) AttachCluster(n *cluster.Node) {
 	s.cluster = n
 	s.engine.SetOnTerminal(s.replicate)
@@ -61,11 +63,74 @@ func (s *Server) ClusterLocal() cluster.Local { return clusterLocal{s} }
 // clusterLocal implements cluster.Local over a Server.
 type clusterLocal struct{ s *Server }
 
+// Forwarded job kinds. A forward names the kind of the spec it carries;
+// an analysis names none, so a forward from a build that named no kind
+// still decodes as the analysis it is.
+const (
+	kindExplore      = "explore"
+	kindSignificance = "significance"
+)
+
+// forwardOf encodes work as a forward under a fresh job ID, the
+// forwarder-minted ID every hedged or retried copy carries.
+func forwardOf(work jobs.Work) (cluster.JobRequest, error) {
+	id, err := jobs.NewID()
+	if err != nil {
+		return cluster.JobRequest{}, err
+	}
+	spec, err := json.Marshal(work)
+	if err != nil {
+		return cluster.JobRequest{}, err
+	}
+	ds, _ := work.Source()
+	req := cluster.JobRequest{ID: id, SpecJSON: spec, Dataset: string(ds)}
+	switch work.(type) {
+	case jobs.ExploreSpec:
+		req.Kind = kindExplore
+	case jobs.SignificanceSpec:
+		req.Kind = kindSignificance
+	}
+	return req, nil
+}
+
+// forwardedWork decodes the spec a forward carries as the work of its
+// kind, tenant included: a spec of an unknown kind, one that does not
+// parse, or one whose dataset is not the one the forward was placed by
+// is refused. A pure function, so FuzzForwardedJob drives it directly.
+func forwardedWork(kind string, spec []byte, dataset string) (jobs.Work, error) {
+	var work jobs.Work
+	var err error
+	switch kind {
+	case "":
+		work, err = decodeSpec[jobs.Spec](spec)
+	case kindExplore:
+		work, err = decodeSpec[jobs.ExploreSpec](spec)
+	case kindSignificance:
+		work, err = decodeSpec[jobs.SignificanceSpec](spec)
+	default:
+		return nil, fmt.Errorf("unknown job kind %q", kind)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("bad %s spec: %v", orDefault(kind, "analysis"), err)
+	}
+	if ds, _ := work.Source(); string(ds) != dataset {
+		return nil, fmt.Errorf("spec reads dataset %q, the forward was placed by %q", ds, dataset)
+	}
+	return work, nil
+}
+
+// decodeSpec decodes one spec of type W.
+func decodeSpec[W jobs.Work](b []byte) (jobs.Work, error) {
+	var w W
+	err := json.Unmarshal(b, &w)
+	return w, err
+}
+
 // RunJob is the terminal hop of a forward (or a local submission routed
-// through the cluster layer): register the carried CSV if any, and
-// submit under the forwarder-minted ID, which the engine admits.
-// Idempotent in req.ID — hedged duplicates are acknowledged with the
-// existing job.
+// through the cluster layer): decode the work of the forward's kind,
+// register the carried CSV if any, and submit under the forwarder-minted
+// ID, which the engine admits. Idempotent in req.ID — hedged duplicates
+// are acknowledged with the existing job.
 func (cl clusterLocal) RunJob(ctx context.Context, req cluster.JobRequest) (cluster.JobAck, error) {
 	s := cl.s
 	if req.ID == "" {
@@ -74,14 +139,10 @@ func (cl clusterLocal) RunJob(ctx context.Context, req cluster.JobRequest) (clus
 	if job, ok := s.engine.Get(req.ID); ok {
 		return s.ackOf(job), nil
 	}
-	var spec jobs.Spec
-	if err := json.Unmarshal(req.SpecJSON, &spec); err != nil {
-		return cluster.JobAck{}, fmt.Errorf("%w: bad forwarded spec: %v", cluster.ErrPeerRejected, err)
+	work, err := forwardedWork(req.Kind, req.SpecJSON, req.Dataset)
+	if err != nil {
+		return cluster.JobAck{}, fmt.Errorf("%w: forwarded job: %v", cluster.ErrPeerRejected, err)
 	}
-	if spec.Dataset == "" {
-		spec.Dataset = registry.Hash(req.Dataset)
-	}
-	spec.Tenant = req.Tenant
 	if len(req.CSV) > 0 {
 		entry, existed, err := s.reg.Register(req.CSV, csvOptions())
 		if err != nil {
@@ -97,7 +158,7 @@ func (cl clusterLocal) RunJob(ctx context.Context, req cluster.JobRequest) (clus
 			s.replicateSpill(entry.Hash, dataset.Canonicalize(req.CSV))
 		}
 	}
-	job, err := s.engine.SubmitAdopted(req.ID, spec)
+	job, err := s.engine.SubmitAdopted(req.ID, work)
 	if err != nil {
 		if isRejection(err) {
 			// Definitive refusal: the forwarder must not hedge one
@@ -137,8 +198,9 @@ func (cl clusterLocal) StoreReplica(origin cluster.NodeID, kind, key string, dat
 
 // AdoptJob re-homes one job record from a dead peer: the jobs.Record
 // its engine logged, inside the cluster envelope, folded by
-// Engine.Adopt. Adoption bypasses admission: the origin already
-// admitted the tenant, and failover must not re-reject accepted work.
+// Engine.Adopt under the job's own kind. Adoption bypasses admission:
+// the origin already admitted the tenant, and failover must not
+// re-reject accepted work.
 func (cl clusterLocal) AdoptJob(origin cluster.NodeID, record []byte) error {
 	var env cluster.JobRecord
 	if err := json.Unmarshal(record, &env); err != nil {
@@ -172,7 +234,8 @@ func (s *Server) replicate(j *jobs.Job, rec jobs.Record) {
 	if err != nil {
 		return
 	}
-	env := cluster.JobRecord{ID: rec.Job, Dataset: string(j.Spec().Dataset), Done: rec.Type != jobs.RecSubmitted, Payload: payload}
+	ds, _ := j.Work().Source()
+	env := cluster.JobRecord{ID: rec.Job, Dataset: string(ds), Payload: payload}
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), replicateTimeout)
 		defer cancel()

@@ -9,10 +9,12 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/jobs"
 	"repro/internal/registry"
 )
 
@@ -85,6 +87,81 @@ func TestClusterChaosKillOwnerMidMine(t *testing.T) {
 	}
 	if d := env.nodes[secondary].Stats().Deaths; d < 1 {
 		t.Errorf("replica deaths = %d, want >= 1", d)
+	}
+}
+
+// TestClusterChaosKillOwnerAdoptsExploreAndSignificance is the
+// failover scenario for the other two kinds: on a one-worker primary, a
+// significance job blocked mid-mine and an explore job queued behind
+// it; the primary is killed, and the surviving replica adopts both
+// submitted records and runs each job to done as its own kind.
+func TestClusterChaosKillOwnerAdoptsExploreAndSignificance(t *testing.T) {
+	release := make(chan struct{})
+	env := newClusterEnv(t, 42, envConfig{
+		analyze:    gatedAnalyze(release),
+		heartbeat:  10 * time.Millisecond,
+		hedgeAfter: 2 * time.Second,
+		workers:    1,
+	}, "n1", "n2", "n3")
+	hash := sampleHash()
+	owners := env.owners(hash)
+	primary, secondary := owners[0], owners[1]
+	ingress := env.nonOwner(t, hash)
+	if w := do(t, env.handlers[ingress], http.MethodPost, "/datasets", sampleCSV); w.Code != http.StatusOK {
+		t.Fatalf("register = %d: %s", w.Code, w.Body.String())
+	}
+	for _, id := range owners {
+		waitUntil(t, 10*time.Second, "spill replica on owner "+string(id), func() bool {
+			_, ok := env.servers[id].reg.Get(registry.Hash(hash))
+			return ok
+		})
+	}
+
+	ids := make(map[string]string, 2) // path → job ID
+	for _, path := range []string{"/significance", "/explore"} {
+		body := fmt.Sprintf(`{"dataset":%q,"support":0.1,"permutations":40,"async":true}`, hash)
+		if path == "/explore" {
+			body = fmt.Sprintf(`{"dataset":%q,"support":0.1,"async":true}`, hash)
+		}
+		w := do(t, env.handlers[ingress], http.MethodPost, path, body)
+		if w.Code != http.StatusAccepted {
+			t.Fatalf("async %s = %d: %s", path, w.Code, w.Body.String())
+		}
+		ack := decode[ackJSON](t, w)
+		if ack.Node != string(primary) {
+			t.Fatalf("async %s acked by %s, want primary %s", path, ack.Node, primary)
+		}
+		ids[path] = ack.ID
+	}
+	// The significance job holds the primary's one worker mid-mine.
+	if st := decode[jobJSON](t, do(t, env.handlers[primary], http.MethodGet, "/jobs/"+ids["/explore"], "")); st.State != "queued" {
+		t.Fatalf("explore job on the primary = %+v, want queued behind the significance job", st)
+	}
+	waitUntil(t, 10*time.Second, "handoff records on the replica", func() bool {
+		return env.nodes[secondary].Stats().HandoffRecords >= 2
+	})
+
+	env.net.Kill(primary)
+	waitUntil(t, 15*time.Second, "death detection and adoption", func() bool {
+		return env.nodes[secondary].Stats().Adoptions >= 2
+	})
+	close(release)
+
+	for path, id := range ids {
+		if st := pollJob(t, env.handlers[secondary], id); st.State != "done" {
+			t.Fatalf("adopted %s job = %+v, want done", path, st)
+		}
+		w := do(t, env.handlers[secondary], http.MethodGet, "/jobs/"+id+"/result", "")
+		if w.Code != http.StatusOK || strings.Contains(w.Body.String(), "frequent_itemsets") {
+			t.Fatalf("adopted %s result = %d, want its own outcome, not an analysis body: %s", path, w.Code, w.Body.String())
+		}
+		if path == "/significance" {
+			if out := decode[jobs.SignificanceOutcome](t, w); out.Method != jobs.MethodWY || out.Permutations != 40 || out.Hypotheses == 0 {
+				t.Errorf("adopted significance outcome = %+v", out)
+			}
+		} else if out := decode[jobs.ExploreOutcome](t, w); out.Reason != "exhausted" || out.Metric != "ER" || len(out.Top) == 0 {
+			t.Errorf("adopted explore outcome = %+v", out)
+		}
 	}
 }
 

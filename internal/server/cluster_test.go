@@ -6,10 +6,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -31,10 +34,11 @@ type ackJSON struct {
 }
 
 // envConfig tailors a clusterEnv; the zero value gives three plain
-// nodes with replication 2, fast forward timeouts, and gossip off
-// (tests Tick themselves unless heartbeat is set).
+// nodes with replication 2, two workers each, fast forward timeouts,
+// and gossip off (tests Tick themselves unless heartbeat is set).
 type envConfig struct {
 	replication int
+	workers     int
 	heartbeat   time.Duration // > 0 starts each node's gossip loop
 	hedgeAfter  time.Duration
 	analyze     jobs.AnalyzeFunc
@@ -59,6 +63,9 @@ func newClusterEnv(t *testing.T, seed int64, cfg envConfig, ids ...cluster.NodeI
 	if cfg.hedgeAfter <= 0 {
 		cfg.hedgeAfter = 25 * time.Millisecond
 	}
+	if cfg.workers <= 0 {
+		cfg.workers = 2
+	}
 	env := &clusterEnv{
 		net:      cluster.NewMemNetwork(seed),
 		ids:      ids,
@@ -78,7 +85,7 @@ func newClusterEnv(t *testing.T, seed int64, cfg envConfig, ids ...cluster.NodeI
 			ctrl = cfg.admission(id)
 		}
 		reg := registry.New(0)
-		engine, err := jobs.New(jobs.Config{Registry: reg, Workers: 2, Analyze: cfg.analyze, Admission: ctrl})
+		engine, err := jobs.New(jobs.Config{Registry: reg, Workers: cfg.workers, Analyze: cfg.analyze, Admission: ctrl})
 		if err != nil {
 			t.Fatalf("engine(%s): %v", id, err)
 		}
@@ -221,6 +228,129 @@ func TestClusterForwardToOwner(t *testing.T) {
 			return env.nodes[id].Stats().HandoffRecords >= 1
 		})
 	}
+}
+
+// TestClusterForwardExploreAndSignificance: async /explore and
+// /significance on a node that does not own the dataset are forwarded
+// like POST /jobs: the ingress counts one forward for each, the ack
+// names an owner, and the result on that owner is its sync answer to
+// the same question, apart from cache_hit.
+func TestClusterForwardExploreAndSignificance(t *testing.T) {
+	env := newClusterEnv(t, 17, envConfig{}, "n1", "n2", "n3")
+	hash := sampleHash()
+	owners := env.owners(hash)
+	ingress := env.nonOwner(t, hash)
+	if w := do(t, env.handlers[ingress], http.MethodPost, "/datasets", sampleCSV); w.Code != http.StatusOK {
+		t.Fatalf("register = %d: %s", w.Code, w.Body.String())
+	}
+	for _, id := range owners {
+		waitUntil(t, 5*time.Second, "spill replica on owner "+string(id), func() bool {
+			_, ok := env.servers[id].reg.Get(registry.Hash(hash))
+			return ok
+		})
+	}
+	for i, c := range []struct{ path, body string }{
+		{"/explore", `{"dataset":%q,"support":0.1,"metric":"FPR","topk":5%s}`},
+		{"/significance", `{"dataset":%q,"support":0.1,"metric":"FNR","permutations":40,"seed":2%s}`},
+	} {
+		w := do(t, env.handlers[ingress], http.MethodPost, c.path, fmt.Sprintf(c.body, hash, `,"async":true`))
+		if w.Code != http.StatusAccepted {
+			t.Fatalf("async %s on the ingress = %d: %s", c.path, w.Code, w.Body.String())
+		}
+		if out := env.nodes[ingress].Stats().ForwardsOut; out != int64(i+1) {
+			t.Errorf("after async %s the ingress forwards_out = %d, want %d", c.path, out, i+1)
+		}
+		ack := decode[ackJSON](t, w)
+		owner := cluster.NodeID(ack.Node)
+		if ack.ID == "" || !slices.Contains(owners, owner) {
+			t.Fatalf("async %s ack = %+v, want an id and one of the owners %v", c.path, ack, owners)
+		}
+		if st := pollJob(t, env.handlers[owner], ack.ID); st.State != "done" || st.Dataset != hash {
+			t.Fatalf("async %s on its owner = %+v", c.path, st)
+		}
+		async := do(t, env.handlers[owner], http.MethodGet, "/jobs/"+ack.ID+"/result", "")
+		sync := do(t, env.handlers[owner], http.MethodPost, c.path, fmt.Sprintf(c.body, hash, ""))
+		if async.Code != http.StatusOK || sync.Code != http.StatusOK {
+			t.Fatalf("%s on the owner: async result %d, sync %d: %s %s",
+				c.path, async.Code, sync.Code, async.Body.String(), sync.Body.String())
+		}
+		got, want := cacheHitField.ReplaceAll(async.Body.Bytes(), nil), cacheHitField.ReplaceAll(sync.Body.Bytes(), nil)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: forwarded result differs from the owner's sync answer at byte %d:\nwant: %s\ngot:  %s",
+				c.path, firstDiff(got, want), want, got)
+		}
+	}
+}
+
+// FuzzForwardedJob: a POST /internal/jobs body is untrusted bytes on a
+// clustered node's listener. Decoded as handleForwardedJob and RunJob
+// decode it, no body panics, only the three kinds are accepted, each as
+// the spec type its kind names, and an accepted work reads the dataset
+// the forward was placed by. The seeds are one forward of each kind,
+// each of which must decode back to the work it encodes, and a bare
+// analysis forward with no kind and a tenant beside the spec, as
+// earlier builds sent.
+func FuzzForwardedJob(f *testing.F) {
+	hash := registry.Hash(sampleHash())
+	for _, work := range []jobs.Work{
+		jobs.Spec{Dataset: hash, TruthCol: "truth", PredCol: "pred", Support: 0.1, Metrics: []string{"FPR"}, TopK: 10, Tenant: "t"},
+		jobs.ExploreSpec{Dataset: hash, TruthCol: "truth", PredCol: "pred", Support: 0.1, Metric: "ER", TopK: 5, MaxPatterns: 50},
+		jobs.SignificanceSpec{Dataset: hash, TruthCol: "truth", PredCol: "pred", Support: 0.1, Method: jobs.MethodWY, Alpha: 0.1, Permutations: 40, Seed: 3, Tenant: "t"},
+	} {
+		req, err := forwardOf(work)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if got, err := forwardedWork(req.Kind, req.SpecJSON, req.Dataset); err != nil || !reflect.DeepEqual(got, work) {
+			f.Fatalf("forward of %#v decodes to %#v (err %v)", work, got, err)
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	bare, err := json.Marshal(map[string]any{
+		"id": "a1", "dataset": hash, "tenant": "t",
+		"spec": []byte(`{"Dataset":"` + hash + `","TruthCol":"truth","PredCol":"pred","Support":0.05,"Metrics":["FPR","FNR"],"Epsilon":0,"TopK":10,"Alpha":0,"Tenant":"t"}`),
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var req cluster.JobRequest
+	if err := json.Unmarshal(bare, &req); err != nil {
+		f.Fatal(err)
+	}
+	if w, err := forwardedWork(req.Kind, req.SpecJSON, req.Dataset); err != nil || w.(jobs.Spec).Tenant != "t" {
+		f.Fatalf("bare analysis forward decodes to %#v (err %v), want its analysis spec", w, err)
+	}
+	f.Add(bare)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req cluster.JobRequest
+		if json.Unmarshal(body, &req) != nil {
+			return
+		}
+		work, err := forwardedWork(req.Kind, req.SpecJSON, req.Dataset)
+		if err != nil {
+			return
+		}
+		var kind string
+		switch work.(type) {
+		case jobs.Spec:
+		case jobs.ExploreSpec:
+			kind = kindExplore
+		case jobs.SignificanceSpec:
+			kind = kindSignificance
+		default:
+			t.Fatalf("accepted a %T", work)
+		}
+		if kind != req.Kind {
+			t.Fatalf("kind %q decoded as a %T", req.Kind, work)
+		}
+		if ds, _ := work.Source(); string(ds) != req.Dataset {
+			t.Fatalf("accepted work reads dataset %q, the forward names %q", ds, req.Dataset)
+		}
+	})
 }
 
 // TestClusterOwnerRunsLocally: a submit on an owner short-circuits the
@@ -400,6 +530,13 @@ func TestClusterHTTPTransportEndToEnd(t *testing.T) {
 	waitUntil(t, 5*time.Second, "spill replica on the owner over HTTP", func() bool {
 		return do(t, servers[owner].Handler(), http.MethodGet, "/datasets/"+hash, "").Code == http.StatusOK
 	})
+
+	// A spec the engine refuses is a 400 at the ingress too, not the
+	// owner's refusal relayed as a peer rejection.
+	if w := do(t, servers[ingress].Handler(), http.MethodPost, "/explore",
+		`{"dataset":"`+hash+`","metric":"nope","async":true}`); w.Code != http.StatusBadRequest {
+		t.Fatalf("forwarded bad explore = %d: %s", w.Code, w.Body.String())
+	}
 
 	// Forward over POST /internal/jobs.
 	w := do(t, servers[ingress].Handler(), http.MethodPost, "/jobs?dataset="+hash+"&metric=FPR", "")

@@ -18,9 +18,10 @@ import (
 // max_patterns) bound the mine, sample_rows trades exactness for speed
 // with explicit confidence intervals, and an "expand" object navigates
 // the lattice from a named pattern without mining at all. "async": true
-// submits the exploration as a job, admitted per tenant as POST /jobs
-// is; progress then streams via the usual /jobs/{id}/partial and
-// /jobs/{id}/events.
+// submits the exploration as a job through the async submit POST /jobs
+// takes — admitted per tenant, logged under its own spec, routed to the
+// dataset's owners in a cluster; progress then streams via the usual
+// /jobs/{id}/partial and /jobs/{id}/events.
 
 // exploreBody is the wire shape of a POST /explore request.
 type exploreBody struct {
@@ -157,6 +158,11 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	if req.async {
+		req.spec.Tenant = tenantOf(r)
+		s.submitAsync(w, r, req.spec, nil)
+		return
+	}
 	ds := req.spec.Dataset
 	if req.expand != nil {
 		ds = req.expand.Dataset
@@ -173,11 +179,6 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		writeJSON(w, http.StatusOK, out)
-		return
-	}
-	if req.async {
-		req.spec.Tenant = tenantOf(r)
-		s.acceptLocal(w, req.spec)
 		return
 	}
 	out, err := s.engine.Explore(r.Context(), req.spec)

@@ -256,11 +256,11 @@ func TestStatszKeyPaths(t *testing.T) {
 	}
 }
 
-// TestRestartExploreAndSignificanceJobs: the outcome of an async explore
-// or significance job lives only in memory. After a restart the job is
-// still done, and its result answers 410 with a reason naming the kind —
-// never an /analyze report re-mined from the job's spec, whether or not
-// the dataset is back.
+// TestRestartExploreAndSignificanceJobs: the done record of an async
+// explore or significance job logs its outcome. After a restart, with
+// or without the dataset back, the job is still done and its result
+// answers 200 with the pre-restart body byte for byte — never an
+// /analyze report re-mined from the job's spec, and never a re-run.
 func TestRestartExploreAndSignificanceJobs(t *testing.T) {
 	csv := datagenCSV(t, 93, 200, 3, 2)
 	for _, kind := range []string{"explore", "significance"} {
@@ -286,6 +286,7 @@ func TestRestartExploreAndSignificanceJobs(t *testing.T) {
 			if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"metric": "ER"`) {
 				t.Fatalf("pre-crash result = %d: %s", w.Code, w.Body.String())
 			}
+			want := w.Body.Bytes()
 			walDir := snapshotWAL(t, dir)
 
 			for _, reupload := range []bool{true, false} {
@@ -296,21 +297,22 @@ func TestRestartExploreAndSignificanceJobs(t *testing.T) {
 				if reupload {
 					do(t, h2, http.MethodPost, "/datasets", csv)
 				}
-				if st := decode[jobJSON](t, do(t, h2, http.MethodGet, "/jobs/"+id, "")); st.State != "done" || !st.Recovered {
-					t.Fatalf("recovered status = %+v, want done and recovered", st)
+				st := decode[jobJSON](t, do(t, h2, http.MethodGet, "/jobs/"+id, ""))
+				if st.State != "done" || !st.Recovered || st.Dataset != hash {
+					t.Fatalf("recovered status = %+v, want done and recovered on %s", st, hash)
 				}
 				w = do(t, h2, http.MethodGet, "/jobs/"+id+"/result", "")
-				if strings.Contains(w.Body.String(), "frequent_itemsets") {
-					t.Fatalf("reupload=%v: result is an analysis body: %s", reupload, w.Body.String())
+				if w.Code != http.StatusOK {
+					t.Fatalf("reupload=%v: result = %d, want 200: %s", reupload, w.Code, w.Body.String())
 				}
-				if w.Code != http.StatusGone {
-					t.Fatalf("reupload=%v: result = %d, want 410: %s", reupload, w.Code, w.Body.String())
+				if !bytes.Equal(w.Body.Bytes(), want) {
+					t.Fatalf("reupload=%v: result differs from the pre-restart one at byte %d:\nwant: %s\ngot:  %s",
+						reupload, firstDiff(w.Body.Bytes(), want), want, w.Body.String())
 				}
-				if reason := decode[map[string]string](t, w)["error"]; !strings.Contains(reason, kind) {
-					t.Errorf("reupload=%v: reason %q does not name the %s kind", reupload, reason, kind)
-				}
-				if got := decode[statszJSON](t, do(t, h2, http.MethodGet, "/statsz", "")).Jobs.Rehydrated; got != 0 {
-					t.Errorf("reupload=%v: jobs.rehydrated = %d, want 0", reupload, got)
+				stats := decode[statszJSON](t, do(t, h2, http.MethodGet, "/statsz", "")).Jobs
+				if stats.Rehydrated != 0 || stats.Explore.Mines != 0 || stats.Significance.Runs != 0 {
+					t.Errorf("reupload=%v: rehydrated %d, explore mines %d, significance runs %d; want 0, 0, 0",
+						reupload, stats.Rehydrated, stats.Explore.Mines, stats.Significance.Runs)
 				}
 			}
 		})

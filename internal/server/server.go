@@ -48,25 +48,27 @@
 //	POST   /internal/replicate  (clustered) one replica payload chunk
 //
 // With a cluster node attached (AttachCluster; divexplorer-server
-// -peers) POST /jobs routes by dataset ownership on a consistent-hash
-// ring: an owner runs the job locally, any other node forwards it to
-// the highest-priority live owner with hedged retries. Accepted and
-// completed job records replicate to the dataset's other owners, which
-// adopt them if the owner dies. With an admission controller on the
-// engine (jobs.Config.Admission; -tenant-quotas) every async job — POST
-// /jobs, and /explore and /significance with "async": true — is gated
-// per tenant (X-Tenant header) inside the engine's submit: quota or
-// rate denials answer 429 with Retry-After, and queued jobs drain by
-// weighted fair queueing instead of FIFO.
+// -peers) every async submit — POST /jobs, and /explore and
+// /significance with "async": true — routes by dataset ownership on a
+// consistent-hash ring: an owner runs the job locally, any other node
+// forwards it, under its own kind, to the highest-priority live owner
+// with hedged retries. Accepted and completed job records replicate to
+// the dataset's other owners, which adopt them as their own kind if the
+// owner dies. Sync requests run where they arrive. With an admission
+// controller on the engine (jobs.Config.Admission; -tenant-quotas)
+// every async job is gated per tenant (X-Tenant header) inside the
+// engine's submit: quota or rate denials answer 429 with Retry-After,
+// and queued jobs drain by weighted fair queueing instead of FIFO.
 //
 // With a job store attached (divexplorer-server -store-dir) every job
 // lifecycle transition is written through to disk and replayed on boot,
-// so completed results outlive a restart. With a spill tier attached
-// too (-spill-dir), datasets evicted from the in-memory registry are
-// written to checksummed disk files instead of being lost, so a
-// recovered job can usually re-mine its full result without anyone
-// re-uploading anything. GET /jobs/{id}/result walks an explicit
-// graceful-degradation ladder, best rung first:
+// so completed results outlive a restart: an explore or significance
+// job's logged outcome serves as it was first served. With a spill tier
+// attached too (-spill-dir), datasets evicted from the in-memory
+// registry are written to checksummed disk files instead of being lost,
+// so a recovered analysis can usually re-mine its full result without
+// anyone re-uploading anything. GET /jobs/{id}/result of an analysis
+// walks an explicit graceful-degradation ladder, best rung first:
 //
 //  1. memory — the full result (or its dataset) is resident: full payload;
 //  2. disk spill — the dataset is reloaded from its verified spill file

@@ -14,9 +14,11 @@ import (
 // multiple-testing control over every mined pattern: Westfall–Young
 // max-T permutation FWER control ("wy", the default), permutation FDR
 // ("perm-fdr"), or the analytic Benjamini–Hochberg pass ("bh").
-// "async": true submits the query as a job, admitted per tenant as
-// POST /jobs is; permutation progress then streams via /jobs/{id} and
-// the final leaderboard via /jobs/{id}/partial and /jobs/{id}/result.
+// "async": true submits the query as a job through the async submit
+// POST /jobs takes — admitted per tenant, logged under its own spec,
+// routed to the dataset's owners in a cluster; permutation progress then
+// streams via /jobs/{id} and the final leaderboard via
+// /jobs/{id}/partial and /jobs/{id}/result.
 
 // significanceBody is the wire shape of a POST /significance request.
 type significanceBody struct {
@@ -115,14 +117,13 @@ func (s *Server) handleSignificance(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if _, ok := s.reg.Get(req.spec.Dataset); !ok {
-		writeError(w, http.StatusNotFound, "dataset "+string(req.spec.Dataset)+" not registered")
-		return
-	}
-
 	if req.async {
 		req.spec.Tenant = tenantOf(r)
-		s.acceptLocal(w, req.spec)
+		s.submitAsync(w, r, req.spec, nil)
+		return
+	}
+	if _, ok := s.reg.Get(req.spec.Dataset); !ok {
+		writeError(w, http.StatusNotFound, "dataset "+string(req.spec.Dataset)+" not registered")
 		return
 	}
 	out, err := s.engine.Significance(r.Context(), req.spec)

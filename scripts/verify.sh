@@ -65,10 +65,14 @@
 #   6e. cluster-race tier          the fault-tolerant cluster tier twice
 #                                  more under -race: the placement ring,
 #                                  phi-accrual gossip, hedged forwards
-#                                  and replica streaming, plus the
-#                                  seeded kill/partition/slow-walk chaos
-#                                  tests over full servers (no job lost,
-#                                  none double-completed on live nodes)
+#                                  (async explore and significance as
+#                                  well as POST /jobs) and replica
+#                                  streaming, plus the seeded
+#                                  kill/partition/slow-walk chaos tests
+#                                  over full servers (no job lost, none
+#                                  double-completed on live nodes; an
+#                                  adopted explore or significance job
+#                                  runs as its own kind)
 #   6f. admission tier             per-tenant quotas, token-bucket rate
 #                                  limits (429 + Retry-After) and the
 #                                  weighted-fair-queue isolation test
@@ -102,11 +106,14 @@
 #                                  replay scan: its valid prefix ends a
 #                                  line and rescans to the same records,
 #                                  and only the last line is dropped)
-#                                  and FuzzReplicateChunks (the replica
+#                                  FuzzReplicateChunks (the replica
 #                                  stream's chunk assembly: what it
 #                                  accepts is the sent bytes in order,
 #                                  verified for its kind, every ack
-#                                  within the declared total)
+#                                  within the declared total) and
+#                                  FuzzForwardedJob (the forwarded job
+#                                  decoder: only the three kinds, each
+#                                  reading the forward's dataset)
 #                                  included
 #   8. coverage summary            per-package statement coverage for
 #                                  the durability layer (internal/jobs)
@@ -200,7 +207,7 @@ go test -race -count=2 -run 'Permutation|WY|PermFDR|CoverIndex|MaxEnt|Significan
 
 echo "==> cluster-race tier (ring + gossip + chaos failover, -count=2)"
 go test -race -count=2 ./internal/cluster/...
-go test -race -count=2 -run 'Cluster' ./internal/server
+go test -race -count=2 -run 'Cluster|ForwardedJob' ./internal/server
 
 echo "==> admission tier (tenant quotas + weighted fair queueing, -count=2)"
 go test -race -count=2 ./internal/admission/...
@@ -219,6 +226,7 @@ go test -run=NONE -fuzz='^FuzzMinersAgree$' -fuzztime=10s -fuzzminimizetime=100x
 go test -run=NONE -fuzz='^FuzzCoverFold$' -fuzztime=10s -fuzzminimizetime=100x ./internal/fpm
 go test -run=NONE -fuzz='^FuzzScanLog$' -fuzztime=10s -fuzzminimizetime=100x ./internal/jobs
 go test -run=NONE -fuzz='^FuzzReplicateChunks$' -fuzztime=10s -fuzzminimizetime=100x ./internal/cluster
+go test -run=NONE -fuzz='^FuzzForwardedJob$' -fuzztime=10s -fuzzminimizetime=100x ./internal/server
 
 echo "==> coverage summary (jobs, fpm)"
 go test -cover ./internal/jobs ./internal/fpm | awk '{print "    " $0}'
