@@ -65,7 +65,7 @@ func (r *Result) Fairness(attrName string) (FairnessReport, error) {
 	card := cat.Cardinality(attr)
 	tallies := make([]fpm.Tally, card)
 	for row, c := range r.DB.Classes {
-		tallies[r.DB.Data.Rows[row][attr]][c]++
+		tallies[r.DB.Row(row)[attr]][c]++
 	}
 	rep := FairnessReport{AttrName: attrName}
 	for v := 0; v < card; v++ {
@@ -73,7 +73,7 @@ func (r *Result) Fairness(attrName string) (FairnessReport, error) {
 		it := cat.ItemFor(attr, int32(v))
 		g := GroupMetrics{
 			Item:     it,
-			Value:    r.DB.Data.Attrs[attr].Values[v],
+			Value:    cat.ValueName(it),
 			Support:  float64(t.Total()) / float64(r.DB.NumRows()),
 			Positive: PredictedPositiveRate.Rate(t),
 			FPR:      FPR.Rate(t),

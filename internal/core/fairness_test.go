@@ -101,7 +101,11 @@ func TestFairnessErrors(t *testing.T) {
 	}
 	// Generic-outcome explorations are rejected.
 	classes := make([]uint8, db.NumRows())
-	odb, err := fpm.NewTxDB(db.Data, classes, NumOutcomeClasses)
+	var codes []int32
+	for r := 0; r < db.NumRows(); r++ {
+		codes = append(codes, db.Row(r)...)
+	}
+	odb, err := fpm.NewTxDBCodes(db.Catalog, codes, classes, NumOutcomeClasses)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,12 @@
 package core
 
-import "repro/internal/fpm"
+import (
+	"math/bits"
+	"math/rand/v2"
+	"slices"
+
+	"repro/internal/fpm"
+)
 
 // Sentinels of the parent index for subsets that are not a position in
 // Patterns.
@@ -14,45 +20,90 @@ const (
 	missingParent int32 = -2
 )
 
-// newResult assembles a Result over mined patterns and builds both of
-// its indexes: the key map behind Lookup, and the parent index that
-// global divergence, corrective items, pruning and closed patterns read
-// P∖α from (DESIGN.md §17). It is the only constructor, so every Result
-// — fresh from a mine or restored by LoadResult — carries both.
+// newResult assembles a Result over mined patterns, keeping the slice it
+// is given, and builds both of its indexes: the itemset slots behind
+// Lookup, and the parent index that global divergence, corrective items,
+// pruning and closed patterns read P∖α from (DESIGN.md §17). It is the
+// only constructor, so every Result — fresh from a mine or restored by
+// LoadResult — carries both. An itemset that occurs twice resolves to
+// its last position.
 func newResult(db *fpm.TxDB, minSup float64, minCount int64, miner string, patterns []Pattern) *Result {
+	size := 2
+	for size < 2*len(patterns) {
+		size <<= 1
+	}
 	r := &Result{
 		DB:       db,
 		MinSup:   minSup,
 		MinCount: minCount,
 		Miner:    miner,
 		Patterns: patterns,
-		index:    make(map[string]int, len(patterns)),
+		slots:    make([]int32, size),
+		seed:     rand.Uint64(),
 		total:    db.TotalTally(),
 	}
-	var buf []byte
 	n := 0
-	for i, p := range patterns {
-		buf = p.Items.AppendKey(buf[:0])
-		// lint:ignore hotalloc the map retains one key string per pattern; that is the index's storage
-		r.index[string(buf)] = i
-		n += len(p.Items)
+	for i := range patterns {
+		r.slots[r.probe(patterns[i].Items, -1)] = int32(i + 1)
+		n += len(patterns[i].Items)
 	}
 	r.parents = make([]int32, 0, n)
-	for _, p := range patterns {
-		for j := range p.Items {
-			if len(p.Items) == 1 {
-				r.parents = append(r.parents, emptyParent)
-				continue
+	for i := range patterns {
+		is := patterns[i].Items
+		for j := range is {
+			q := emptyParent
+			if len(is) > 1 {
+				q = r.slots[r.probe(is, j)] - 1
+				if q < 0 {
+					q = missingParent
+				}
 			}
-			buf = p.Items[j+1:].AppendKey(p.Items[:j].AppendKey(buf[:0]))
-			q, ok := r.index[string(buf)]
-			if !ok {
-				q = int(missingParent)
-			}
-			r.parents = append(r.parents, int32(q))
+			r.parents = append(r.parents, q)
 		}
 	}
 	return r
+}
+
+// probe returns the slot of the itemset is less is[skip] (all of is when
+// skip < 0): the slot holding its position, or the empty slot that ends
+// its probe sequence when it is not indexed. The slots are open
+// addressed with linear probing and at most half full, so a probe ends.
+func (r *Result) probe(is fpm.Itemset, skip int) int {
+	mask := uint64(len(r.slots) - 1)
+	for s := hashItems(is, skip, r.seed) & mask; ; s = (s + 1) & mask {
+		q := r.slots[s]
+		if q == 0 || equalLess(r.Patterns[q-1].Items, is, skip) {
+			return int(s)
+		}
+	}
+}
+
+// mixK is the odd multiplier of hashItems: 2^64 divided by the golden
+// ratio.
+const mixK = 0x9e3779b97f4a7c15
+
+// hashItems hashes the item ids of is less is[skip] under seed. Each
+// item folds into the state through a full 64×64→128-bit multiply whose
+// halves are XORed, so every slot bit depends on the seed and on every
+// item: without the seed, no choice of items clusters the probes.
+func hashItems(is fpm.Itemset, skip int, seed uint64) uint64 {
+	h := seed
+	for j, it := range is {
+		if j != skip {
+			hi, lo := bits.Mul64(h^uint64(uint32(it)), mixK)
+			h = hi ^ lo
+		}
+	}
+	return h
+}
+
+// equalLess reports whether p equals is less is[skip] (all of is when
+// skip < 0).
+func equalLess(p, is fpm.Itemset, skip int) bool {
+	if skip < 0 {
+		return slices.Equal(p, is)
+	}
+	return len(p) == len(is)-1 && slices.Equal(p[:skip], is[:skip]) && slices.Equal(p[skip:], is[skip+1:])
 }
 
 // parentDivergence returns the divergence of parent entry q given the

@@ -81,8 +81,8 @@ func fingerprintDB(db *fpm.TxDB) uint64 {
 	}
 	h.Write(db.Classes)
 	// Row content: hash the value codes.
-	for _, row := range db.Data.Rows {
-		for _, v := range row {
+	for r := range db.Classes {
+		for _, v := range db.Row(r) {
 			h.Write([]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)})
 		}
 	}

@@ -11,11 +11,9 @@ import (
 	"repro/internal/stats"
 )
 
-// Pattern is one frequent itemset together with its outcome tally.
-type Pattern struct {
-	Items fpm.Itemset
-	Tally fpm.Tally
-}
+// Pattern is one frequent itemset together with its outcome tally: the
+// miner's own record, so a Result keeps the slice the miner returned.
+type Pattern = fpm.FrequentPattern
 
 // Result holds the output of one exploration: every frequent itemset with
 // its tally, indexed for O(1) subset lookups. All divergence, Shapley,
@@ -28,7 +26,12 @@ type Result struct {
 	Miner    string
 
 	Patterns []Pattern
-	index    map[string]int
+	// slots is the itemset index behind Lookup (DESIGN.md §17): a
+	// power-of-two table of at least 2·len(Patterns) slots, open
+	// addressed, each 0 when empty or else a position in Patterns plus
+	// one. seed keys its hash.
+	slots []int32
+	seed  uint64
 	// parents is the parent index (DESIGN.md §17): walking Patterns in
 	// order, each pattern's |Items| entries give the position in Patterns
 	// of the pattern without its j-th item, emptyParent for the empty
@@ -71,11 +74,7 @@ func ExploreContext(ctx context.Context, db *fpm.TxDB, minSup float64, opts Opti
 	if err != nil {
 		return nil, fmt.Errorf("core: mining: %w", err)
 	}
-	patterns := make([]Pattern, len(mined))
-	for i, p := range mined {
-		patterns[i] = Pattern{Items: p.Items, Tally: p.Tally}
-	}
-	return newResult(db, minSup, minCount, miner.Name(), patterns), nil
+	return newResult(db, minSup, minCount, miner.Name(), mined), nil
 }
 
 // NumPatterns returns the number of frequent itemsets found (excluding
@@ -91,14 +90,11 @@ func (r *Result) Lookup(is fpm.Itemset) (Pattern, bool) {
 	if len(is) == 0 {
 		return Pattern{Items: nil, Tally: r.total}, true
 	}
-	// Keys of up to 32 items are built on the stack, and a map index with
-	// a string(bytes) key does not allocate.
-	var key [4 * 32]byte
-	i, ok := r.index[string(is.AppendKey(key[:0]))]
-	if !ok {
+	q := r.slots[r.probe(is, -1)]
+	if q == 0 {
 		return Pattern{}, false
 	}
-	return r.Patterns[i], true
+	return r.Patterns[q-1], true
 }
 
 // Support returns the relative support of a tally.

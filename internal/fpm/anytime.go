@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"time"
-
-	"repro/internal/dataset"
 )
 
 // Streaming mining: MineVisit (kernel.go) is the one entry point that
@@ -104,10 +102,10 @@ type Visitor func(p FrequentPattern) error
 
 // SampleRows returns a transaction database over n rows drawn uniformly
 // without replacement with the given seed, preserving row order. The
-// catalog, schema and row slices are shared with db (both are
-// read-only), so a sample costs O(n) index bookkeeping, not a data
-// copy. When n <= 0 or n >= db.NumRows() the original db is returned:
-// there is nothing to sample away.
+// catalog is shared with db; the sampled rows' codes and classes are
+// copied, so a sample holds only its own rows. When n <= 0 or n >=
+// db.NumRows() the original db is returned: there is nothing to sample
+// away.
 func SampleRows(db *TxDB, n int, seed int64) *TxDB {
 	total := db.NumRows()
 	if n <= 0 || n >= total {
@@ -116,16 +114,12 @@ func SampleRows(db *TxDB, n int, seed int64) *TxDB {
 	rng := rand.New(rand.NewSource(seed))
 	idx := rng.Perm(total)[:n]
 	sort.Ints(idx)
-	rows := make([][]int32, n)
+	w := db.Catalog.NumAttrs()
+	codes := make([]int32, n*w)
 	classes := make([]uint8, n)
 	for i, r := range idx {
-		rows[i] = db.Data.Rows[r]
+		copy(codes[i*w:], db.Row(r))
 		classes[i] = db.Classes[r]
 	}
-	return &TxDB{
-		Catalog: db.Catalog,
-		Data:    &dataset.Dataset{Attrs: db.Data.Attrs, Rows: rows},
-		Classes: classes,
-		K:       db.K,
-	}
+	return &TxDB{Catalog: db.Catalog, Classes: classes, K: db.K, codes: codes}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 )
@@ -177,15 +178,18 @@ func TestSampleRows(t *testing.T) {
 	if s1.Catalog != db.Catalog {
 		t.Error("sample does not share the catalog")
 	}
-	for r := range s1.Data.Rows {
-		if &s1.Data.Rows[r][0] != &s2.Data.Rows[r][0] || s1.Classes[r] != s2.Classes[r] {
+	for r := range s1.Classes {
+		if !slices.Equal(s1.Row(r), s2.Row(r)) || s1.Classes[r] != s2.Classes[r] {
 			t.Fatal("same seed produced different samples")
 		}
 	}
+	if &s1.Row(0)[0] == &s2.Row(0)[0] {
+		t.Error("two samples share their codes; each copies its rows")
+	}
 	s3 := SampleRows(db, 120, 8)
 	same := true
-	for r := range s1.Data.Rows {
-		if &s1.Data.Rows[r][0] != &s3.Data.Rows[r][0] {
+	for r := range s1.Classes {
+		if !slices.Equal(s1.Row(r), s3.Row(r)) || s1.Classes[r] != s3.Classes[r] {
 			same = false
 			break
 		}

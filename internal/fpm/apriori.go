@@ -85,7 +85,7 @@ func (Apriori) Mine(ctx context.Context, db *TxDB, minCount int64) ([]FrequentPa
 		}
 		level = next
 	}
-	return out, nil
+	return pack(out), nil
 }
 
 // samePrefix reports whether the first p items of a and b coincide.

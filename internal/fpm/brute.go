@@ -44,7 +44,7 @@ func (BruteForce) Mine(ctx context.Context, db *TxDB, minCount int64) ([]Frequen
 				var sub []int
 				var tally Tally
 				for _, r := range cover {
-					if db.Data.Rows[r][a] == int32(v) {
+					if db.Row(r)[a] == int32(v) {
 						sub = append(sub, r)
 						tally[db.Classes[r]]++
 					}

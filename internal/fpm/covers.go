@@ -43,7 +43,7 @@ func (c *CoverIndex) isBitset(count int) bool { return count >= 2*c.w }
 // the layout's two passes pack the covers of the items the itemsets
 // use, then each itemset costs one AndTally per item.
 func BuildCoverIndex(db *TxDB, itemsets []Itemset) *CoverIndex {
-	flat := TxDB{Catalog: db.Catalog, Data: db.Data, Classes: make([]uint8, db.NumRows()), K: 1}
+	flat := TxDB{Catalog: db.Catalog, Classes: make([]uint8, db.NumRows()), K: 1, codes: db.codes}
 	var lay Layout
 	lay.Count(&flat)
 	w := lay.Words()

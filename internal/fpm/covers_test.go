@@ -100,7 +100,7 @@ func TestCoverIndexRefoldUnderRelabeling(t *testing.T) {
 	perm := append([]uint8(nil), db.Classes...)
 	rng := rand.New(rand.NewSource(7))
 	rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-	relabeled, err := NewTxDB(db.Data, perm, db.K)
+	relabeled, err := NewTxDBCodes(db.Catalog, db.codes, perm, db.K)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func FuzzCoverFold(f *testing.F) {
 
 		s := c.NewSplit()
 		for _, classes := range [][]uint8{db.Classes, shuffled, drawn} {
-			relabeled, err := NewTxDB(db.Data, classes, db.K)
+			relabeled, err := NewTxDBCodes(db.Catalog, db.codes, classes, db.K)
 			if err != nil {
 				t.Fatal(err)
 			}

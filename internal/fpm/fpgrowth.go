@@ -230,7 +230,7 @@ func (FPGrowth) Mine(ctx context.Context, db *TxDB, minCount int64) ([]FrequentP
 		slices.Sort(out[i].Items)
 	}
 	slices.SortFunc(out, comparePatterns)
-	return out, nil
+	return pack(out), nil
 }
 
 // buildRoot rebuilds the initial FP-tree over the database into frame 0:
@@ -253,9 +253,8 @@ func (s *mineState) buildRoot(db *TxDB, minCount int64) *mineFrame {
 	cat := db.Catalog
 	f.touched = f.touched[:0]
 	f.items = f.items[:0]
-	for r, row := range db.Data.Rows {
-		c := db.Classes[r]
-		for a, v := range row {
+	for r, c := range db.Classes {
+		for a, v := range db.Row(r) {
 			it := cat.ItemFor(a, v)
 			if f.totals[it] == (Tally{}) {
 				f.touched = append(f.touched, it)
@@ -279,9 +278,9 @@ func (s *mineState) buildRoot(db *TxDB, minCount int64) *mineFrame {
 
 	// Second pass: insert each row's frequent items in rank order,
 	// weighted by a unit tally of the row's class.
-	for r, row := range db.Data.Rows {
+	for r, c := range db.Classes {
 		f.txBuf = f.txBuf[:0]
-		for a, v := range row {
+		for a, v := range db.Row(r) {
 			it := cat.ItemFor(a, v)
 			if s.order[it] >= 0 {
 				f.txBuf = append(f.txBuf, it)
@@ -292,7 +291,7 @@ func (s *mineState) buildRoot(db *TxDB, minCount int64) *mineFrame {
 		}
 		sortByOrder(f.txBuf, s.order)
 		var w Tally
-		w[db.Classes[r]] = 1
+		w[c] = 1
 		f.insert(s, f.txBuf, w)
 	}
 	return f

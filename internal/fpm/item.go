@@ -1,7 +1,8 @@
 // Package fpm implements the frequent pattern mining substrate of the
 // paper's Algorithm 1. It provides an item catalog mapping
 // attribute=value pairs to dense item identifiers, itemset utilities, a
-// transaction database carrying a per-row outcome class, and the miners:
+// transaction database whose rows are one flat array of value codes,
+// each row with an outcome class, and the miners:
 // the paper's two Algorithm 1 variants (Apriori over vertical bitsets,
 // FP-growth with outcome-tally counters), the bitset kernel that serves
 // every request path (Parallel and MineVisit), and a brute-force
@@ -11,7 +12,9 @@
 // single support counter, every itemset accumulates a small vector of
 // counts, one per outcome class (e.g. the confusion cells TP/FP/FN/TN).
 // Support is the tally total; divergence metrics are computed from the
-// class counts by package core without ever re-scanning the data.
+// class counts by package core without ever re-scanning the data. A
+// mine's result is packed at its exact size: one pattern slice and one
+// item array, the patterns' items back to back.
 package fpm
 
 import (
@@ -230,6 +233,11 @@ func (c *Catalog) Attr(it Item) int { return int(c.attrOf[it]) }
 
 // Value returns the value code of item it within its attribute.
 func (c *Catalog) Value(it Item) int32 { return c.valOf[it] }
+
+// ValueName returns the value string of item it within its attribute.
+func (c *Catalog) ValueName(it Item) string {
+	return c.schema[c.attrOf[it]].Values[c.valOf[it]]
+}
 
 // Name returns the human-readable "attr=value" form of item it. Items
 // outside the catalog render as "item#N" rather than panicking, so error

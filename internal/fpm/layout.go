@@ -38,10 +38,9 @@ func (l *Layout) Count(db *TxDB) {
 	clear(l.counts)
 	l.total = Tally{}
 	counts, base := l.counts, db.Catalog.base
-	for r, row := range db.Data.Rows {
-		c := db.Classes[r]
+	for r, c := range db.Classes {
 		l.total[c]++
-		for a, v := range row {
+		for a, v := range db.Row(r) {
 			counts[base[a]+v][c]++
 		}
 	}
@@ -106,12 +105,11 @@ func (l *Layout) scatter(db *TxDB, covers []uint64) {
 	w := l.words
 	var next [MaxClasses]int // next bit within each class's range
 	pos, base := l.pos, db.Catalog.base
-	for r, row := range db.Data.Rows {
-		c := db.Classes[r]
+	for r, c := range db.Classes {
 		bit := 64*l.lo[c] + next[c]
 		next[c]++
 		word, mask := bit/64, uint64(1)<<(bit%64)
-		for a, v := range row {
+		for a, v := range db.Row(r) {
 			if e := pos[base[a]+v]; e >= 0 {
 				covers[int(e)*w+word] |= mask
 			}

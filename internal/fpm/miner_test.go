@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/datagen"
 	"repro/internal/dataset"
 )
 
@@ -300,10 +301,69 @@ func TestFullLengthPatternsAtMinCountOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	byKey := patternsByKey(out)
-	for r := range db.Data.Rows {
-		is := db.Catalog.RowItems(db.Data.Rows[r])
+	for r := range db.Classes {
+		is := db.Catalog.RowItems(db.Row(r))
 		if _, ok := byKey[is.Key()]; !ok {
 			t.Errorf("row %d itemset %v missing from output", r, is)
 		}
+	}
+}
+
+// TestNewTxDBAllocsIndependentOfRows pins the flat row layout: a
+// database costs the same allocations whatever its row count, since its
+// codes are one array and no row has a slice of its own.
+func TestNewTxDBAllocsIndependentOfRows(t *testing.T) {
+	g, err := datagen.Random(4, datagen.RandomConfig{Rows: 10000, Attrs: 6, MaxCard: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(rows int) func() {
+		d := g.Data.Subset(rand.New(rand.NewSource(1)).Perm(10000)[:rows]) // one schema for both sizes
+		classes := make([]uint8, rows)
+		return func() {
+			if _, err := NewTxDB(d, classes, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if a, b := testing.AllocsPerRun(20, build(1000)), testing.AllocsPerRun(20, build(10000)); a != b {
+		t.Errorf("NewTxDB: %v allocs over 1,000 rows, %v over 10,000", a, b)
+	}
+}
+
+// TestNewTxDBCodes checks the flat constructor against NewTxDB over the
+// same rows, that it takes the caller's codes over, and its validation.
+func TestNewTxDBCodes(t *testing.T) {
+	db := smallTxDB(t)
+	w := db.Catalog.NumAttrs()
+	var codes []int32
+	for r := 0; r < db.NumRows(); r++ {
+		codes = append(codes, db.Row(r)...)
+	}
+	flat, err := NewTxDBCodes(db.Catalog, codes, db.Classes, db.K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < db.NumRows(); r++ {
+		if !reflect.DeepEqual(flat.Row(r), db.Row(r)) {
+			t.Fatalf("row %d: %v, want %v", r, flat.Row(r), db.Row(r))
+		}
+	}
+	if &flat.Row(0)[0] != &codes[0] {
+		t.Error("the database copied the codes it was handed")
+	}
+	if _, err := NewTxDBCodes(db.Catalog, codes[:len(codes)-1], db.Classes, db.K); err == nil {
+		t.Error("short code array accepted")
+	}
+	if _, err := NewTxDBCodes(db.Catalog, codes, db.Classes[1:], db.K); err == nil {
+		t.Error("too few classes accepted")
+	}
+	bad := append([]int32(nil), codes...)
+	bad[w+1] = int32(db.Catalog.Cardinality(1))
+	if _, err := NewTxDBCodes(db.Catalog, bad, db.Classes, db.K); err == nil {
+		t.Error("out-of-domain code accepted")
+	}
+	if _, err := NewTxDBCodes(db.Catalog, codes, db.Classes, MaxClasses+1); err == nil {
+		t.Error("K out of range accepted")
 	}
 }

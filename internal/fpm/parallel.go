@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -13,7 +12,8 @@ import (
 // order, with its top-level entries fanned out over a worker pool. Each
 // entry's subtree is an independent subproblem, and joining the
 // subtrees in entry order gives exactly FPGrowth's output, order
-// included, with no final sort.
+// included, with no final sort. The join packs the result into one
+// exact pattern slice and one exact item array.
 //
 // Workers share only the read-only top-level layout and the
 // per-subproblem result slots; each owns a kernel (depth lists, prefix,
@@ -29,11 +29,11 @@ type Parallel struct {
 	Progress func(done, total int)
 	// Emit, when non-nil, is called after each top-level subproblem
 	// completes with the patterns that subproblem mined, before Progress.
-	// The batch is shared with the final result: receivers must treat it
-	// as read-only but may retain it. Like Progress, Emit may be called
-	// concurrently from several workers; it is the seam the job engine
-	// uses to accumulate partial-result snapshots while a long mine is
-	// still underway.
+	// The batch lives in the worker's pattern arena, not in the final
+	// result: receivers must treat it as read-only but may retain it.
+	// Like Progress, Emit may be called concurrently from several
+	// workers; it is the seam the job engine uses to accumulate
+	// partial-result snapshots while a long mine is still underway.
 	Emit func(batch []FrequentPattern, done, total int)
 }
 
@@ -67,7 +67,7 @@ func (p Parallel) Mine(ctx context.Context, db *TxDB, minCount int64) ([]Frequen
 	if err := ctx.Err(); err != nil {
 		return nil, mineCanceled{err}
 	}
-	return slices.Concat(r.results...), nil
+	return pack(r.results...), nil
 }
 
 // parallelRun is the shared state of one parallel mine: the atomic work

@@ -49,22 +49,45 @@ func (t Tally) Masked(mask uint16) int64 {
 }
 
 // TxDB is a transaction database: the dataset rows, each labelled with an
-// outcome class in [0, K). It is the input to all miners.
+// outcome class in [0, K). It is the input to all miners. The rows' value
+// codes live in one flat array, row r at [r·A, (r+1)·A) with A =
+// Catalog.NumAttrs(), and every reader takes a row through Row: a row
+// costs its codes and nothing else. A TxDB is immutable once built, so
+// databases over the same rows may share its catalog and codes.
 type TxDB struct {
 	Catalog *Catalog
-	Data    *dataset.Dataset
 	Classes []uint8 // per-row outcome class
 	K       int     // number of classes in use
+	codes   []int32 // row-major value codes, Catalog.NumAttrs() per row
 }
 
 // NewTxDB builds a transaction database over the dataset with the given
-// per-row outcome classes.
+// per-row outcome classes. It copies the dataset's codes into the
+// database's flat array, so d may change afterwards.
 func NewTxDB(d *dataset.Dataset, classes []uint8, k int) (*TxDB, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
 	if len(classes) != d.NumRows() {
 		return nil, fmt.Errorf("fpm: %d class labels for %d rows", len(classes), d.NumRows())
+	}
+	w := d.NumAttrs()
+	codes := make([]int32, len(d.Rows)*w)
+	for r, row := range d.Rows {
+		copy(codes[r*w:], row)
+	}
+	return NewTxDBCodes(NewCatalog(d), codes, classes, k)
+}
+
+// NewTxDBCodes builds a transaction database over flat row-major value
+// codes of the catalog's schema, with one class per row. The database
+// takes codes over: the caller must not write to it afterwards. The
+// classes and every code are checked; the schema is for the catalog's
+// builder to validate.
+func NewTxDBCodes(cat *Catalog, codes []int32, classes []uint8, k int) (*TxDB, error) {
+	w := cat.NumAttrs()
+	if len(codes) != len(classes)*w {
+		return nil, fmt.Errorf("fpm: %d class labels for %d value codes of %d attributes", len(classes), len(codes), w)
 	}
 	if k < 1 || k > MaxClasses {
 		return nil, fmt.Errorf("fpm: class count %d out of range [1,%d]", k, MaxClasses)
@@ -74,11 +97,27 @@ func NewTxDB(d *dataset.Dataset, classes []uint8, k int) (*TxDB, error) {
 			return nil, fmt.Errorf("fpm: row %d has class %d >= K=%d", i, c, k)
 		}
 	}
-	return &TxDB{Catalog: NewCatalog(d), Data: d, Classes: classes, K: k}, nil
+	base := cat.base
+	for r := range classes {
+		for a, code := range codes[r*w : (r+1)*w] {
+			if code < 0 || code >= base[a+1]-base[a] {
+				return nil, fmt.Errorf("fpm: row %d attribute %q code %d out of domain [0,%d)",
+					r, cat.AttrName(a), code, cat.Cardinality(a))
+			}
+		}
+	}
+	return &TxDB{Catalog: cat, Classes: classes, K: k, codes: codes}, nil
 }
 
 // NumRows returns the number of transactions.
-func (db *TxDB) NumRows() int { return db.Data.NumRows() }
+func (db *TxDB) NumRows() int { return len(db.Classes) }
+
+// Row returns row r's value codes, one per attribute. The slice is the
+// database's own: callers must not write to it.
+func (db *TxDB) Row(r int) []int32 {
+	w := len(db.Catalog.schema)
+	return db.codes[r*w : (r+1)*w : (r+1)*w]
+}
 
 // TotalTally returns the tally of the whole database (the empty itemset).
 func (db *TxDB) TotalTally() Tally {
@@ -91,7 +130,7 @@ func (db *TxDB) TotalTally() Tally {
 
 // Covers reports whether row r is covered by itemset is.
 func (db *TxDB) Covers(r int, is Itemset) bool {
-	row := db.Data.Rows[r]
+	row := db.Row(r)
 	for _, it := range is {
 		a := db.Catalog.Attr(it)
 		if row[a] != db.Catalog.Value(it) {
@@ -106,7 +145,7 @@ func (db *TxDB) Covers(r int, is Itemset) bool {
 // the mining hot path.
 func (db *TxDB) SupportSet(is Itemset) []int {
 	var rows []int
-	for r := range db.Data.Rows {
+	for r := range db.Classes {
 		if db.Covers(r, is) {
 			rows = append(rows, r)
 		}
@@ -118,7 +157,7 @@ func (db *TxDB) SupportSet(is Itemset) []int {
 // tests and one-off queries; miners compute tallies incrementally.
 func (db *TxDB) TallyOf(is Itemset) Tally {
 	var t Tally
-	for r := range db.Data.Rows {
+	for r := range db.Classes {
 		if db.Covers(r, is) {
 			t[db.Classes[r]]++
 		}
@@ -130,6 +169,31 @@ func (db *TxDB) TallyOf(is Itemset) Tally {
 type FrequentPattern struct {
 	Items Itemset
 	Tally Tally
+}
+
+// pack copies the patterns of batches, in order, into one pattern slice
+// of exactly their number, whose items lie back to back in one array of
+// exactly Σ|Items|. A miner's working arenas grow by append, so the
+// patterns carved from them pin every array an arena passed through; a
+// mine's result is packed once instead, and holds its own size.
+func pack(batches ...[]FrequentPattern) []FrequentPattern {
+	n, m := 0, 0
+	for _, b := range batches {
+		n += len(b)
+		for i := range b {
+			m += len(b[i].Items)
+		}
+	}
+	out := make([]FrequentPattern, 0, n)
+	items := make(Itemset, m)
+	for _, b := range batches {
+		for i := range b {
+			k := copy(items, b[i].Items)
+			out = append(out, FrequentPattern{Items: items[:k:k], Tally: b[i].Tally})
+			items = items[k:]
+		}
+	}
+	return out
 }
 
 // Miner extracts all itemsets whose support count is at least

@@ -68,11 +68,13 @@ func (s Spec) run(ctx context.Context, e *Engine, tr *Tracker) (any, bool, error
 }
 
 // confusionDB builds the transaction database DivExplorer mines from a
-// dataset: the Boolean label columns are removed and each row's
-// (truth, prediction) pair becomes its confusion class. Every failure is
-// the request's fault and wraps ErrBadInput.
+// dataset: each row's (truth, prediction) pair becomes its confusion
+// class, and the codes of every other column are written, in one pass,
+// into the database's flat array. The dataset itself is only read, so a
+// registry entry stays immutable. Every failure is the request's fault
+// and wraps ErrBadInput.
 func confusionDB(data *dataset.Dataset, truthCol, predCol string) (*fpm.TxDB, error) {
-	truth, pred, rest, err := extractLabels(data, truthCol, predCol)
+	truth, pred, err := extractLabels(data, truthCol, predCol)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
@@ -80,18 +82,36 @@ func confusionDB(data *dataset.Dataset, truthCol, predCol string) (*fpm.TxDB, er
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
-	db, err := fpm.NewTxDB(rest, classes, core.NumConfusionClasses)
+	ti, pi := data.AttrIndex(truthCol), data.AttrIndex(predCol)
+	kept := &dataset.Dataset{Attrs: make([]dataset.Attribute, 0, data.NumAttrs())}
+	keep := make([]int, 0, data.NumAttrs())
+	for a := range data.Attrs {
+		if a != ti && a != pi {
+			kept.Attrs = append(kept.Attrs, data.Attrs[a])
+			keep = append(keep, a)
+		}
+	}
+	if err := kept.Validate(); err != nil { // the schema: kept has no rows
+		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
+	}
+	codes := make([]int32, data.NumRows()*len(keep))
+	i := 0
+	for _, row := range data.Rows {
+		for _, a := range keep {
+			codes[i] = row[a]
+			i++
+		}
+	}
+	db, err := fpm.NewTxDBCodes(fpm.NewCatalog(kept), codes, classes, core.NumConfusionClasses)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
 	return db, nil
 }
 
-// extractLabels pulls and removes the Boolean label columns. The input
-// dataset is not modified; mining runs on the returned copy. Each
-// label column's few domain values are classified once, and rows are
-// read by code.
-func extractLabels(d *dataset.Dataset, truthCol, predCol string) (truth, pred []bool, out *dataset.Dataset, err error) {
+// extractLabels reads the Boolean label columns. Each label column's few
+// domain values are classified once, and rows are read by code.
+func extractLabels(d *dataset.Dataset, truthCol, predCol string) (truth, pred []bool, err error) {
 	parse := func(col string) ([]bool, error) {
 		idx := d.AttrIndex(col)
 		if idx < 0 {
@@ -121,11 +141,10 @@ func extractLabels(d *dataset.Dataset, truthCol, predCol string) (truth, pred []
 		return vals, nil
 	}
 	if truth, err = parse(truthCol); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if pred, err = parse(predCol); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	out, err = d.DropAttrs(truthCol, predCol)
-	return truth, pred, out, err
+	return truth, pred, nil
 }

@@ -127,15 +127,7 @@ func sampleTxDB(t *testing.T) *fpm.TxDB {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth, pred, rest, err := extractLabels(d, "truth", "pred")
-	if err != nil {
-		t.Fatal(err)
-	}
-	classes, err := core.ConfusionClasses(truth, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := fpm.NewTxDB(rest, classes, core.NumConfusionClasses)
+	db, err := confusionDB(d, "truth", "pred")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,6 @@ type bucketData struct {
 // serializes access.
 type window struct {
 	cfg        WindowConfig
-	attrs      []dataset.Attribute
 	cat        *fpm.Catalog
 	itemBase   []int32 // attribute -> first item id (mirror of the catalog's layout)
 	nAttrs     int
@@ -108,7 +107,6 @@ func newWindow(spec Spec) *window {
 	}
 	return &window{
 		cfg:        spec.Window,
-		attrs:      attrs,
 		cat:        cat,
 		itemBase:   base,
 		nAttrs:     len(attrs),
@@ -295,8 +293,8 @@ func (w *window) needRemine(minCount int64) bool {
 // over the window, so the aggregate is rebuilt in the same pass. Cost is
 // O(window); the conditional triggers keep it off the steady-state path.
 func (w *window) remine(minCount int64) error {
-	// The window's codes widen into one int32 arena, each row a
-	// capacity-bounded window of it.
+	// The window's codes widen into one int32 arena, which the
+	// transaction database takes over as its flat rows.
 	arena := make([]int32, 0, w.rowsIn*w.nAttrs)
 	classes := make([]uint8, 0, w.rowsIn)
 	for i := range w.buckets {
@@ -306,11 +304,7 @@ func (w *window) remine(minCount int64) error {
 		}
 		classes = append(classes, b.classes...)
 	}
-	rows := make([][]int32, len(classes))
-	for r := range rows {
-		rows[r] = arena[r*w.nAttrs : (r+1)*w.nAttrs : (r+1)*w.nAttrs]
-	}
-	db, err := fpm.NewTxDB(&dataset.Dataset{Attrs: w.attrs, Rows: rows}, classes, fpm.MaxClasses)
+	db, err := fpm.NewTxDBCodes(w.cat, arena, classes, fpm.MaxClasses)
 	if err != nil {
 		return fmt.Errorf("monitor: building window transaction db: %w", err)
 	}

@@ -307,9 +307,10 @@ func (r *Registry) Stats() Stats {
 	return s
 }
 
-// datasetBytes estimates the resident size of a parsed dataset: 4 bytes
-// per value code plus the schema strings with per-string overhead. An
-// estimate is enough — the budget bounds order of magnitude, not pages.
+// datasetBytes estimates the resident size of a parsed dataset: per row,
+// its slice header (rowHeaderBytes) and 4 bytes per value code, plus the
+// schema strings with per-string overhead. An estimate is enough — the
+// budget bounds order of magnitude, not pages.
 func datasetBytes(d *dataset.Dataset) int64 {
 	const strOverhead = 16
 	var n int64
@@ -319,6 +320,10 @@ func datasetBytes(d *dataset.Dataset) int64 {
 			n += int64(len(v)) + strOverhead
 		}
 	}
-	n += int64(d.NumRows()) * int64(d.NumAttrs()) * 4
+	n += int64(d.NumRows()) * (rowHeaderBytes + int64(d.NumAttrs())*4)
 	return n
 }
+
+// rowHeaderBytes is the size of one row's []int32 header in a Dataset:
+// a pointer, a length and a capacity.
+const rowHeaderBytes = 24

@@ -195,3 +195,29 @@ func TestRegisterParsesWhatItHashes(t *testing.T) {
 		t.Errorf("ragged upload: raw err %v, canonical err %v; want the same rejection", rawErr, canonErr)
 	}
 }
+
+// TestEntryBytesChargesRowHeaders pins the registry's size estimate: a
+// registered table is charged, per row, its slice header and four bytes
+// per code, plus its schema strings.
+func TestEntryBytesChargesRowHeaders(t *testing.T) {
+	r := New(0)
+	var b strings.Builder
+	b.WriteString("color,size,shape\n")
+	for i := 0; i < 300; i++ {
+		fmt.Fprintf(&b, "c%d,s%d,round\n", i%3, i%5)
+	}
+	e, _, err := r.Register([]byte(b.String()), dataset.CSVOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := int64(0)
+	for _, a := range e.Data.Attrs {
+		schema += int64(len(a.Name)) + 16
+		for _, v := range a.Values {
+			schema += int64(len(v)) + 16
+		}
+	}
+	if want := int64(300)*(24+4*3) + schema; e.Bytes != want {
+		t.Errorf("entry charged %d bytes, want 300 rows × (24 + 4 × 3) + %d = %d", e.Bytes, schema, want)
+	}
+}

@@ -92,6 +92,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -101,6 +102,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/cluster"
@@ -271,14 +273,39 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg}) // nothing to do if the client went away
 }
 
-// writeJSON emits v with status code.
+// writeJSON emits v, indented, with status code. It encodes into a
+// pooled buffer with a pooled encoder, whose indent buffer keeps its
+// capacity too, then writes the body once.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	jw := jsonWriters.Get().(*jsonWriter)
+	jw.buf.Reset()
+	_ = jw.enc.Encode(v) // a failed encode leaves the buffer empty
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // nothing to do if the client went away
+	_, _ = w.Write(jw.buf.Bytes()) // nothing to do if the client went away
+	if jw.buf.Cap() <= maxPooledJSON {
+		jsonWriters.Put(jw)
+	}
 }
+
+// jsonWriter is writeJSON's pooled state: an indenting encoder over its
+// own buffer.
+type jsonWriter struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// jsonWriters pools writeJSON's encoders.
+var jsonWriters = sync.Pool{New: func() any {
+	jw := new(jsonWriter)
+	jw.enc = json.NewEncoder(&jw.buf)
+	jw.enc.SetIndent("", "  ")
+	return jw
+}}
+
+// maxPooledJSON is the largest buffer a pooled writer keeps: a rare huge
+// response is not held for the next small one.
+const maxPooledJSON = 1 << 20
 
 // readBody reads the request body under the configured size limit,
 // answering 413 (with a JSON error body) when it is exceeded. A body

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -151,5 +152,30 @@ func TestAnalyzeMethodNotAllowed(t *testing.T) {
 	Handler().ServeHTTP(w, req)
 	if w.Code == http.StatusOK {
 		t.Errorf("GET /analyze succeeded, want method error")
+	}
+}
+
+// TestWriteJSONMatchesEncoder pins the pooled writer to the bytes a fresh
+// indenting encoder writes, trailing newline included, across responses
+// of different sizes that share one pooled buffer, and to an empty body
+// when the value cannot be encoded.
+func TestWriteJSONMatchesEncoder(t *testing.T) {
+	big := make([]int, 5000)
+	for _, v := range []any{
+		map[string]any{"a": 1, "b": []string{"x", "y"}},
+		big,
+		struct{ N float64 }{1.5},
+		map[string]string{},
+		math.NaN(),
+	} {
+		var want strings.Builder
+		enc := json.NewEncoder(&want)
+		enc.SetIndent("", "  ")
+		_ = enc.Encode(v) // NaN fails and writes nothing
+		rec := httptest.NewRecorder()
+		writeJSON(rec, http.StatusTeapot, v)
+		if rec.Code != http.StatusTeapot || rec.Header().Get("Content-Type") != "application/json" || rec.Body.String() != want.String() {
+			t.Errorf("writeJSON(%T) = %d %q, want %q", v, rec.Code, rec.Body.String(), want.String())
+		}
 	}
 }

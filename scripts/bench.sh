@@ -65,6 +65,11 @@
 #                                        the in-memory transport (hedge
 #                                        machinery included, no hedge
 #                                        fired)
+#   BenchmarkRunAnalysis                 the serving analysis of one
+#                                        audit-cold upload (a 5,000x10
+#                                        random table at s = 0.05): label
+#                                        split, confusion database, mine
+#                                        and Result index
 #
 # — and writes them as BENCH_<date>.json (schema divex-bench/v1, see
 # internal/benchfmt) in the repository root. When that day's snapshot
@@ -108,6 +113,8 @@ echo "==> benchmarks (-benchtime ${benchtime}, -benchmem, -cpu=1)"
         -bench '^(BenchmarkPermutationPass|BenchmarkPermutationPassSparse|BenchmarkWYAdjust)$' ./internal/permtest
     go test -run=NONE -benchmem -cpu=1 -benchtime="${benchtime}" \
         -bench '^(BenchmarkRingLookup|BenchmarkForwardJob)$' ./internal/cluster
+    go test -run=NONE -benchmem -cpu=1 -benchtime="${benchtime}" \
+        -bench '^BenchmarkRunAnalysis$' ./internal/jobs
 } | tee /dev/stderr | go run ./cmd/benchfmt -date "${date}" -out "${out}"
 
 echo "bench: snapshot written to ${out}"

@@ -113,7 +113,11 @@
 #                                  within the declared total) and
 #                                  FuzzForwardedJob (the forwarded job
 #                                  decoder: only the three kinds, each
-#                                  reading the forward's dataset)
+#                                  reading the forward's dataset) and
+#                                  FuzzConfusionDB (the one-pass
+#                                  confusion database vs. the DropAttrs
+#                                  copy it replaced: same errors, codes
+#                                  and mined tallies)
 #                                  included
 #   8. coverage summary            per-package statement coverage for
 #                                  the durability layer (internal/jobs)
@@ -138,7 +142,11 @@
 #                                  every tracked one), registry
 #                                  registration — the two-row
 #                                  and the audit-shaped decode arms —
-#                                  and disk fall-through, ring lookup)
+#                                  and disk fall-through, ring lookup,
+#                                  and the serving analysis of one
+#                                  audit-cold upload: label split,
+#                                  confusion database, mine and Result
+#                                  index)
 #                                  at -cpu=1,
 #                                  compared by cmd/benchfmt -compare
 #                                  with the newest BENCH_*.json: any
@@ -227,6 +235,7 @@ go test -run=NONE -fuzz='^FuzzCoverFold$' -fuzztime=10s -fuzzminimizetime=100x .
 go test -run=NONE -fuzz='^FuzzScanLog$' -fuzztime=10s -fuzzminimizetime=100x ./internal/jobs
 go test -run=NONE -fuzz='^FuzzReplicateChunks$' -fuzztime=10s -fuzzminimizetime=100x ./internal/cluster
 go test -run=NONE -fuzz='^FuzzForwardedJob$' -fuzztime=10s -fuzzminimizetime=100x ./internal/server
+go test -run=NONE -fuzz='^FuzzConfusionDB$' -fuzztime=10s -fuzzminimizetime=100x ./internal/jobs
 
 echo "==> coverage summary (jobs, fpm)"
 go test -cover ./internal/jobs ./internal/fpm | awk '{print "    " $0}'
@@ -250,6 +259,8 @@ echo "==> allocation gate (hot benchmarks at -cpu=1 against the newest BENCH_*.j
         -bench '^(BenchmarkRegistryRegister|BenchmarkRegistryGetDiskFallthrough)$' ./internal/registry
     go test -run=NONE -benchmem -cpu=1 -benchtime=200x \
         -bench '^BenchmarkRingLookup$' ./internal/cluster
+    go test -run=NONE -benchmem -cpu=1 -benchtime=200x \
+        -bench '^BenchmarkRunAnalysis$' ./internal/jobs
 } | go run ./cmd/benchfmt -compare
 
 echo "==> bench-module tier (end-to-end benchmark module: vet + tests)"
